@@ -11,16 +11,23 @@ All coordinates are ``fractions.Fraction``; there is no floating point
 anywhere.  Both classes keep a unique canonical breakpoint list (collinear
 points removed, translations/constants pinned at x = 0), so ``==`` decides
 equality of the represented functions.
+
+The operations evaluate each operand breakpoint at most once -- a composite's
+value at a preimage of an outer corner is that corner's stored value -- and
+carry kept slopes into the result instead of recomputing them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence, Tuple
 
 Rational = Fraction
 Pair = Tuple[Rational, Rational]
+
+_first = itemgetter(0)
 
 
 class PLError(ValueError):
@@ -52,10 +59,6 @@ def _floor(q: Rational) -> int:
     return q.numerator // q.denominator
 
 
-def _frac(q: Rational) -> Rational:
-    return q - _floor(q)
-
-
 def _prepare(points: Iterable[Pair], wrap_rise: int) -> list[Pair]:
     """Normalize points into the fundamental domain and validate x-distinctness.
 
@@ -83,22 +86,47 @@ def _prepare(points: Iterable[Pair], wrap_rise: int) -> list[Pair]:
     return sorted(seen.items())
 
 
-def _essential(pairs: Sequence[Pair], wrap_rise: int) -> tuple[Pair, ...]:
-    """Drop breakpoints that are linear interpolants of their cyclic neighbours."""
-    k = len(pairs)
-    if k == 1:
-        x0, y0 = pairs[0]
-        return ((Fraction(0), y0 - wrap_rise * x0),)
-    slopes = []
-    for i in range(k - 1):
-        slopes.append((pairs[i + 1][1] - pairs[i][1]) / (pairs[i + 1][0] - pairs[i][0]))
-    slopes.append((pairs[0][1] + wrap_rise - pairs[-1][1]) / (pairs[0][0] + 1 - pairs[-1][0]))
-    kept = tuple(pairs[i] for i in range(k) if slopes[i - 1] != slopes[i])
+def _essential(pairs: Sequence[Pair], wrap_rise: int):
+    """Drop breakpoints that are linear interpolants of their cyclic neighbours.
+
+    ``pairs`` are sorted with distinct xs in [0, 1).  Returns the kept
+    ``(xs, ys, slopes)``, each slope that of the segment leaving its point.
+    """
+    slopes = [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(pairs, pairs[1:])]
+    (x0, y0), (x1, y1) = pairs[0], pairs[-1]
+    slopes.append((y0 + wrap_rise - y1) / (x0 + 1 - x1))
+    kept = [i for i in range(len(pairs)) if slopes[i - 1] != slopes[i]]
     if not kept:
         # every point collinear: a translation (maps) or a constant (cocycles)
         x0, y0 = pairs[0]
-        return ((Fraction(0), y0 - wrap_rise * x0),)
-    return kept
+        return (Fraction(0),), (y0 - wrap_rise * x0,), (Fraction(wrap_rise),)
+    return (tuple(pairs[i][0] for i in kept), tuple(pairs[i][1] for i in kept),
+            tuple(slopes[i] for i in kept))
+
+
+def _unique_sorted(pairs: list[Pair]) -> list[Pair]:
+    """Sort candidates by x, dropping repeats: two routes to one exact point."""
+    pairs.sort(key=_first)
+    out = [pairs[0]]
+    for pair in pairs:
+        if pair[0] != out[-1][0]:
+            out.append(pair)
+    return out
+
+
+def _composite_pairs(outer: "_PLBase", phi: "PLMap") -> list[Pair]:
+    """Candidate breakpoints of x -> outer(phi(x)) with their values: phi's
+    corners, where outer is evaluated once, and the phi-preimages t - n of
+    outer's corners c, where the value outer(c) - n * rise is already stored.
+    """
+    at = outer._at
+    pairs = [(x, at(y)) for x, y in zip(phi.xs, phi.ys)]
+    at, rise = phi.invert()._at, outer._wrap_rise
+    for c, value in zip(outer.xs, outer.ys):
+        t = at(c)
+        n = _floor(t)
+        pairs.append((t - n, value - n * rise) if n else (t, value))
+    return _unique_sorted(pairs)
 
 
 class _PLBase:
@@ -108,16 +136,18 @@ class _PLBase:
 
     _wrap_rise = 0  # vertical rise across one period of the extension
 
-    def __init__(self, pairs: Sequence[Pair]):
-        xs = tuple(p[0] for p in pairs)
-        ys = tuple(p[1] for p in pairs)
-        slopes = []
-        for i in range(len(pairs) - 1):
-            slopes.append((ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]))
-        slopes.append((ys[0] + self._wrap_rise - ys[-1]) / (xs[0] + 1 - xs[-1]))
+    def __new__(cls, pairs: Sequence[Pair]):
+        """Canonical form of ``pairs``, sorted with distinct xs in [0, 1)."""
+        return cls._make(*_essential(pairs, cls._wrap_rise))
+
+    @classmethod
+    def _make(cls, xs, ys, slopes):
+        """Build from canonical breakpoints whose slopes are already known."""
+        self = object.__new__(cls)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "_slopes", tuple(slopes))
+        object.__setattr__(self, "_slopes", slopes)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -128,6 +158,9 @@ class _PLBase:
     def __deepcopy__(self, memo):
         return self
 
+    def __reduce__(self):
+        return (type(self), (self.breakpoints(),))
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -137,28 +170,29 @@ class _PLBase:
         return hash((type(self).__name__, self.xs, self.ys))
 
     def __call__(self, x) -> Rational:
-        x = rational(x)
+        return self._at(rational(x))
+
+    def _at(self, x: Rational) -> Rational:
+        """Value at an exact Fraction ``x``."""
         n = _floor(x)
-        r = x - n
-        i = bisect_right(self.xs, r) - 1
+        r = x - n if n else x
+        xs = self.xs
+        i = bisect_right(xs, r) - 1
         if i < 0:
             # wrap segment entering from (xs[-1] - 1, ys[-1] - rise)
-            value = self.ys[-1] - self._wrap_rise + self._slopes[-1] * (r - self.xs[-1] + 1)
+            value = self.ys[-1] - self._wrap_rise + self._slopes[-1] * (r - xs[-1] + 1)
         else:
-            value = self.ys[i] + self._slopes[i] * (r - self.xs[i])
-        return value + n * self._wrap_rise
+            value = self.ys[i] + self._slopes[i] * (r - xs[i])
+        if n and self._wrap_rise:
+            return value + n
+        return value
 
     def breakpoints(self) -> tuple[Pair, ...]:
         return tuple(zip(self.xs, self.ys))
 
     def breakpoint_xs(self) -> frozenset[Rational]:
-        xs = self.xs
-        if len(xs) == 1 and self._is_trivial_single():
-            return frozenset()
-        return frozenset(xs)
-
-    def _is_trivial_single(self) -> bool:
-        raise NotImplementedError
+        # a single breakpoint is a translation or a constant: no corner anywhere
+        return frozenset(self.xs) if len(self.xs) > 1 else frozenset()
 
     def to_pairs(self) -> list[list[str]]:
         """Serializable form: ordered [x, y] pairs of "p/q" strings."""
@@ -178,10 +212,11 @@ class PLMap(_PLBase):
 
     The extension rule f(x+1) = f(x)+1 makes one period of breakpoints
     determine the whole function.  A single stored breakpoint means the map is
-    a translation, canonically pinned at x = 0.
+    a translation, canonically pinned at x = 0.  The inverse is memoized in
+    ``_inv``, one way only: it does not point back, so no reference cycle forms.
     """
 
-    __slots__ = ()
+    __slots__ = ("_inv",)
     _wrap_rise = 1
 
     @classmethod
@@ -193,7 +228,7 @@ class PLMap(_PLBase):
                 raise PLError("y-values must increase strictly; not a bijection")
         if len(pairs) > 1 and not ys[-1] < ys[0] + 1:
             raise PLError("wrap segment must rise: need last y < first y + 1")
-        return cls(_essential(pairs, wrap_rise=1))
+        return cls(pairs)
 
     @classmethod
     def identity(cls) -> "PLMap":
@@ -202,9 +237,6 @@ class PLMap(_PLBase):
     @classmethod
     def translation(cls, amount) -> "PLMap":
         return cls(((Fraction(0), rational(amount)),))
-
-    def _is_trivial_single(self) -> bool:
-        return self._slopes[0] == 1
 
     @property
     def is_translation(self) -> bool:
@@ -222,19 +254,24 @@ class PLMap(_PLBase):
 
     def compose(self, other: "PLMap") -> "PLMap":
         """Left-to-right composite x -> other(self(x))."""
-        inv = self.invert()
-        cands = set(self.xs)
-        cands.update(_frac(inv(x)) for x in other.xs)
-        pairs = [(x, other(self(x))) for x in sorted(cands)]
-        return PLMap(_essential(pairs, wrap_rise=1))
+        return PLMap(_composite_pairs(other, self))
 
     def invert(self) -> "PLMap":
-        pairs = []
-        for x, y in zip(self.xs, self.ys):
-            n = _floor(y)
-            pairs.append((y - n, x - n))
-        pairs.sort()
-        return PLMap(_essential(pairs, wrap_rise=1))
+        inv = getattr(self, "_inv", None)
+        if inv is not None:
+            return inv
+        if len(self.xs) == 1:
+            inv = PLMap._make(self.xs, (-self.ys[0],), self._slopes)
+        else:
+            # corners map to corners, and each slope to its reciprocal
+            rows = []
+            for x, y, s in zip(self.xs, self.ys, self._slopes):
+                n = _floor(y)
+                rows.append((y - n, x - n, 1 / s) if n else (y, x, 1 / s))
+            rows.sort(key=_first)
+            inv = PLMap._make(*map(tuple, zip(*rows)))
+        object.__setattr__(self, "_inv", inv)
+        return inv
 
 
 class PLCocycle(_PLBase):
@@ -249,8 +286,7 @@ class PLCocycle(_PLBase):
 
     @classmethod
     def from_points(cls, points: Iterable[Pair]) -> "PLCocycle":
-        pairs = _prepare(points, wrap_rise=0)
-        return cls(_essential(pairs, wrap_rise=0))
+        return cls(_prepare(points, wrap_rise=0))
 
     @classmethod
     def zero(cls) -> "PLCocycle":
@@ -259,9 +295,6 @@ class PLCocycle(_PLBase):
     @classmethod
     def constant(cls, value) -> "PLCocycle":
         return cls(((Fraction(0), rational(value)),))
-
-    def _is_trivial_single(self) -> bool:
-        return True  # a single point is constant: no corner anywhere
 
     @property
     def is_constant(self) -> bool:
@@ -278,57 +311,29 @@ class PLCocycle(_PLBase):
         return self.ys[0]
 
     def add(self, other: "PLCocycle") -> "PLCocycle":
-        cands = sorted(set(self.xs) | set(other.xs))
-        pairs = [(x, self(x) + other(x)) for x in cands]
-        return PLCocycle(_essential(pairs, wrap_rise=0))
+        if len(self.xs) == 1:
+            self, other = other, self
+        if len(other.xs) == 1:  # a constant moves no corner and changes no slope
+            c = other.ys[0]
+            return PLCocycle._make(self.xs, tuple(y + c for y in self.ys), self._slopes) if c else self
+        pairs = [(x, y + other._at(x)) for x, y in zip(self.xs, self.ys)]
+        pairs += [(x, self._at(x) + y) for x, y in zip(other.xs, other.ys)]
+        return PLCocycle(_unique_sorted(pairs))
 
     def negate(self) -> "PLCocycle":
-        pairs = [(x, -y) for x, y in zip(self.xs, self.ys)]
-        return PLCocycle(_essential(pairs, wrap_rise=0))
+        return PLCocycle._make(self.xs, tuple(-y for y in self.ys), tuple(-s for s in self._slopes))
 
     def pullback(self, phi: PLMap) -> "PLCocycle":
         """The cocycle x -> self(phi(x)); exact, with breakpoints at phi's
         corners and at phi-preimages of self's corners."""
-        inv = phi.invert()
-        cands = set(phi.xs)
-        cands.update(_frac(inv(x)) for x in self.xs)
-        pairs = [(x, self(phi(x))) for x in sorted(cands)]
-        return PLCocycle(_essential(pairs, wrap_rise=0))
+        if len(self.xs) == 1:
+            return self  # a constant pulls back to itself
+        return PLCocycle(_composite_pairs(self, phi))
 
-
-# Functional aliases mirroring the operation vocabulary used elsewhere.
 
 def make_plmap(points) -> PLMap:
     return PLMap.from_points(points)
 
 
-def eval_plmap(phi: PLMap, x) -> Rational:
-    return phi(x)
-
-
-def compose_plmap(phi1: PLMap, phi2: PLMap) -> PLMap:
-    return phi1.compose(phi2)
-
-
-def invert_plmap(phi: PLMap) -> PLMap:
-    return phi.invert()
-
-
 def make_cocycle(points) -> PLCocycle:
     return PLCocycle.from_points(points)
-
-
-def eval_cocycle(psi: PLCocycle, x) -> Rational:
-    return psi(x)
-
-
-def add_cocycle(psi1: PLCocycle, psi2: PLCocycle) -> PLCocycle:
-    return psi1.add(psi2)
-
-
-def negate_cocycle(psi: PLCocycle) -> PLCocycle:
-    return psi.negate()
-
-
-def pullback_cocycle(psi: PLCocycle, phi: PLMap) -> PLCocycle:
-    return psi.pullback(phi)

@@ -27,7 +27,6 @@ from .words import CONTRADICTION, EMPTY, Judgment, Less, Word, WordEq, atom_pow,
 
 CORE_RULES = ("invert", "product", "conjugate_window", "flip_bound")
 STRUCTURAL_RULES = ("trans", "lmul", "subst", "absurd", "eq_contra")
-ALL_RULES = CORE_RULES + STRUCTURAL_RULES
 
 
 class RuleError(ValueError):

@@ -51,9 +51,6 @@ class ProductOracle:
         atom = self._atoms[index]
         return atom if sign > 0 else self._invert(atom)
 
-    def identity_element(self):
-        return self._identity
-
     def mul(self, x, y):
         return self._mul(x, y)
 

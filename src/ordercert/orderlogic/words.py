@@ -11,23 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
+from ..wordsyntax import format_word, reduce_letters
+
 Word = Tuple[Tuple[str, int], ...]
 
 EMPTY: Word = ()
 
 
 def w_reduce(pairs) -> Word:
-    out: list[list] = []
-    for sym, exp in pairs:
-        if exp == 0:
-            continue
-        if out and out[-1][0] == sym:
-            out[-1][1] += exp
-            if out[-1][1] == 0:
-                out.pop()
-        else:
-            out.append([sym, int(exp)])
-    return tuple((sym, exp) for sym, exp in out)
+    return tuple(reduce_letters(pairs))
 
 
 def w_mul(*words: Word) -> Word:
@@ -52,9 +44,7 @@ def t_pow(t: tuple[str, int], m: int) -> Word:
 
 
 def w_format(word: Word) -> str:
-    if not word:
-        return "1"
-    return " ".join(sym if exp == 1 else f"{sym}^{exp}" for sym, exp in word)
+    return format_word(word) or "1"
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,9 @@ from .skew import (
     RelationFact,
     RelationReport,
     SkewElement,
-    generator,
     standard_generators,
 )
-from .wordsyntax import parse_word
+from .wordsyntax import GREEK_ALIASES, parse_word
 
 Point = tuple
 
@@ -133,6 +132,10 @@ class PlaneWord:
     def __deepcopy__(self, memo):
         return self
 
+    def __reduce__(self):
+        # re-simplifying an already simplified word leaves it unchanged
+        return (PlaneWord, (self.letters,))
+
     def __eq__(self, other):
         if not isinstance(other, PlaneWord):
             return NotImplemented
@@ -191,42 +194,45 @@ class PlaneWord:
         return cls(Letter(item["kind"], SkewElement.deserialize(item["elem"])) for item in data)
 
 
+def _plane_generators(skew_gens) -> dict[str, PlaneWord]:
+    gens = {name: PlaneWord((Letter("V", skew_gens[name]),)) for name in GENERATOR_NAMES}
+    gens["ch"] = PlaneWord((Letter("H", skew_gens["c"]),))
+    gens["dh"] = PlaneWord((Letter("H", skew_gens["d"]),))
+    return gens
+
+
+# One-letter words over the shared standard generators, built once.
+_PLANE_GENERATORS = _plane_generators(standard_generators())
+
+
 def h_generator(symbol: str) -> PlaneWord:
     """The six generators a, b, c, d, ch, dh as one-letter words."""
-    aliases = {
-        "α": "a", "β": "b", "γ": "c", "δ": "d",
-        "γη": "ch", "δη": "dh",
-    }
-    symbol = aliases.get(symbol, symbol)
-    if symbol in GENERATOR_NAMES:
-        return PlaneWord((Letter("V", generator(symbol)),))
-    if symbol in ("ch", "dh"):
-        return PlaneWord((Letter("H", generator(symbol[0])),))
-    raise ValueError(f"unknown generator {symbol!r}")
+    try:
+        return _PLANE_GENERATORS[GREEK_ALIASES.get(symbol, symbol)]
+    except KeyError:
+        raise ValueError(f"unknown generator {symbol!r}") from None
+
+
+def _plane_letters(text_or_letters):
+    if isinstance(text_or_letters, str):
+        return parse_word(text_or_letters, PLANE_GENERATOR_NAMES)
+    return text_or_letters
 
 
 def plane_word(text_or_letters, gens: dict[str, PlaneWord] | None = None) -> PlaneWord:
     """Build a word from a string ("a c^-1 ch^2") or (letter, exp) pairs."""
-    if isinstance(text_or_letters, str):
-        pairs = parse_word(text_or_letters, PLANE_GENERATOR_NAMES)
-    else:
-        pairs = list(text_or_letters)
-    gens = gens or {name: h_generator(name) for name in PLANE_GENERATOR_NAMES}
+    gens = gens or _PLANE_GENERATORS
     result = PlaneWord.identity()
-    for sym, exp in pairs:
+    for sym, exp in _plane_letters(text_or_letters):
         result = result.concat(gens[sym].power(exp))
     return result
 
 
 def stepwise_apply_plane(text_or_letters, point: Point,
                          gens: dict[str, PlaneWord] | None = None) -> Point:
-    if isinstance(text_or_letters, str):
-        pairs = parse_word(text_or_letters, PLANE_GENERATOR_NAMES)
-    else:
-        pairs = list(text_or_letters)
-    gens = gens or {name: h_generator(name) for name in PLANE_GENERATOR_NAMES}
+    gens = gens or _PLANE_GENERATORS
     p = (rational(point[0]), rational(point[1]))
-    for sym, exp in pairs:
+    for sym, exp in _plane_letters(text_or_letters):
         g = gens[sym] if exp > 0 else gens[sym].invert()
         for _ in range(abs(exp)):
             p = g.apply(p)
@@ -341,10 +347,7 @@ def verify_mirrored_relations(
     Every check runs inside the horizontal-skew copy via plane-word algebra;
     nothing is inferred from the vertical-side report by symmetry.
     """
-    skew_gens = skew_gens or standard_generators()
-    gens = {name: PlaneWord((Letter("V", skew_gens[name]),)) for name in GENERATOR_NAMES}
-    gens["ch"] = PlaneWord((Letter("H", skew_gens["c"]),))
-    gens["dh"] = PlaneWord((Letter("H", skew_gens["d"]),))
+    gens = _plane_generators(skew_gens) if skew_gens else _PLANE_GENERATORS
     a, b, ch, dh = gens["a"], gens["b"], gens["ch"], gens["dh"]
 
     def same(u: PlaneWord, v: PlaneWord) -> bool:

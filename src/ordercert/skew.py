@@ -16,11 +16,12 @@ Everything is exact and immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exactpl import PLCocycle, PLMap, Rational, rational
-from .wordsyntax import WordSyntaxError, parse_word
+from .wordsyntax import GREEK_ALIASES, WordSyntaxError, parse_word
 
 Point = tuple
 
@@ -61,9 +62,12 @@ class SkewElement:
     def __deepcopy__(self, memo):
         return self
 
-    @classmethod
-    def identity(cls) -> "SkewElement":
-        return cls(PLMap.identity(), PLCocycle.zero())
+    def __reduce__(self):
+        return (SkewElement, (self.x_part, self.shift))
+
+    @staticmethod
+    def identity() -> "SkewElement":
+        return _IDENTITY
 
     @property
     def is_identity(self) -> bool:
@@ -95,6 +99,10 @@ class SkewElement:
 
     def compose(self, other: "SkewElement") -> "SkewElement":
         """Right action: ``p -> other(self(p))``."""
+        if self.is_identity:
+            return other
+        if other.is_identity:
+            return self
         return SkewElement(
             self.x_part.compose(other.x_part),
             self.shift.add(other.shift.pullback(self.x_part)),
@@ -136,23 +144,29 @@ class SkewElement:
         return cls(PLMap.from_pairs(data["x_part"]), PLCocycle.from_pairs(data["shift"]))
 
 
+_IDENTITY = SkewElement(PLMap.identity(), PLCocycle.zero())
+
+# Built once per process and shared: the values are immutable, and an
+# inverse memoized on d's x_part then serves every later word.
+_STANDARD = {
+    "a": SkewElement(PLMap.translation(Fraction(1, 6)), PLCocycle.zero()),
+    "b": SkewElement(PLMap.identity(), PLCocycle.constant(Fraction(1, 6))),
+    "c": SkewElement(PLMap.identity(), base_cocycle()),
+    "d": SkewElement(base_plmap(), PLCocycle.zero()),
+}
+
+
 def generator(symbol: str) -> SkewElement:
     """One of the four standard generators a, b, c, d (Greek aliases accepted)."""
-    aliases = {"α": "a", "β": "b", "γ": "c", "δ": "d"}
-    symbol = aliases.get(symbol, symbol)
-    if symbol == "a":
-        return SkewElement(PLMap.translation(Fraction(1, 6)), PLCocycle.zero())
-    if symbol == "b":
-        return SkewElement(PLMap.identity(), PLCocycle.constant(Fraction(1, 6)))
-    if symbol == "c":
-        return SkewElement(PLMap.identity(), base_cocycle())
-    if symbol == "d":
-        return SkewElement(base_plmap(), PLCocycle.zero())
-    raise ValueError(f"unknown generator {symbol!r}")
+    try:
+        return _STANDARD[GREEK_ALIASES.get(symbol, symbol)]
+    except KeyError:
+        raise ValueError(f"unknown generator {symbol!r}") from None
 
 
 def standard_generators() -> dict[str, SkewElement]:
-    return {name: generator(name) for name in GENERATOR_NAMES}
+    """A fresh table over the shared generators; callers may reassign entries."""
+    return dict(_STANDARD)
 
 
 @dataclass(frozen=True)
@@ -176,11 +190,13 @@ class GeneratorWord:
         return cls(tuple(parse_word(text, GENERATOR_NAMES)))
 
     def to_element(self, gens: dict[str, SkewElement] | None = None) -> SkewElement:
-        gens = gens or standard_generators()
-        result = SkewElement.identity()
-        for sym, exp in self.letters:
-            result = result.compose(gens[sym].power(exp))
-        return result
+        return word_to_element(self, gens)
+
+
+def _letters(word):
+    if isinstance(word, str):
+        word = GeneratorWord.parse(word)
+    return word.letters if isinstance(word, GeneratorWord) else word
 
 
 def word_to_element(word, gens: dict[str, SkewElement] | None = None) -> SkewElement:
@@ -189,23 +205,18 @@ def word_to_element(word, gens: dict[str, SkewElement] | None = None) -> SkewEle
     ``word`` may be a GeneratorWord, a word string, or an iterable of
     (letter, exponent) pairs.
     """
-    if isinstance(word, str):
-        word = GeneratorWord.parse(word)
-    if isinstance(word, GeneratorWord):
-        return word.to_element(gens)
-    gens = gens or standard_generators()
+    letters = _letters(word)
+    gens = gens or _STANDARD
     result = SkewElement.identity()
-    for sym, exp in word:
+    for sym, exp in letters:
         result = result.compose(gens[sym].power(exp))
     return result
 
 
 def stepwise_apply(word, point: Point, gens: dict[str, SkewElement] | None = None) -> Point:
     """Apply a word one generator power at a time (the independent route)."""
-    if isinstance(word, str):
-        word = GeneratorWord.parse(word)
-    letters = word.letters if isinstance(word, GeneratorWord) else word
-    gens = gens or standard_generators()
+    letters = _letters(word)
+    gens = gens or _STANDARD
     inverses: dict[str, SkewElement] = {}
     p = (rational(point[0]), rational(point[1]))
     for sym, exp in letters:
@@ -220,26 +231,21 @@ def stepwise_apply(word, point: Point, gens: dict[str, SkewElement] | None = Non
     return p
 
 
+def _epsilon_factors(gens: dict[str, SkewElement]) -> list[SkewElement]:
+    """The six factors c^(d a^k), k = 0..5, of epsilon."""
+    a, c, d = gens["a"], gens["c"], gens["d"]
+    return [c.conjugate(d.compose(a.power(k))) for k in range(6)]
+
+
 def compute_epsilon(gens: dict[str, SkewElement] | None = None) -> SkewElement:
     """The product c^d c^(da) c^(da^2) c^(da^3) c^(da^4) c^(da^5), exactly."""
-    gens = gens or standard_generators()
-    a, c, d = gens["a"], gens["c"], gens["d"]
-    result = SkewElement.identity()
-    for k in range(6):
-        result = result.compose(c.conjugate(d.compose(a.power(k))))
-    return result
+    return reduce(SkewElement.compose, _epsilon_factors(gens or _STANDARD))
 
 
 def epsilon_offsets(gens: dict[str, SkewElement] | None = None) -> list[Rational]:
     """Vertical displacement of each factor of epsilon on the line x = 0."""
-    gens = gens or standard_generators()
-    a, c, d = gens["a"], gens["c"], gens["d"]
     zero = Fraction(0)
-    offsets = []
-    for k in range(6):
-        g = c.conjugate(d.compose(a.power(k)))
-        offsets.append(g.apply((zero, zero))[1])
-    return offsets
+    return [g.apply((zero, zero))[1] for g in _epsilon_factors(gens or _STANDARD)]
 
 
 @dataclass(frozen=True)
@@ -276,13 +282,11 @@ def verify_relations(gens: dict[str, SkewElement] | None = None) -> RelationRepo
     All facts hold for the standard generators; perturbed generator maps can
     be passed in to see which facts break.
     """
-    gens = gens or standard_generators()
+    gens = gens or _STANDARD
     a, b, c, d = (gens[n] for n in GENERATOR_NAMES)
     a3 = a.power(3)
-    conjugates = [c.conjugate(d.compose(a.power(k))) for k in range(6)]
-    eps = SkewElement.identity()
-    for g in conjugates:
-        eps = eps.compose(g)
+    conjugates = _epsilon_factors(gens)
+    eps = reduce(SkewElement.compose, conjugates)
 
     pairwise = all(
         conjugates[i].commutes(conjugates[j])
@@ -314,8 +318,7 @@ def perturb_generators(spec: str) -> dict[str, SkewElement]:
         raise WordSyntaxError("perturbation must look like NAME:=WORD")
     name, _, word_text = spec.partition(":=")
     name = name.strip()
-    aliases = {"α": "a", "β": "b", "γ": "c", "δ": "d"}
-    name = aliases.get(name, name)
+    name = GREEK_ALIASES.get(name, name)
     if name not in GENERATOR_NAMES:
         raise WordSyntaxError(f"cannot perturb unknown generator {name!r}")
     gens = standard_generators()

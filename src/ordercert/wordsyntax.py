@@ -29,7 +29,8 @@ class WordSyntaxError(ValueError):
     """Raised for malformed word or point strings."""
 
 
-def _reduce(letters):
+def reduce_letters(letters) -> list[tuple[str, int]]:
+    """Freely reduce (letter, exponent) pairs: merge equal neighbours, drop zeros."""
     out: list[list] = []
     for sym, exp in letters:
         if exp == 0:
@@ -39,7 +40,7 @@ def _reduce(letters):
             if out[-1][1] == 0:
                 out.pop()
         else:
-            out.append([sym, exp])
+            out.append([sym, int(exp)])
     return [(sym, exp) for sym, exp in out]
 
 
@@ -101,11 +102,8 @@ def parse_word(text: str, alphabet) -> list[tuple[str, int]]:
             letters.extend((s, -e) for s, e in reversed(conj))
             letters.append((sym, 1))
             letters.extend(conj)
-    return _reduce(letters)
+    return reduce_letters(letters)
 
 
 def format_word(letters) -> str:
-    parts = []
-    for sym, exp in letters:
-        parts.append(sym if exp == 1 else f"{sym}^{exp}")
-    return " ".join(parts)
+    return " ".join(sym if exp == 1 else f"{sym}^{exp}" for sym, exp in letters)

@@ -1,7 +1,11 @@
+import gc
+import pickle
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ordercert.exactpl import (
     PLCocycle,
@@ -12,9 +16,9 @@ from ordercert.exactpl import (
     make_plmap,
     rational,
 )
-from ordercert.skew import base_cocycle, base_plmap
+from ordercert.skew import base_cocycle, base_plmap, generator, word_to_element
 
-from util import random_cocycle, random_plmap, random_rational
+from util import random_cocycle, random_plmap, random_rational, random_skew_word
 
 
 def d0():
@@ -196,3 +200,181 @@ def test_cocycle_add_negate_pointwise():
         x = random_rational(rng)
         assert p.add(q)(x) == p(x) + q(x)
         assert p.negate()(x) == -p(x)
+
+
+# -- kernel against a point-by-point oracle ------------------------------------
+#
+# Each oracle builds the result the direct way: the full candidate breakpoint
+# set, every value computed through the public ``__call__``, then
+# ``from_points``.  The inverse is the swapped breakpoint list.
+
+KERNEL = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+unit_xs = st.builds(lambda p, q: F(p % q, q), st.integers(0, 11), st.integers(1, 12))
+values = st.builds(F, st.integers(-36, 36), st.integers(1, 12))
+
+
+@st.composite
+def plmaps(draw, max_points=5):
+    xs = sorted(draw(st.sets(unit_xs, min_size=1, max_size=max_points)))
+    y0 = draw(values)
+    # the inner segments and the wrap segment share one unit of rise
+    rises = draw(st.lists(st.integers(1, 6), min_size=len(xs), max_size=len(xs)))
+    ys = [y0]
+    for r in rises[:-1]:
+        ys.append(ys[-1] + F(r, sum(rises)))
+    return PLMap.from_points(zip(xs, ys))
+
+
+@st.composite
+def cocycles(draw, max_points=5):
+    xs = draw(st.sets(unit_xs, min_size=1, max_size=max_points))
+    return PLCocycle.from_points((x, draw(values)) for x in xs)
+
+
+def oracle_invert(f):
+    return PLMap.from_points((y, x) for x, y in f.breakpoints())
+
+
+def oracle_through(outer, phi):
+    """Breakpoints of x -> outer(phi(x)), the way the kernel used to find them."""
+    inv = oracle_invert(phi)
+    cands = set(phi.xs) | {inv(x) % 1 for x in outer.xs}
+    return [(x, outer(phi(x))) for x in cands]
+
+
+def oracle_compose(f, g):
+    return PLMap.from_points(oracle_through(g, f))
+
+
+def oracle_pullback(p, phi):
+    return PLCocycle.from_points(oracle_through(p, phi))
+
+
+def oracle_add(p, q):
+    return PLCocycle.from_points((x, p(x) + q(x)) for x in set(p.xs) | set(q.xs))
+
+
+def oracle_negate(p):
+    return PLCocycle.from_points((x, -p(x)) for x in p.xs)
+
+
+def assert_same(result, expected):
+    assert type(result) is type(expected)
+    assert result.xs == expected.xs and result.ys == expected.ys
+    # ``==`` ignores slopes; a wrong carried slope would only show in evaluation
+    assert result._slopes == type(result)(result.breakpoints())._slopes
+
+
+def d_power(n):
+    return generator("d").power(n).x_part
+
+
+CROSSING = PLMap.from_points([(0, F(5, 6)), (F(1, 2), F(7, 6))])  # ys cross 1
+TRANSLATION = PLMap.translation(F(-7, 4))
+CONSTANT = PLCocycle.constant(F(5, 2))
+CORNER_AT_ZERO = PLCocycle.from_points([(0, 1), (F(1, 3), -2), (F(3, 4), 0)])
+
+
+@KERNEL
+@given(plmaps(), plmaps())
+@example(CROSSING, base_plmap())
+@example(TRANSLATION, CROSSING)
+@example(CROSSING, TRANSLATION)
+@example(TRANSLATION, TRANSLATION)
+def test_compose_matches_oracle(f, g):
+    assert_same(f.compose(g), oracle_compose(f, g))
+
+
+@KERNEL
+@given(plmaps())
+@example(CROSSING)
+@example(TRANSLATION)
+@example(PLMap.identity())
+def test_invert_matches_oracle(f):
+    assert_same(f.invert(), oracle_invert(f))
+
+
+@KERNEL
+@given(cocycles(), plmaps())
+@example(CORNER_AT_ZERO, CROSSING)
+@example(CONSTANT, CROSSING)
+@example(CORNER_AT_ZERO, TRANSLATION)
+def test_pullback_matches_oracle(p, phi):
+    assert_same(p.pullback(phi), oracle_pullback(p, phi))
+
+
+@KERNEL
+@given(cocycles(), cocycles())
+@example(CORNER_AT_ZERO, base_cocycle())
+@example(CORNER_AT_ZERO, CONSTANT)
+@example(CONSTANT, CORNER_AT_ZERO)
+@example(CONSTANT, PLCocycle.zero())
+@example(CORNER_AT_ZERO, CORNER_AT_ZERO.negate())
+def test_add_matches_oracle(p, q):
+    assert_same(p.add(q), oracle_add(p, q))
+
+
+@KERNEL
+@given(cocycles())
+@example(CONSTANT)
+@example(CORNER_AT_ZERO)
+def test_negate_matches_oracle(p):
+    assert_same(p.negate(), oracle_negate(p))
+
+
+def test_wide_operands_match_oracle():
+    d256 = d_power(256)
+    assert len(d256.xs) == 512
+    assert_same(d256.invert(), oracle_invert(d256))
+    assert_same(d256.compose(d0()), oracle_compose(d256, d0()))
+    assert_same(d0().compose(d256), oracle_compose(d0(), d256))
+    assert_same(d256.compose(CROSSING), oracle_compose(d256, CROSSING))
+    wide = c0().pullback(d256)
+    assert_same(wide, oracle_pullback(c0(), d256))
+    assert_same(wide.add(CORNER_AT_ZERO), oracle_add(wide, CORNER_AT_ZERO))
+    assert_same(wide.negate(), oracle_negate(wide))
+
+
+# -- the inverse memo ----------------------------------------------------------
+
+def test_inverse_is_memoized_one_way():
+    rng = random.Random(108)
+    for _ in range(50):
+        f = random_plmap(rng)
+        inv = f.invert()
+        assert f.invert() is inv
+        assert inv.invert() == f
+
+
+def test_realizing_words_leaves_no_reference_cycles():
+    rng = random.Random(109)
+    words = [random_skew_word(rng) for _ in range(12)]
+    gc.collect()
+    gc.disable()
+    try:
+        elements = [word_to_element(w) for w in words]
+        for e in elements:
+            e.invert()
+        del elements
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# -- pickling --------------------------------------------------------------------
+
+def test_pickle_round_trip():
+    rng = random.Random(110)
+    points = [random_rational(rng) for _ in range(20)]
+    for value in (d0(), c0(), TRANSLATION, CONSTANT, d_power(8), c0().pullback(d_power(8))):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value
+        assert [copy(x) for x in points] == [value(x) for x in points]
+
+
+def test_pickle_leaves_the_inverse_memo_behind():
+    fresh = pickle.dumps(d_power(4))
+    f = d_power(4)
+    f.invert()
+    assert pickle.dumps(f) == fresh

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -207,3 +208,13 @@ def test_search_seed_env_override(monkeypatch):
     assert search_seed() == DEFAULT_SEED
     monkeypatch.setenv("ORDERCERT_SEED", "12345")
     assert search_seed() == 12345
+
+
+def test_pickle_round_trip():
+    rng = random.Random(311)
+    points = [random_point(rng) for _ in range(20)]
+    for text in ("a c^-1 ch^2 dh", "b^-3 ch b^3", "d dh", "a b"):
+        word = plane_word(text)
+        copy = pickle.loads(pickle.dumps(word))
+        assert copy == word
+        assert [copy.apply(p) for p in points] == [word.apply(p) for p in points]

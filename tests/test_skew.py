@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -184,3 +185,33 @@ def test_power_addition():
         m, n = rng.randint(-4, 4), rng.randint(-4, 4)
         assert g.power(m + n) == g.power(m).compose(g.power(n))
         assert g.compose(g.invert()) == SkewElement.identity()
+
+
+def test_shared_generators_hand_out_fresh_tables():
+    table = standard_generators()
+    table["d"] = B
+    assert standard_generators()["d"] == D
+    assert generator("d") is standard_generators()["d"]
+    assert word_to_element("d") is generator("d")
+
+
+def test_identity_operand_returns_the_other():
+    assert SkewElement.identity().compose(D) is D
+    assert D.compose(SkewElement.identity()) is D
+    assert D.power(1) is D
+
+
+def test_word_and_generator_word_realize_alike():
+    rng = random.Random(211)
+    for _ in range(30):
+        letters = random_skew_word(rng)
+        assert GeneratorWord(tuple(letters)).to_element() == word_to_element(letters)
+
+
+def test_pickle_round_trip():
+    rng = random.Random(212)
+    points = [random_point(rng) for _ in range(20)]
+    for element in (A, D, word_to_element("c^d a^-2 d"), SkewElement.identity()):
+        copy = pickle.loads(pickle.dumps(element))
+        assert copy == element
+        assert [copy.apply(p) for p in points] == [element.apply(p) for p in points]
