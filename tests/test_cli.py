@@ -1,9 +1,33 @@
+import hashlib
 import json
 
 import pytest
 
 from ordercert import certs
 from ordercert.cli import main
+
+
+# SHA-256 of the `--no-timestamp` certificates written by `prove` and
+# `verify`.  Certificates are canonical JSON, so any byte change -- intended
+# or not -- changes these digests.
+THEOREM_CERT_SHA256 = "fd16d403f7717b5594f7490180459681f6b531e4a7958c03c316ac0d9292ae9d"
+RELATIONS_CERT_SHA256 = "6e1aa08c1c75fc9ac73eef0cda8ad9f64745c0845262dd431aa633c4aa55aa5b"
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_prove_certificate_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "thm.cert.json"
+    assert main(["prove", "--no-timestamp", "--out", str(out)]) == 0
+    assert _sha256(out) == THEOREM_CERT_SHA256
+
+
+def test_verify_certificate_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "rel.cert.json"
+    assert main(["verify", "--no-timestamp", "--out", str(out)]) == 0
+    assert _sha256(out) == RELATIONS_CERT_SHA256
 
 
 def test_verify_ok(tmp_path, capsys):
