@@ -68,7 +68,7 @@ def read_certificate(path) -> dict:
         raise CertificateError(f"cannot read {path}: {exc}") from exc
     try:
         cert = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CertificateError(f"not a certificate: {exc}") from exc
     if not isinstance(cert, dict):
         raise CertificateError("certificate must be a JSON object")
@@ -82,10 +82,6 @@ def read_certificate(path) -> dict:
 
 # -- words and judgments ----------------------------------------------------
 
-def _dump_word(word):
-    return [[sym, exp] for sym, exp in word]
-
-
 def _load_word(raw):
     try:
         return tuple((str(sym), int(exp)) for sym, exp in raw)
@@ -97,9 +93,9 @@ def _dump_judgment(judgment):
     if judgment is CONTRADICTION:
         return {"contradiction": True}
     if isinstance(judgment, Less):
-        return {"less": [_dump_word(judgment.lhs), _dump_word(judgment.rhs)]}
+        return {"less": [judgment.lhs, judgment.rhs]}
     if isinstance(judgment, WordEq):
-        return {"eq": [_dump_word(judgment.lhs), _dump_word(judgment.rhs)]}
+        return {"eq": [judgment.lhs, judgment.rhs]}
     raise CertificateError(f"unknown judgment {judgment!r}")
 
 
@@ -118,18 +114,6 @@ def _load_judgment(raw):
 
 
 _WORD_PARAMS = ("u", "v", "w", "w1", "w2")
-
-
-def _dump_params(params: dict):
-    out = {}
-    for key, value in params.items():
-        if key in _WORD_PARAMS:
-            out[key] = _dump_word(value)
-        elif key == "t":
-            out[key] = [value[0], value[1]]
-        else:
-            out[key] = value
-    return out
 
 
 def _load_params(raw: dict):
@@ -173,7 +157,7 @@ def _dump_node(node: Node):
             {
                 "id": step.id,
                 "rule": step.rule,
-                "params": _dump_params(step.params),
+                "params": dict(step.params),
                 "premises": list(step.premises),
                 "facts": list(step.facts),
                 "conclusion": _dump_judgment(step.conclusion),
@@ -186,7 +170,7 @@ def _dump_node(node: Node):
     else:
         out["split"] = {
             "kind": node.split.kind,
-            "params": _dump_params(node.split.params),
+            "params": dict(node.split.params),
             "premises": list(node.split.premises),
             "branches": [
                 {
@@ -260,7 +244,7 @@ def parse_derivation(payload: dict) -> Derivation:
         root = _load_node(payload["root"])
     except CertificateError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CertificateError(f"malformed derivation payload: {exc!r}") from exc
     return Derivation(name, table, goal, root)
 

@@ -25,8 +25,8 @@ statuses were computed beforehand by the exact algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 from .facts import AtomTable, UnknownFactError
 from .rules import RuleError, apply_rule
@@ -51,7 +51,7 @@ class Hypothesis:
     judgment: Judgment
 
 
-@dataclass
+@dataclass(frozen=True)
 class Branch:
     name: str
     hypotheses: tuple[Hypothesis, ...]
@@ -59,7 +59,7 @@ class Branch:
     goal: Union[str, tuple, None] = None  # None inherits the enclosing goal
 
 
-@dataclass
+@dataclass(frozen=True)
 class Split:
     kind: str  # trichotomy | window | given
     params: dict
@@ -67,13 +67,13 @@ class Split:
     branches: tuple[Branch, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Node:
     steps: tuple[Step, ...] = ()
     split: Optional[Split] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Derivation:
     name: str
     table: AtomTable

@@ -9,19 +9,23 @@ statuses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .. import plane as plane_mod
-from .. import skew as skew_mod
-from ..plane import DISTINCT, EQUAL, UNKNOWN, PlaneWord, equal_or_unknown, plane_word
-from ..skew import SkewElement, word_to_element
-from .words import EMPTY, Word, w_format, w_inv, w_mul, w_reduce
+from ..plane import DISTINCT, EQUAL, PLANE_GENERATOR_NAMES, PlaneWord, equal_or_unknown, plane_word
+from ..skew import GENERATOR_NAMES, SkewElement, word_to_element
+from ..wordsyntax import parse_word
+from .words import EMPTY, Word, w_format, w_reduce
 
 COMMUTE = "commute"
 IDENTITY_EQ = "identity_eq"
 NON_IDENTITY = "non_identity"
 NOT_IN_SET = "not_in_set"
+
+ARITY = {COMMUTE: 2, IDENTITY_EQ: 2, NON_IDENTITY: 1, NOT_IN_SET: 2}
+
+# the letters an atom's realization word may use, per algebra
+ALGEBRA_LETTERS = {"skew": GENERATOR_NAMES, "plane": PLANE_GENERATOR_NAMES}
 
 
 class UnknownFactError(KeyError):
@@ -81,7 +85,12 @@ class Realization:
 
 
 class AtomTable:
-    """Atoms bound to realizations plus the fact base grounded in them."""
+    """Atoms bound to realizations plus the fact base grounded in them.
+
+    Built tables are well formed (else ``ValueError``): the atoms share one
+    known algebra, their words parse, and every fact has a known kind and
+    arity and names only atoms of the table.
+    """
 
     def __init__(self, atoms: dict[str, Realization], facts: list[Fact]):
         self.atoms = dict(atoms)
@@ -90,18 +99,35 @@ class AtomTable:
             if f.id in self.facts:
                 raise ValueError(f"duplicate fact id {f.id}")
             self.facts[f.id] = f
+        self.algebra = self._validate()
         self.status: dict[str, bool] = {}
         self.failures: dict[str, str] = {}
         self._skew_cache: dict[str, SkewElement] = {}
         self._plane_cache: dict[str, PlaneWord] = {}
 
-    # -- realization ------------------------------------------------------
-
-    def _algebra(self) -> str:
+    def _validate(self) -> str:
+        """Check the table is well formed; return its algebra."""
         algebras = {r.algebra for r in self.atoms.values()}
-        if len(algebras) != 1:
-            raise ValueError("atoms must share one algebra")
-        return algebras.pop()
+        if len(algebras) != 1 or not algebras <= ALGEBRA_LETTERS.keys():
+            raise ValueError(f"atoms must share one algebra, one of {sorted(ALGEBRA_LETTERS)}")
+        algebra = algebras.pop()
+        for name, r in self.atoms.items():
+            if not isinstance(r.word, str):
+                raise ValueError(f"atom {name!r}: word must be a string")
+            parse_word(r.word, ALGEBRA_LETTERS[algebra])
+        for f in self.facts.values():
+            if ARITY.get(f.kind) != len(f.args):
+                raise ValueError(f"fact {f.id!r}: unknown kind or wrong arity")
+            if f.kind == IDENTITY_EQ:
+                names = [sym for side in f.args for sym, _ in side]
+            else:
+                names = f.args
+            for name in names:
+                if name not in self.atoms:
+                    raise ValueError(f"fact {f.id!r}: unknown atom {name!r}")
+        return algebra
+
+    # -- realization ------------------------------------------------------
 
     def realize_skew(self, word: Word) -> SkewElement:
         result = SkewElement.identity()
@@ -123,7 +149,7 @@ class AtomTable:
 
     def _verify_equal(self, lhs: Word, rhs: Word) -> Optional[bool]:
         """True/False when decided, None when the algebra cannot decide."""
-        if self._algebra() == "skew":
+        if self.algebra == "skew":
             return self.realize_skew(lhs) == self.realize_skew(rhs)
         verdict = equal_or_unknown(self.realize_plane(lhs), self.realize_plane(rhs))
         if verdict.status == EQUAL:
@@ -190,7 +216,7 @@ class AtomTable:
                 {
                     "id": f.id,
                     "kind": f.kind,
-                    "args": _serialize_args(f),
+                    "args": f.args,
                     "description": f.description,
                 }
                 for f in self.facts.values()
@@ -208,12 +234,6 @@ class AtomTable:
             args = _parse_args(item["kind"], item["args"])
             facts.append(Fact(item["id"], item["kind"], args, item.get("description", "")))
         return cls(atoms, facts)
-
-
-def _serialize_args(fact: Fact):
-    if fact.kind == IDENTITY_EQ:
-        return [[list(pair) for pair in side] for side in fact.args]
-    return list(fact.args)
 
 
 def _parse_args(kind: str, raw):

@@ -20,6 +20,8 @@ later mutation is caught on re-checking.
 
 from __future__ import annotations
 
+from ..plane import PLANE_GENERATOR_NAMES
+from ..wordsyntax import epsilon_letters
 from .derivation import (
     CONTRADICTION_GOAL,
     Branch,
@@ -31,6 +33,7 @@ from .derivation import (
 )
 from .facts import (
     AtomTable,
+    Fact,
     Realization,
     commute_fact,
     identity_eq_fact,
@@ -43,52 +46,75 @@ from .words import EMPTY, Less, Word, WordEq, atom_pow, t_pow, w_inv, w_mul
 
 def epsilon_product_word(a: str, c: str, d: str) -> Word:
     """The formal word c^d c^(da) c^(da^2) ... c^(da^5), freely reduced."""
-    product = EMPTY
-    for k in range(6):
-        v = w_mul(atom_pow(d, 1), atom_pow(a, k))
-        product = w_mul(product, w_inv(v), atom_pow(c, 1), v)
-    return product
+    return tuple(epsilon_letters(a, c, d))
+
+
+class _LemmaLetters:
+    """Letter assignment for one instantiation of the product-bound block.
+
+    Its facts, named ``prefix`` + suffix: 1-3 say b commutes with a, c, d;
+    4 and 5 say a^3 inverts c and d; 6 is the epsilon identity; 7c and 7d
+    say c and d are not the identity.
+    """
+
+    def __init__(self, prefix, a, b, c, d):
+        self.prefix = prefix
+        self.a, self.b, self.c, self.d = a, b, c, d
+        # letter atom -> id of its commute fact with b; the swap fixes
+        # {a, b}, so both sides cite F1 for that pair
+        self.commute_map = {a: "F1", c: f"{prefix}2", d: f"{prefix}3"}
+        self.eq_c = f"{prefix}4"
+        self.eq_d = f"{prefix}5"
+        self.epsilon = f"{prefix}6"
+        self.nonid_c = f"{prefix}7c"
+        self.product = epsilon_product_word(a, c, d)
+
+    def facts(self) -> list[Fact]:
+        p, a, b, c, d = self.prefix, self.a, self.b, self.c, self.d
+        a3 = atom_pow(a, 3)
+        return [
+            commute_fact(f"{p}1", a, b),
+            commute_fact(self.commute_map[c], b, c),
+            commute_fact(self.commute_map[d], b, d),
+            identity_eq_fact(self.eq_c, w_mul(w_inv(a3), atom_pow(c, 1), a3), atom_pow(c, -1)),
+            identity_eq_fact(self.eq_d, w_mul(w_inv(a3), atom_pow(d, 1), a3), atom_pow(d, -1)),
+            identity_eq_fact(self.epsilon, self.product, atom_pow(b, -36)),
+            non_identity_fact(self.nonid_c, c),
+            non_identity_fact(f"{p}7d", d),
+        ]
+
+    def cites(self, *words: Word) -> list[str]:
+        used: list[str] = []
+        for word in words:
+            for name, _ in word:
+                if name == self.b:
+                    continue
+                fid = self.commute_map[name]
+                if fid not in used:
+                    used.append(fid)
+        return used
+
+
+VSIDE = _LemmaLetters("F", "a", "b", "c", "d")
+HSIDE = _LemmaLetters("M", "b", "a", "ch", "dh")
 
 
 def lemma_atom_table() -> AtomTable:
     atoms = {name: Realization("skew", name) for name in ("a", "b", "c", "d")}
-    a3 = atom_pow("a", 3)
-    facts = [
-        commute_fact("F1", "a", "b"),
-        commute_fact("F2", "b", "c"),
-        commute_fact("F3", "b", "d"),
-        identity_eq_fact("F4", w_mul(w_inv(a3), atom_pow("c", 1), a3), atom_pow("c", -1)),
-        identity_eq_fact("F5", w_mul(w_inv(a3), atom_pow("d", 1), a3), atom_pow("d", -1)),
-        non_identity_fact("F7c", "c"),
-    ]
-    return AtomTable(atoms, facts)
+    cited = {*VSIDE.commute_map.values(), VSIDE.eq_c, VSIDE.eq_d, VSIDE.nonid_c}
+    return AtomTable(atoms, [f for f in VSIDE.facts() if f.id in cited])
 
 
 def theorem_atom_table() -> AtomTable:
-    names = ("a", "b", "c", "d", "ch", "dh")
-    atoms = {name: Realization("plane", name) for name in names}
-    a3 = atom_pow("a", 3)
-    b3 = atom_pow("b", 3)
-    facts = [
-        commute_fact("F1", "a", "b"),
-        commute_fact("F2", "b", "c"),
-        commute_fact("F3", "b", "d"),
-        identity_eq_fact("F4", w_mul(w_inv(a3), atom_pow("c", 1), a3), atom_pow("c", -1)),
-        identity_eq_fact("F5", w_mul(w_inv(a3), atom_pow("d", 1), a3), atom_pow("d", -1)),
-        identity_eq_fact("F6", epsilon_product_word("a", "c", "d"), atom_pow("b", -36)),
-        non_identity_fact("F7a", "a"),
-        non_identity_fact("F7b", "b"),
-        non_identity_fact("F7c", "c"),
-        non_identity_fact("F7d", "d"),
-        not_in_set_fact("F8", "a", "b"),
-        commute_fact("M2", "a", "ch"),
-        commute_fact("M3", "a", "dh"),
-        identity_eq_fact("M4", w_mul(w_inv(b3), atom_pow("ch", 1), b3), atom_pow("ch", -1)),
-        identity_eq_fact("M5", w_mul(w_inv(b3), atom_pow("dh", 1), b3), atom_pow("dh", -1)),
-        identity_eq_fact("M6", epsilon_product_word("b", "ch", "dh"), atom_pow("a", -36)),
-        non_identity_fact("M7c", "ch"),
-        non_identity_fact("M7d", "dh"),
-    ]
+    atoms = {name: Realization("plane", name) for name in PLANE_GENERATOR_NAMES}
+    v_facts = VSIDE.facts()
+    facts = (
+        v_facts[:6]
+        + [non_identity_fact("F7a", "a"), non_identity_fact("F7b", "b")]
+        + v_facts[6:]
+        + [not_in_set_fact("F8", "a", "b")]
+        + HSIDE.facts()[1:]  # M1 (b a == a b) would restate F1
+    )
     return AtomTable(atoms, facts)
 
 
@@ -134,48 +160,13 @@ class _Ctx:
         return Node(steps=tuple(self.steps), split=split)
 
 
-class _LemmaLetters:
-    """Letter assignment for one instantiation of the product-bound block."""
-
-    def __init__(self, a, b, c, d, commute_map, eq_c, eq_d, nonid_c):
-        self.a, self.b, self.c, self.d = a, b, c, d
-        self.commute_map = commute_map  # letter atom -> id of its commute fact with b
-        self.eq_c = eq_c
-        self.eq_d = eq_d
-        self.nonid_c = nonid_c
-        self.product = epsilon_product_word(a, c, d)
-
-    def cites(self, *words: Word) -> list[str]:
-        used: list[str] = []
-        for word in words:
-            for name, _ in word:
-                if name == self.b:
-                    continue
-                fid = self.commute_map[name]
-                if fid not in used:
-                    used.append(fid)
-        return used
-
-
-VSIDE = _LemmaLetters(
-    "a", "b", "c", "d",
-    {"a": "F1", "c": "F2", "d": "F3"},
-    "F4", "F5", "F7c",
-)
-HSIDE = _LemmaLetters(
-    "b", "a", "ch", "dh",
-    {"b": "F1", "ch": "M2", "dh": "M3"},
-    "M4", "M5", "M7c",
-)
-
-
 def _product_bound_block(ctx: _Ctx, L: _LemmaLetters, t, j_pos, j_a_lt, j_ainv_lt,
-                         contradiction_fact=None) -> Node:
+                         close: bool = False) -> Node:
     """Emit the product-bound argument onto ``ctx``; return the finished node.
 
     Requires in scope: ``j_pos``  1 < t,  ``j_a_lt``  A < t,  ``j_ainv_lt``
     A^-1 < t, where t is the signed base over the atom named ``L.b``.  With
-    ``contradiction_fact`` (the epsilon identity) every branch is closed;
+    ``close`` every branch is closed by the epsilon identity ``L.epsilon``;
     without it the branches stop at the two product-bound judgments.
     """
     A, C, D = L.a, L.c, L.d
@@ -282,17 +273,17 @@ def _product_bound_block(ctx: _Ctx, L: _LemmaLetters, t, j_pos, j_a_lt, j_ainv_l
                 )
                 product_word = w_mul(product_word, g_word)
         assert product_word == L.product
-        if contradiction_fact is None:
+        if not close:
             return bctx.node()
         # substitute the epsilon identity into the failing bound, then cross
         # it with a power of the positive base
         if t[1] == 1:
             j_false = bctx.step(
-                "subst", {"side": "rhs", "pos": 0, "dir": "lr"}, [j_p_lo], [contradiction_fact]
+                "subst", {"side": "rhs", "pos": 0, "dir": "lr"}, [j_p_lo], [L.epsilon]
             )
         else:
             j_false = bctx.step(
-                "subst", {"side": "lhs", "pos": 0, "dir": "lr"}, [j_p_up], [contradiction_fact]
+                "subst", {"side": "lhs", "pos": 0, "dir": "lr"}, [j_p_up], [L.epsilon]
             )
         powers = {1: j_pos}
         for m1, n1 in ((1, 1), (2, 2), (4, 4), (8, 8), (16, 8)):
@@ -420,7 +411,7 @@ def script_theorem_main() -> Derivation:
             j_ainv_lt = h_lt.id
             j_a_lt = lt_ctx.step("trans", {}, [ha_id, j_pos_b])
         lt_node = _product_bound_block(
-            lt_ctx, VSIDE, tb, j_pos_b, j_a_lt, j_ainv_lt, contradiction_fact="F6"
+            lt_ctx, VSIDE, tb, j_pos_b, j_a_lt, j_ainv_lt, close=True
         )
 
         # |a| = |b|: excluded because a is neither b nor b^-1
@@ -441,7 +432,7 @@ def script_theorem_main() -> Derivation:
             j_binv_lt = h_gt.id
             j_b_lt = gt_ctx.step("trans", {}, [hb_id, j_pos_a])
         gt_node = _product_bound_block(
-            gt_ctx, HSIDE, ta, j_pos_a, j_b_lt, j_binv_lt, contradiction_fact="M6"
+            gt_ctx, HSIDE, ta, j_pos_a, j_b_lt, j_binv_lt, close=True
         )
 
         split = Split(

@@ -70,6 +70,10 @@ class WordEq:
 
 
 class _Contradiction:
+    def __reduce__(self):
+        # copies stay the one marker, which the checker tests by identity
+        return "CONTRADICTION"
+
     def __repr__(self):
         return "CONTRADICTION"
 

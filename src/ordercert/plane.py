@@ -30,7 +30,7 @@ from .skew import (
     SkewElement,
     standard_generators,
 )
-from .wordsyntax import GREEK_ALIASES, parse_word
+from .wordsyntax import GREEK_ALIASES, epsilon_letters, parse_word
 
 Point = tuple
 
@@ -329,16 +329,6 @@ def equal_or_unknown(w1: PlaneWord, w2: PlaneWord,
     return EqualityVerdict(UNKNOWN)
 
 
-def _epsilon_mirror_word(gens: dict[str, PlaneWord]) -> PlaneWord:
-    """Letterwise swap image of the six-factor epsilon product."""
-    b, ch, dh = gens["b"], gens["ch"], gens["dh"]
-    result = PlaneWord.identity()
-    for k in range(6):
-        conj = dh.concat(b.power(k))
-        result = result.concat(conj.invert()).concat(ch).concat(conj)
-    return result
-
-
 def verify_mirrored_relations(
     skew_gens: dict[str, SkewElement] | None = None,
 ) -> RelationReport:
@@ -356,7 +346,7 @@ def verify_mirrored_relations(
     b3 = b.power(3)
     conj_ch = b3.invert().concat(ch).concat(b3)
     conj_dh = b3.invert().concat(dh).concat(b3)
-    eps_mirror = _epsilon_mirror_word(gens)
+    eps_mirror = plane_word(epsilon_letters("b", "ch", "dh"), gens)
     a_minus36 = a.power(-36)
 
     facts = [

@@ -105,5 +105,16 @@ def parse_word(text: str, alphabet) -> list[tuple[str, int]]:
     return reduce_letters(letters)
 
 
+def epsilon_letters(a: str, c: str, d: str) -> list[tuple[str, int]]:
+    """The reduced product c^d c^(d a) ... c^(d a^5).
+
+    The epsilon word for (a, c, d); its image under the swap for (b, ch, dh).
+    """
+    letters = []
+    for k in range(6):
+        letters += [(a, -k), (d, -1), (c, 1), (d, 1), (a, k)]
+    return reduce_letters(letters)
+
+
 def format_word(letters) -> str:
     return " ".join(sym if exp == 1 else f"{sym}^{exp}" for sym, exp in letters)

@@ -3,14 +3,13 @@
 Four families, mirroring the ways a hand-edited certificate can go wrong:
 flip one inequality's sides, nudge one integer exponent, drop one cited
 side-condition fact, drop one case-split branch.  Every generated mutant
-must be rejected by the checker; the originals stay untouched because each
-mutant deep-copies the tree (the verified atom table is shared, as none of
-these mutations reach it).
+must be rejected by the checker.  The trees are immutable, so each mutant
+copies only the nodes on the path to its mutation and shares the rest,
+the verified atom table included, with the original.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import replace
 
 from ordercert.orderlogic.derivation import Derivation, Node
@@ -26,17 +25,20 @@ def _walk(node: Node, path=()):
             yield from _walk(branch.node, path + (index,))
 
 
-def _node_at(root: Node, path) -> Node:
-    node = root
-    for index in path:
-        node = node.split.branches[index].node
-    return node
+def _with_node(node: Node, path, change) -> Node:
+    """``node`` with the node at ``path`` replaced by ``change(that node)``."""
+    if not path:
+        return change(node)
+    index, rest = path[0], path[1:]
+    branches = node.split.branches
+    branch = branches[index]
+    branch = replace(branch, node=_with_node(branch.node, rest, change))
+    branches = branches[:index] + (branch,) + branches[index + 1:]
+    return replace(node, split=replace(node.split, branches=branches))
 
 
-def _clone(derivation: Derivation) -> Derivation:
-    return Derivation(
-        derivation.name, derivation.table, derivation.goal, copy.deepcopy(derivation.root)
-    )
+def _mutant(derivation: Derivation, path, change) -> Derivation:
+    return replace(derivation, root=_with_node(derivation.root, path, change))
 
 
 def _step_sites(derivation: Derivation):
@@ -46,11 +48,32 @@ def _step_sites(derivation: Derivation):
 
 
 def _replace_step(derivation: Derivation, path, index, **changes) -> Derivation:
-    mutant = _clone(derivation)
-    node = _node_at(mutant.root, path)
-    step = node.steps[index]
-    node.steps = node.steps[:index] + (replace(step, **changes),) + node.steps[index + 1:]
-    return mutant
+    def change(node: Node) -> Node:
+        step = replace(node.steps[index], **changes)
+        return replace(node, steps=node.steps[:index] + (step,) + node.steps[index + 1:])
+
+    return _mutant(derivation, path, change)
+
+
+def _drop_branch(derivation: Derivation, path, drop) -> Derivation:
+    def change(node: Node) -> Node:
+        branches = node.split.branches[:drop] + node.split.branches[drop + 1:]
+        return replace(node, split=replace(node.split, branches=branches))
+
+    return _mutant(derivation, path, change)
+
+
+def _flip_hypothesis(derivation: Derivation, path, bi, hi) -> Derivation:
+    def change(node: Node) -> Node:
+        branch = node.split.branches[bi]
+        hyp = branch.hypotheses[hi]
+        flipped = replace(hyp, judgment=Less(hyp.judgment.rhs, hyp.judgment.lhs))
+        hypotheses = branch.hypotheses[:hi] + (flipped,) + branch.hypotheses[hi + 1:]
+        branches = list(node.split.branches)
+        branches[bi] = replace(branch, hypotheses=hypotheses)
+        return replace(node, split=replace(node.split, branches=tuple(branches)))
+
+    return _mutant(derivation, path, change)
 
 
 def generate_mutations(derivation: Derivation, per_kind: int = 8):
@@ -99,11 +122,8 @@ def generate_mutations(derivation: Derivation, per_kind: int = 8):
     for path, node in _walk(derivation.root):
         if node.split and node.split.kind in ("trichotomy", "window"):
             for drop in range(len(node.split.branches)):
-                mutant = _clone(derivation)
-                target = _node_at(mutant.root, path)
-                branches = target.split.branches
-                target.split.branches = branches[:drop] + branches[drop + 1:]
-                yield (f"drop-branch:{'.'.join(map(str, path))}:{drop}", mutant)
+                yield (f"drop-branch:{'.'.join(map(str, path))}:{drop}",
+                       _drop_branch(derivation, path, drop))
 
     hyp_sites = []
     for path, node in _walk(derivation.root):
@@ -111,13 +131,7 @@ def generate_mutations(derivation: Derivation, per_kind: int = 8):
             for bi, branch in enumerate(node.split.branches):
                 for hi, hyp in enumerate(branch.hypotheses):
                     if isinstance(hyp.judgment, Less):
-                        hyp_sites.append((path, bi, hi))
+                        hyp_sites.append((path, bi, hi, hyp))
     stride = max(1, len(hyp_sites) // per_kind)
-    for path, bi, hi in hyp_sites[::stride][:per_kind]:
-        mutant = _clone(derivation)
-        target = _node_at(mutant.root, path)
-        branch = target.split.branches[bi]
-        hyp = branch.hypotheses[hi]
-        flipped = replace(hyp, judgment=Less(hyp.judgment.rhs, hyp.judgment.lhs))
-        branch.hypotheses = branch.hypotheses[:hi] + (flipped,) + branch.hypotheses[hi + 1:]
-        yield (f"flip-hypothesis:{hyp.id}", mutant)
+    for path, bi, hi, hyp in hyp_sites[::stride][:per_kind]:
+        yield (f"flip-hypothesis:{hyp.id}", _flip_hypothesis(derivation, path, bi, hi))

@@ -152,6 +152,73 @@ def test_check_cert_unknown_fact(tmp_path, capsys):
     assert main(["check-cert", str(stripped)]) == 2
 
 
+def _set_algebra(algebra, only=None):
+    def edit(table):
+        for name, spec in table["atoms"].items():
+            if only in (None, name):
+                spec["algebra"] = algebra
+
+    return edit
+
+
+def _set_first_fact(field, value):
+    def edit(table):
+        table["facts"][0][field] = value
+
+    return edit
+
+
+def _set_atom_word(word):
+    def edit(table):
+        table["atoms"]["a"]["word"] = word
+
+    return edit
+
+
+def _set_atoms(value):
+    def edit(table):
+        table["atoms"] = value
+
+    return edit
+
+
+# Malformed atom tables: each one used to end in a traceback (or, for an
+# unknown algebra on every atom, in "valid").
+MALFORMED_TABLES = {
+    "atoms-not-an-object": _set_atoms([]),
+    "fact-names-unknown-atom": _set_first_fact("args", ["a", "zz"]),
+    "atom-word-syntax": _set_atom_word("a^^"),
+    "atom-word-not-a-string": _set_atom_word(5),
+    "unknown-algebra-on-one-atom": _set_algebra("weird", only="a"),
+    "unknown-algebra-on-every-atom": _set_algebra("weird"),
+    "two-algebras": _set_algebra("skew", only="a"),
+    "unknown-fact-kind": _set_first_fact("kind", "weird"),
+    "wrong-fact-arity": _set_first_fact("args", ["a"]),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_TABLES))
+def test_check_cert_malformed_table_is_an_input_error(tmp_path, capsys, shape):
+    out = tmp_path / "thm.cert.json"
+    assert main(["prove", "--no-timestamp", "--out", str(out)]) == 0
+    capsys.readouterr()
+    data = json.loads(out.read_bytes())
+    MALFORMED_TABLES[shape](data["payload"]["table"])
+    broken = tmp_path / "broken.cert.json"
+    broken.write_text(json.dumps(data))
+    assert main(["check-cert", str(broken)]) == 3
+    assert capsys.readouterr().err.startswith("error: malformed derivation payload")
+
+
+def test_check_cert_deeply_nested_input_is_an_input_error(tmp_path, capsys):
+    nested = tmp_path / "nested.json"
+    depth = 100000
+    nested.write_text('{"version":"1","kind":"derivation","payload":'
+                      + "[" * depth + "]" * depth + "}")
+    assert main(["check-cert", str(nested)]) == 3
+    assert "not a certificate" in capsys.readouterr().err
+
+
 def test_eval(capsys):
     assert main(["eval", "c^d", "0,0"]) == 0
     assert capsys.readouterr().out.strip() == "0,3"

@@ -41,3 +41,19 @@ def test_mutation_labels_are_distinct_and_deterministic():
     labels2 = [label for label, _ in generate_mutations(script_lemma_gen(), per_kind=4)]
     assert labels1 == labels2
     assert len(labels1) == len(set(labels1))
+
+
+STEP_FAMILIES = ("flip-conclusion", "bump-param-", "bump-conclusion-word", "drop-fact")
+
+
+def test_step_mutants_fail_at_the_mutated_step():
+    # a mutant rejected elsewhere in the tree would not show that the
+    # mutation itself is caught
+    checked = 0
+    for derivation, per_kind in ((script_lemma_gen(), 4), (script_theorem_main(), 5)):
+        for label, first, _ in _run_suite(derivation, per_kind):
+            family, site = label.split(":", 1)
+            if family.startswith(STEP_FAMILIES):
+                assert first.step_id == site, f"{label} rejected at {first.step_id}"
+                checked += 1
+    assert checked >= 30

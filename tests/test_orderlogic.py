@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from ordercert.orderlogic import (
@@ -28,7 +32,7 @@ from ordercert.orderlogic import (
     w_mul,
     w_reduce,
 )
-from ordercert.orderlogic.facts import required_commute_facts
+from ordercert.orderlogic.facts import IDENTITY_EQ, required_commute_facts
 from ordercert.orderlogic.words import EMPTY, atom_pow, t_pow
 
 F1 = commute_fact("F1", "a", "b")
@@ -392,6 +396,78 @@ def test_theorem_needs_the_distinctness_fact():
 def test_atom_tables_verify():
     assert lemma_atom_table().verify_all()
     assert theorem_atom_table().verify_all()
+
+
+def test_atom_tables_reject_malformed_input():
+    atoms = {name: Realization("skew", name) for name in ("a", "b", "c", "d")}
+    with pytest.raises(ValueError, match="unknown atom"):
+        AtomTable(atoms, [commute_fact("X", "a", "zz")])
+    with pytest.raises(ValueError, match="unknown atom"):
+        AtomTable(atoms, [identity_eq_fact("X", atom_pow("q", 1), EMPTY)])
+    with pytest.raises(ValueError, match="unknown kind"):
+        AtomTable(atoms, [dataclasses.replace(N_C, kind="weird")])
+    with pytest.raises(ValueError, match="wrong arity"):
+        AtomTable(atoms, [dataclasses.replace(F1, args=("a",))])
+    with pytest.raises(ValueError, match="one algebra"):
+        AtomTable({**atoms, "a": Realization("plane", "a")}, [])
+    with pytest.raises(ValueError, match="one algebra"):
+        AtomTable({"a": Realization("weird", "a")}, [])
+    with pytest.raises(ValueError, match="one algebra"):
+        AtomTable({}, [])
+    with pytest.raises(ValueError):
+        AtomTable({**atoms, "a": Realization("skew", "a^^")}, [])
+    with pytest.raises(ValueError):
+        AtomTable({**atoms, "a": Realization("skew", "ch")}, [])
+
+
+def _swap(fact):
+    """Image of a fact under a<->b, c->ch, d->dh, renamed F -> M."""
+    sigma = {"a": "b", "b": "a", "c": "ch", "d": "dh"}
+    if fact.kind == IDENTITY_EQ:
+        args = tuple(tuple((sigma[s], e) for s, e in side) for side in fact.args)
+    else:
+        args = tuple(sigma[x] for x in fact.args)
+    return dataclasses.replace(fact, id="M" + fact.id[1:], args=args)
+
+
+def test_theorem_table_mirrors_the_vertical_facts():
+    facts = theorem_atom_table().facts
+    mirrored = {fid: f for fid, f in facts.items() if fid.startswith("M")}
+    expected = {}
+    for fid in ("F2", "F3", "F4", "F5", "F6", "F7c", "F7d"):
+        image = _swap(facts[fid])
+        expected[image.id] = image
+    assert mirrored == expected
+    # M1 would be the swap image of F1, which is F1 itself
+    assert set(_swap(facts["F1"]).args) == set(facts["F1"].args)
+    assert list(facts) == [
+        "F1", "F2", "F3", "F4", "F5", "F6", "F7a", "F7b", "F7c", "F7d", "F8",
+        "M2", "M3", "M4", "M5", "M6", "M7c", "M7d",
+    ]
+    assert list(lemma_atom_table().facts) == ["F1", "F2", "F3", "F4", "F5", "F7c"]
+    assert all(lemma_atom_table().facts[fid] == facts[fid] for fid in ("F1", "F4", "F7c"))
+
+
+def test_derivation_tree_is_frozen():
+    derivation = script_lemma_gen()
+    branch = derivation.root.split.branches[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        derivation.root = Node()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        branch.node.steps = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        branch.node.split.branches = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        branch.hypotheses = ()
+
+
+def test_copied_derivations_keep_the_contradiction_marker():
+    assert copy.deepcopy(CONTRADICTION) is CONTRADICTION
+    assert pickle.loads(pickle.dumps(CONTRADICTION)) is CONTRADICTION
+    derivation = script_lemma_gen()
+    derivation.table.verify_all()
+    assert check_derivation(copy.deepcopy(derivation), derivation.table).is_valid
+    assert check_derivation(pickle.loads(pickle.dumps(derivation))).is_valid
 
 
 def test_lemma_script_contains_the_expected_bounds():
