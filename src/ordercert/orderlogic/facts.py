@@ -111,9 +111,7 @@ class AtomTable:
         if len(algebras) != 1 or not algebras <= ALGEBRA_LETTERS.keys():
             raise ValueError(f"atoms must share one algebra, one of {sorted(ALGEBRA_LETTERS)}")
         algebra = algebras.pop()
-        for name, r in self.atoms.items():
-            if not isinstance(r.word, str):
-                raise ValueError(f"atom {name!r}: word must be a string")
+        for r in self.atoms.values():
             parse_word(r.word, ALGEBRA_LETTERS[algebra])
         for f in self.facts.values():
             if ARITY.get(f.kind) != len(f.args):
