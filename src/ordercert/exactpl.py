@@ -15,12 +15,18 @@ equality of the represented functions.
 The operations evaluate each operand breakpoint at most once -- a composite's
 value at a preimage of an outer corner is that corner's stored value -- and
 carry kept slopes into the result instead of recomputing them.
+
+Point evaluation for callers (``__call__``, ``_eval``) runs on ``int`` pairs
+through an integer affine table built on first use; the operations above keep
+``Fraction`` evaluation (``_at``), because most of their operands are
+short-lived and would not repay building a table.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Sequence, Tuple
 
@@ -129,10 +135,32 @@ def _composite_pairs(outer: "_PLBase", phi: "PLMap") -> list[Pair]:
     return _unique_sorted(pairs)
 
 
+def _integer_table(xs, ys, slopes, rise: int):
+    """The affine pieces of one period, scaled to integers.
+
+    Row j + 1 is the segment leaving ``xs[j]``, x -> s x + (y - s x); row 0 is
+    the wrap segment left of ``xs[0]``, which is the last row moved one period
+    on: its intercept gains s - rise.  Each row (a, b) stands for
+    x -> (a x + b) / c, and the xs are given as integers over their common
+    denominator d.  Built from numerators and denominators alone: a common
+    multiple of every y's and every s x's denominator serves as c.
+    """
+    xq = [(x.numerator, x.denominator) for x in xs]
+    yq = [(y.numerator, y.denominator) for y in ys]
+    sq = [(s.numerator, s.denominator) for s in slopes]
+    c = lcm(*(yd for _, yd in yq), *(sd * xd for (_, xd), (_, sd) in zip(xq, sq)))
+    rows = [(sn * (c // sd), yn * (c // yd) - sn * xn * (c // (sd * xd)))
+            for (xn, xd), (yn, yd), (sn, sd) in zip(xq, yq, sq)]
+    a, b = rows[-1]
+    rows.insert(0, (a, b + a - rise * c))
+    d = lcm(*(xd for _, xd in xq))
+    return tuple(xn * (d // xd) for xn, xd in xq), d, tuple(rows), c, rise * c
+
+
 class _PLBase:
     """Shared storage and evaluation for one-period PL data."""
 
-    __slots__ = ("xs", "ys", "_slopes")
+    __slots__ = ("xs", "ys", "_slopes", "_table")
 
     _wrap_rise = 0  # vertical rise across one period of the extension
 
@@ -170,7 +198,29 @@ class _PLBase:
         return hash((type(self).__name__, self.xs, self.ys))
 
     def __call__(self, x) -> Rational:
-        return self._at(rational(x))
+        x = rational(x)
+        return Fraction(*self._eval(x.numerator, x.denominator))
+
+    def _eval(self, p: int, q: int) -> tuple[int, int]:
+        """Value at p/q (q > 0) as a reduced (numerator, denominator) pair.
+
+        The integer table is memoized in ``_table`` like the inverse in
+        ``_inv``.  With p/q = n + r/q and 0 <= r < q, an integer corner X/d
+        lies at or left of r/q exactly when X <= floor(r d / q).
+        """
+        try:
+            corners, d, rows, c, rc = self._table
+        except AttributeError:
+            table = _integer_table(self.xs, self.ys, self._slopes, self._wrap_rise)
+            object.__setattr__(self, "_table", table)
+            corners, d, rows, c, rc = table
+        n = p // q
+        r = p - n * q
+        a, b = rows[bisect_right(corners, r * d // q)]
+        num = a * r + (b + rc * n) * q
+        den = c * q
+        g = gcd(num, den)
+        return num // g, den // g
 
     def _at(self, x: Rational) -> Rational:
         """Value at an exact Fraction ``x``."""

@@ -160,7 +160,7 @@ def _lookup_facts(step: Step, table: AtomTable):
         except UnknownFactError:
             raise _Failure(UNKNOWN_FACTS, step.id, f"unknown fact {fid!r}")
         if not table.is_verified(fid):
-            reason = table.failures.get(fid, "fact failed verification")
+            reason = table.failures.get(fid, "fact is not verified as stated")
             raise _Failure(UNKNOWN_FACTS, step.id, f"fact {fid!r}: {reason}")
         cited.append(fact)
     return cited

@@ -101,6 +101,7 @@ class AtomTable:
             self.facts[f.id] = f
         self.algebra = self._validate()
         self.status: dict[str, bool] = {}
+        self._verified_as: dict[str, Fact] = {}  # the statement each status is about
         self.failures: dict[str, str] = {}
         self._skew_cache: dict[str, SkewElement] = {}
         self._plane_cache: dict[str, PlaneWord] = {}
@@ -190,11 +191,13 @@ class AtomTable:
         for fid, fact in self.facts.items():
             holds = self.verify_fact(fact)
             self.status[fid] = holds
+            self._verified_as[fid] = fact
             ok = ok and holds
         return ok
 
     def is_verified(self, fid: str) -> bool:
-        return self.status.get(fid, False)
+        """True only when the fact now under ``fid`` is the one that held."""
+        return self.status.get(fid, False) and self._verified_as.get(fid) == self.facts.get(fid)
 
     def get(self, fid: str) -> Fact:
         try:

@@ -52,12 +52,7 @@ class Letter:
     elem: SkewElement
 
     def apply(self, point: Point) -> Point:
-        x = rational(point[0])
-        y = rational(point[1])
-        if self.kind == "V":
-            return self.elem.apply((x, y))
-        fx, fy = self.elem.apply((y, x))
-        return (fy, fx)
+        return _apply_letters((self,), point)
 
     def invert(self) -> "Letter":
         return Letter(self.kind, self.elem.invert())
@@ -82,6 +77,22 @@ class Letter:
         u, v = self.elem.translation_vector()
         swapped = SkewElement(PLMap.translation(v), PLCocycle.constant(u))
         return Letter(kind, swapped)
+
+
+def _apply_letters(letters: Iterable[Letter], point: Point) -> Point:
+    """Move ``point`` through ``letters`` in order, on integer pairs.
+
+    An H letter acts as its element on the swapped coordinates.
+    """
+    x = rational(point[0])
+    y = rational(point[1])
+    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    for letter in letters:
+        if letter.kind == "V":
+            xn, xd, yn, yd = letter.elem._apply_ints(xn, xd, yn, yd)
+        else:
+            yn, yd, xn, xd = letter.elem._apply_ints(yn, yd, xn, xd)
+    return (Fraction(xn, xd), Fraction(yn, yd))
 
 
 def _merge(left: Letter, right: Letter) -> Letter:
@@ -177,10 +188,7 @@ class PlaneWord:
         return result
 
     def apply(self, point: Point) -> Point:
-        p = (rational(point[0]), rational(point[1]))
-        for letter in self.letters:
-            p = letter.apply(p)
-        return p
+        return _apply_letters(self.letters, point)
 
     def eta_conjugate(self) -> "PlaneWord":
         """Conjugation by the coordinate swap: V and H letters trade places."""

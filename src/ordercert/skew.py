@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from .exactpl import PLCocycle, PLMap, Rational, rational
@@ -95,7 +96,18 @@ class SkewElement:
     def apply(self, point: Point) -> Point:
         x = rational(point[0])
         y = rational(point[1])
-        return (self.x_part(x), y + self.shift(x))
+        fx, fxd, fy, fyd = self._apply_ints(x.numerator, x.denominator, y.numerator, y.denominator)
+        return (Fraction(fx, fxd), Fraction(fy, fyd))
+
+    def _apply_ints(self, x: int, xd: int, y: int, yd: int) -> tuple[int, int, int, int]:
+        """``apply`` on the point (x/xd, y/yd), denominators positive, giving
+        the image as reduced numerator/denominator pairs."""
+        fx, fxd = self.x_part._eval(x, xd)
+        s, sd = self.shift._eval(x, xd)
+        num = y * sd + s * yd
+        den = yd * sd
+        g = gcd(num, den)
+        return fx, fxd, num // g, den // g
 
     def compose(self, other: "SkewElement") -> "SkewElement":
         """Right action: ``p -> other(self(p))``."""

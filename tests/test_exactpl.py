@@ -336,6 +336,71 @@ def test_wide_operands_match_oracle():
     assert_same(wide.negate(), oracle_negate(wide))
 
 
+# -- integer point evaluation against the Fraction route ------------------------
+#
+# ``__call__`` and ``_eval`` run on the integer table; the kernel's own ``_at``
+# stays on Fraction arithmetic and is the oracle here.
+
+WIDE = d_power(256)  # 512 corners, 258-bit denominators
+FIXED = (TRANSLATION, CONSTANT, PLMap.identity(), PLCocycle.zero(), CROSSING,
+         CORNER_AT_ZERO, base_plmap(), base_cocycle(), WIDE, c0().pullback(WIDE))
+
+far_points = st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**6))
+shifts = st.integers(-10**6, 10**6)
+
+
+def assert_integer_route(f, x):
+    expected = f._at(x)
+    assert f._eval(x.numerator, x.denominator) == (expected.numerator, expected.denominator)
+    assert f(x) == expected
+
+
+@st.composite
+def points_of(draw, f):
+    """A far point, a corner, or a point of the wrap segment before xs[0],
+    each moved by a whole number of periods."""
+    kind = draw(st.sampled_from(("far", "corner", "wrap")))
+    if kind == "far":
+        return draw(far_points)
+    n = draw(shifts)
+    if kind == "corner":
+        return draw(st.sampled_from(f.xs)) + n
+    # xs[0] - t for t in (0, 1 - (xs[-1] - xs[0])]: left of the first corner,
+    # right of the last corner of the previous period
+    gap = 1 - (f.xs[-1] - f.xs[0])
+    t = gap * F(draw(st.integers(1, 10**6)), 10**6)
+    return f.xs[0] - t + n
+
+
+@KERNEL
+@given(st.one_of(plmaps(), cocycles(), st.sampled_from(FIXED)), st.data())
+def test_integer_evaluation_matches_fraction_route(f, data):
+    for x in data.draw(st.lists(points_of(f), min_size=1, max_size=8)):
+        assert_integer_route(f, x)
+
+
+def test_integer_evaluation_on_wide_and_flat_operands():
+    rng = random.Random(111)
+    for f in FIXED:
+        for x in f.xs:
+            for n in (0, 1, -1, 10**6, -10**6):
+                assert_integer_route(f, x + n)
+        for _ in range(50):
+            q = rng.randint(1, 10**6)
+            assert_integer_route(f, F(rng.randint(-10**6 * q, 10**6 * q), q))
+        assert_integer_route(f, f.xs[0] - F(1, 10**6))
+    assert len(WIDE.xs) == 512 and max(x.denominator for x in WIDE.xs).bit_length() == 258
+
+
+def test_integer_table_is_built_once():
+    f = d_power(4)
+    f(F(1, 7))
+    table = f._table
+    f(F(-3, 5))
+    assert f._table is table
+    assert pickle.dumps(f) == pickle.dumps(d_power(4))
+
+
 # -- the inverse memo ----------------------------------------------------------
 
 def test_inverse_is_memoized_one_way():

@@ -393,6 +393,21 @@ def test_theorem_needs_the_distinctness_fact():
     assert "F8" in verdict.reason
 
 
+def test_a_fact_replaced_after_verification_is_not_cited():
+    derivation = script_theorem_main()
+    table = derivation.table
+    assert table.verify_all()
+    product = table.facts["F6"].args[0]
+    table.facts["F6"] = identity_eq_fact("F6", product, atom_pow("b", -35))
+    assert not table.is_verified("F6")
+    verdict = check_derivation(derivation)
+    assert verdict.status == "unknown_facts"
+    assert "F6" in verdict.reason
+    # re-verifying the false statement records its failure
+    assert not table.verify_all()
+    assert "false" in check_derivation(derivation).reason
+
+
 def test_atom_tables_verify():
     assert lemma_atom_table().verify_all()
     assert theorem_atom_table().verify_all()

@@ -1,14 +1,18 @@
 import pickle
 import random
 from fractions import Fraction as F
+from itertools import chain
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordercert.exactpl import PLCocycle, PLMap
 from ordercert.plane import (
     DISTINCT,
     EQUAL,
     UNKNOWN,
+    EqualityVerdict,
     Letter,
     PlaneWord,
     WitnessSearchConfig,
@@ -17,6 +21,8 @@ from ordercert.plane import (
     plane_word,
     stepwise_apply_plane,
     verify_mirrored_relations,
+    _grid_points,
+    _random_points,
 )
 from ordercert.skew import SkewElement, perturb_generators, standard_generators
 
@@ -218,3 +224,111 @@ def test_pickle_round_trip():
         copy = pickle.loads(pickle.dumps(word))
         assert copy == word
         assert [copy.apply(p) for p in points] == [word.apply(p) for p in points]
+
+
+# -- integer evaluation and the witness search against the Fraction route ----------
+
+def fraction_walk(word, point):
+    """``word.apply`` letter by letter through the kernel's Fraction ``_at``."""
+    x, y = F(point[0]), F(point[1])
+    for letter in word.letters:
+        e = letter.elem
+        if letter.kind == "V":
+            x, y = e.x_part._at(x), y + e.shift._at(x)
+        else:
+            x, y = x + e.shift._at(y), e.x_part._at(y)
+    return x, y
+
+
+far_coordinates = st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**6))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(0, 2**32), far_coordinates, far_coordinates)
+def test_integer_evaluation_matches_fraction_walk(seed, x, y):
+    word, _ = random_plane_word(random.Random(seed), max_len=10)
+    assert word.apply((x, y)) == fraction_walk(word, (x, y))
+    for letter in word.letters:
+        assert letter.apply((x, y)) == fraction_walk(PlaneWord((letter,)), (x, y))
+        fx, fy = fraction_walk(PlaneWord((Letter("V", letter.elem),)), (x, y))
+        assert letter.elem.apply((x, y)) == (fx, fy)
+
+
+def reference_search(w1, w2, config):
+    """``equal_or_unknown`` spelled out over ``fraction_walk``."""
+    if w1.letters == w2.letters:
+        return EqualityVerdict(EQUAL)
+    if len(w1) <= 1 and len(w2) <= 1:
+        kinds = {l.kind for l in w1.letters + w2.letters}
+        if len(kinds) == 1:
+            kind = kinds.pop()
+            elems = [w.letters[0].elem if w.letters else SkewElement.identity() for w in (w1, w2)]
+            for x in sorted({x for e in elems for x in e.x_part.xs + e.shift.xs}):
+                point = (x, F(0)) if kind == "V" else (F(0), x)
+                if fraction_walk(w1, point) != fraction_walk(w2, point):
+                    return EqualityVerdict(DISTINCT, point)
+    for point in chain(_grid_points(config), _random_points(config)):
+        if fraction_walk(w1, point) != fraction_walk(w2, point):
+            return EqualityVerdict(DISTINCT, point)
+    return EqualityVerdict(UNKNOWN)
+
+
+PLANE_LETTERS = ("a", "b", "c", "d", "ch", "dh")
+COMMUTING = {frozenset(p) for p in (("a", "b"), ("a", "ch"), ("a", "dh"),
+                                    ("b", "c"), ("b", "d"), ("d", "dh"))}
+RELATORS = (  # c^(a^3) c and its swap image, each with the letters of its side
+    ([("a", -3), ("c", 1), ("a", 3), ("c", 1)], ("a", "b", "c", "d")),
+    ([("b", -3), ("ch", 1), ("b", 3), ("ch", 1)], ("a", "b", "ch", "dh")),
+)
+
+
+def random_letters(rng, length, alphabet=PLANE_LETTERS):
+    letters = []
+    while len(letters) < length:
+        sym = rng.choice(alphabet)
+        if not letters or letters[-1][0] != sym:
+            letters.append((sym, rng.choice((1, -1))))
+    return letters
+
+
+def search_pair(rng, kind, length):
+    """Two letter lists whose words are equal, random, distinct by a swap of
+    non-commuting neighbours, or equal by a swap of d and dh."""
+    if kind == "equal":
+        relator, alphabet = rng.choice(RELATORS)
+        u = random_letters(rng, length, alphabet)
+        v = list(u)
+        x = rng.choice(alphabet)
+        for inserted in ([(x, 1), (x, -1)], relator):
+            i = rng.randint(0, len(v))
+            v[i:i] = inserted
+        return u, v
+    if kind == "random":
+        return random_letters(rng, length), random_letters(rng, length)
+    if kind == "distinct_swap":
+        while True:
+            u = random_letters(rng, length)
+            spots = [i for i in range(len(u) - 1)
+                     if frozenset((u[i][0], u[i + 1][0])) not in COMMUTING]
+            if spots:
+                i = rng.choice(spots)
+                return u, u[:i] + [u[i + 1], u[i]] + u[i + 2:]
+    u = random_letters(rng, length)
+    i = rng.randint(0, len(u))
+    pair = [("d", rng.choice((1, -1))), ("dh", rng.choice((1, -1)))]
+    return u[:i] + pair + u[i:], u[:i] + pair[::-1] + u[i:]
+
+
+@pytest.mark.parametrize("seed", [5, 7, 11])
+def test_search_matches_fraction_reference(seed):
+    rng = random.Random(seed)
+    config = WitnessSearchConfig(max_denominator=3, coord_bound=2, random_count=16, seed=seed)
+    statuses = set()
+    for kind in ("equal", "random", "distinct_swap", "commuting_swap"):
+        for length in range(2, 9):
+            u, v = search_pair(rng, kind, length)
+            w1, w2 = plane_word(u), plane_word(v)
+            verdict = equal_or_unknown(w1, w2, config)
+            assert verdict == reference_search(w1, w2, config), (kind, u, v)
+            statuses.add(verdict.status)
+    assert statuses == {EQUAL, DISTINCT, UNKNOWN}
