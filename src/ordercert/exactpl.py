@@ -12,14 +12,16 @@ anywhere.  Both classes keep a unique canonical breakpoint list (collinear
 points removed, translations/constants pinned at x = 0), so ``==`` decides
 equality of the represented functions.
 
-The operations evaluate each operand breakpoint at most once -- a composite's
-value at a preimage of an outer corner is that corner's stored value -- and
-carry kept slopes into the result instead of recomputing them.
+``compose``, ``pullback`` and ``add`` are one merge walk over the two
+operands' sorted corner lists, in reduced ``int`` pairs: each segment of the
+result carries the product (or sum) of the two slopes over it, a point is kept
+only where that slope changes, and a ``Fraction`` is built only for what is
+kept.  A composite's value at a preimage of an outer corner is that corner's
+stored value; elsewhere a value is read off the current segment.
 
 Point evaluation for callers (``__call__``, ``_eval``) runs on ``int`` pairs
-through an integer affine table built on first use; the operations above keep
-``Fraction`` evaluation (``_at``), because most of their operands are
-short-lived and would not repay building a table.
+through an integer affine table built on first use.  ``_at`` evaluates in
+``Fraction`` arithmetic and is kept only as the independent reference.
 """
 
 from __future__ import annotations
@@ -27,13 +29,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter
 from typing import Iterable, Sequence, Tuple
 
 Rational = Fraction
 Pair = Tuple[Rational, Rational]
-
-_first = itemgetter(0)
 
 
 class PLError(ValueError):
@@ -110,29 +109,111 @@ def _essential(pairs: Sequence[Pair], wrap_rise: int):
             tuple(slopes[i] for i in kept))
 
 
-def _unique_sorted(pairs: list[Pair]) -> list[Pair]:
-    """Sort candidates by x, dropping repeats: two routes to one exact point."""
-    pairs.sort(key=_first)
-    out = [pairs[0]]
-    for pair in pairs:
-        if pair[0] != out[-1][0]:
-            out.append(pair)
-    return out
+def _corners(f: "_PLBase") -> list[tuple[int, ...]]:
+    """f's corners as ``(xn, xd, yn, yd, sn, sd)``: the point (xn/xd, yn/yd)
+    and the slope sn/sd of the segment leaving it, in reduced integer pairs."""
+    return [(*x.as_integer_ratio(), *y.as_integer_ratio(), *s.as_integer_ratio())
+            for x, y, s in zip(f.xs, f.ys, f._slopes)]
 
 
-def _composite_pairs(outer: "_PLBase", phi: "PLMap") -> list[Pair]:
-    """Candidate breakpoints of x -> outer(phi(x)) with their values: phi's
-    corners, where outer is evaluated once, and the phi-preimages t - n of
-    outer's corners c, where the value outer(c) - n * rise is already stored.
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _on(corner, xn: int, xd: int) -> tuple[int, int]:
+    """The value at xn/xd on the segment leaving ``corner``: y + s (x - c)."""
+    cn, cd, yn, yd, sn, sd = corner
+    return _reduced(yn * sd * xd * cd + yd * sn * (xn * cd - cn * xd), yd * sd * xd * cd)
+
+
+def _shift(corner, k: int, rise: int) -> tuple[int, ...]:
+    """``corner`` moved k periods along a function that rises by ``rise``."""
+    xn, xd, yn, yd, sn, sd = corner
+    return xn + k * xd, xd, yn + k * rise * yd, yd, sn, sd
+
+
+def _merge(a, b, rise_a: int, rise_b: int):
+    """Walk two corner lists (as from ``_corners``) in step, each sorted over
+    the same window of unit length.
+
+    Yields ``(xn, xd, a(x), b(x), ca, cb)`` at each corner x of either list,
+    where ``ca`` and ``cb`` are the corners of each at or left of x: their
+    segments hold up to the next corner.  Left of its first corner, a list's
+    last corner one period down holds.
     """
-    at = outer._at
-    pairs = [(x, at(y)) for x, y in zip(phi.xs, phi.ys)]
-    at, rise = phi.invert()._at, outer._wrap_rise
-    for c, value in zip(outer.xs, outer.ys):
-        t = at(c)
-        n = _floor(t)
-        pairs.append((t - n, value - n * rise) if n else (t, value))
-    return _unique_sorted(pairs)
+    ca, cb = _shift(a[-1], -1, rise_a), _shift(b[-1], -1, rise_b)
+    m, n = len(a), len(b)
+    # each list closes with its first corner one period on, past the window
+    a, b = a + [_shift(a[0], 1, rise_a)], b + [_shift(b[0], 1, rise_b)]
+    i = j = 0
+    while i < m or j < n:
+        order = a[i][0] * b[j][1] - b[j][0] * a[i][1]
+        if order <= 0:
+            ca = a[i]
+            i += 1
+        if order >= 0:
+            cb = b[j]
+            j += 1
+        xn, xd = (ca if order <= 0 else cb)[:2]
+        yield (xn, xd, ca[2:4] if order <= 0 else _on(ca, xn, xd),
+               cb[2:4] if order >= 0 else _on(cb, xn, xd), ca, cb)
+
+
+def _canonical(events, rise: int):
+    """Canonical ``(xs, ys, slopes)`` from one period of merge-walk events.
+
+    ``events`` are ``(xn, xd, yn, yd, slope)`` in x order over [0, 1): the
+    point (xn/xd, yn/yd) and the reduced pair of the slope leaving it.  A
+    point is kept only where the slope changes, cyclically, and a Fraction is
+    built only for what is kept.
+    """
+    kept = [e for prev, e in zip(events[-1:] + events[:-1], events) if prev[4] != e[4]]
+    if not kept:
+        # one slope throughout: a translation (maps) or a constant (cocycles)
+        xn, xd, yn, yd, _ = events[0]
+        return (Fraction(0),), (Fraction(yn, yd) - Fraction(rise * xn, xd),), (Fraction(rise),)
+    xn, xd, yn, yd, slopes = zip(*kept)
+    distinct = {s: Fraction(*s) for s in set(slopes)}  # few: one Fraction each
+    return (tuple(map(Fraction, xn, xd)), tuple(map(Fraction, yn, yd)),
+            tuple(map(distinct.get, slopes)))
+
+
+def _through(outer: "_PLBase", phi: "PLMap"):
+    """Canonical ``(xs, ys, slopes)`` of x -> outer(phi(x)), in one merge walk.
+
+    The walk runs over phi's image [phi.ys[0], phi.ys[0] + 1) of one period,
+    merging outer's corners with those of phi's inverse, whose values there
+    are the x of the result.  Each segment's slope is outer's slope times
+    phi's.  Points past x = 1 move one period down to the front, so nothing is
+    sorted.
+    """
+    rise = outer._wrap_rise
+    inverse = [(yn, yd, xn, xd, sd, sn) for xn, xd, yn, yd, sn, sd in _corners(phi)]
+    p, q = inverse[0][:2]
+    n, r = divmod(p, q)
+    # outer's corners in the window: those at or right of r/q moved to the
+    # period of n, then the rest moved to the next one
+    ws = _corners(outer)
+    j = sum(un * q < r * ud for un, ud, *_ in ws)
+    ws = [_shift(c, n, rise) for c in ws[j:]] + [_shift(c, n + 1, rise) for c in ws[:j]]
+    events, head = [], []
+    for _, _, (vn, vd), (xn, xd), cw, cp in _merge(ws, inverse, rise, 1):
+        slope = _reduced(cw[4] * cp[5], cw[5] * cp[4])
+        if xn < xd:
+            events.append((xn, xd, vn, vd, slope))
+        else:
+            head.append((xn - xd, xd, vn - rise * vd, vd, slope))
+    return _canonical(head + events, rise)
+
+
+def _sum(f: "PLCocycle", g: "PLCocycle"):
+    """Canonical ``(xs, ys, slopes)`` of x -> f(x) + g(x), in one merge walk
+    over the two corner lists; each segment's slope is the sum of the two."""
+    return _canonical([(xn, xd, *_reduced(yn * vd + vn * yd, yd * vd),
+                        _reduced(cf[4] * cg[5] + cg[4] * cf[5], cf[5] * cg[5]))
+                       for xn, xd, (yn, yd), (vn, vd), cf, cg
+                       in _merge(_corners(f), _corners(g), 0, 0)], 0)
 
 
 def _integer_table(xs, ys, slopes, rise: int):
@@ -223,7 +304,13 @@ class _PLBase:
         return num // g, den // g
 
     def _at(self, x: Rational) -> Rational:
-        """Value at an exact Fraction ``x``."""
+        """Value at an exact Fraction ``x``, in ``Fraction`` arithmetic.
+
+        The reference evaluator, used by nothing in this module: the stepwise
+        routes (``skew.stepwise_apply``, ``plane.stepwise_apply_plane``) and
+        the tests go through it to check the integer table and the kernel
+        independently.
+        """
         n = _floor(x)
         r = x - n if n else x
         xs = self.xs
@@ -304,7 +391,12 @@ class PLMap(_PLBase):
 
     def compose(self, other: "PLMap") -> "PLMap":
         """Left-to-right composite x -> other(self(x))."""
-        return PLMap(_composite_pairs(other, self))
+        if len(other.xs) == 1:  # a translation moves no corner and changes no slope
+            t = other.ys[0]
+            return PLMap._make(self.xs, tuple(y + t for y in self.ys), self._slopes) if t else self
+        if self.is_identity:
+            return other
+        return PLMap._make(*_through(other, self))
 
     def invert(self) -> "PLMap":
         inv = getattr(self, "_inv", None)
@@ -313,13 +405,15 @@ class PLMap(_PLBase):
         if len(self.xs) == 1:
             inv = PLMap._make(self.xs, (-self.ys[0],), self._slopes)
         else:
-            # corners map to corners, and each slope to its reciprocal
-            rows = []
+            # corners map to corners, and each slope to its reciprocal; the ys
+            # span [ys[0], ys[0] + 1), so those past the next integer wrap to
+            # the front
+            rows, head, top = [], [], _floor(self.ys[0]) + 1
             for x, y, s in zip(self.xs, self.ys, self._slopes):
                 n = _floor(y)
-                rows.append((y - n, x - n, 1 / s) if n else (y, x, 1 / s))
-            rows.sort(key=_first)
-            inv = PLMap._make(*map(tuple, zip(*rows)))
+                row = (y - n, x - n, 1 / s) if n else (y, x, 1 / s)
+                (head if n == top else rows).append(row)
+            inv = PLMap._make(*map(tuple, zip(*head, *rows)))
         object.__setattr__(self, "_inv", inv)
         return inv
 
@@ -366,9 +460,7 @@ class PLCocycle(_PLBase):
         if len(other.xs) == 1:  # a constant moves no corner and changes no slope
             c = other.ys[0]
             return PLCocycle._make(self.xs, tuple(y + c for y in self.ys), self._slopes) if c else self
-        pairs = [(x, y + other._at(x)) for x, y in zip(self.xs, self.ys)]
-        pairs += [(x, self._at(x) + y) for x, y in zip(other.xs, other.ys)]
-        return PLCocycle(_unique_sorted(pairs))
+        return PLCocycle._make(*_sum(self, other))
 
     def negate(self) -> "PLCocycle":
         return PLCocycle._make(self.xs, tuple(-y for y in self.ys), tuple(-s for s in self._slopes))
@@ -376,9 +468,9 @@ class PLCocycle(_PLBase):
     def pullback(self, phi: PLMap) -> "PLCocycle":
         """The cocycle x -> self(phi(x)); exact, with breakpoints at phi's
         corners and at phi-preimages of self's corners."""
-        if len(self.xs) == 1:
-            return self  # a constant pulls back to itself
-        return PLCocycle(_composite_pairs(self, phi))
+        if len(self.xs) == 1 or phi.is_identity:
+            return self  # a constant, or any cocycle through the identity
+        return PLCocycle._make(*_through(self, phi))
 
 
 def make_plmap(points) -> PLMap:

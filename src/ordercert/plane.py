@@ -28,6 +28,7 @@ from .skew import (
     RelationFact,
     RelationReport,
     SkewElement,
+    reference_apply,
     standard_generators,
 )
 from .wordsyntax import GREEK_ALIASES, epsilon_letters, parse_word
@@ -238,13 +239,19 @@ def plane_word(text_or_letters, gens: dict[str, PlaneWord] | None = None) -> Pla
 
 def stepwise_apply_plane(text_or_letters, point: Point,
                          gens: dict[str, PlaneWord] | None = None) -> Point:
+    """Apply a word one generator at a time, letter by letter through
+    ``skew.reference_apply``: the independent route to ``PlaneWord.apply``."""
     gens = gens or _PLANE_GENERATORS
-    p = (rational(point[0]), rational(point[1]))
+    x, y = rational(point[0]), rational(point[1])
     for sym, exp in _plane_letters(text_or_letters):
         g = gens[sym] if exp > 0 else gens[sym].invert()
         for _ in range(abs(exp)):
-            p = g.apply(p)
-    return p
+            for letter in g.letters:
+                if letter.kind == "V":
+                    x, y = reference_apply(letter.elem, x, y)
+                else:
+                    y, x = reference_apply(letter.elem, y, x)
+    return x, y
 
 
 EQUAL = "equal"

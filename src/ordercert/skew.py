@@ -225,12 +225,20 @@ def word_to_element(word, gens: dict[str, SkewElement] | None = None) -> SkewEle
     return result
 
 
+def reference_apply(element: SkewElement, x: Rational, y: Rational) -> Point:
+    """``element.apply((x, y))`` in ``Fraction`` arithmetic, through the
+    reference evaluator ``_at`` rather than the integer tables."""
+    return element.x_part._at(x), y + element.shift._at(x)
+
+
 def stepwise_apply(word, point: Point, gens: dict[str, SkewElement] | None = None) -> Point:
-    """Apply a word one generator power at a time (the independent route)."""
+    """Apply a word one generator at a time through ``reference_apply``: the
+    independent route, sharing neither the composed element nor the integer
+    evaluator with ``word_to_element(word).apply``."""
     letters = _letters(word)
     gens = gens or _STANDARD
     inverses: dict[str, SkewElement] = {}
-    p = (rational(point[0]), rational(point[1]))
+    x, y = rational(point[0]), rational(point[1])
     for sym, exp in letters:
         if exp > 0:
             g = gens[sym]
@@ -239,8 +247,8 @@ def stepwise_apply(word, point: Point, gens: dict[str, SkewElement] | None = Non
                 inverses[sym] = gens[sym].invert()
             g = inverses[sym]
         for _ in range(abs(exp)):
-            p = g.apply(p)
-    return p
+            x, y = reference_apply(g, x, y)
+    return x, y
 
 
 def _epsilon_factors(gens: dict[str, SkewElement]) -> list[SkewElement]:

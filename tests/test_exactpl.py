@@ -205,8 +205,10 @@ def test_cocycle_add_negate_pointwise():
 # -- kernel against a point-by-point oracle ------------------------------------
 #
 # Each oracle builds the result the direct way: the full candidate breakpoint
-# set, every value computed through the public ``__call__``, then
-# ``from_points``.  The inverse is the swapped breakpoint list.
+# set, every value computed through the Fraction reference evaluator ``_at``,
+# then ``from_points``.  ``__call__`` and the kernel both run on integer pairs,
+# so ``_at`` keeps the oracle independent of them.  The inverse is the swapped
+# breakpoint list.
 
 KERNEL = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -239,8 +241,8 @@ def oracle_invert(f):
 def oracle_through(outer, phi):
     """Breakpoints of x -> outer(phi(x)), the way the kernel used to find them."""
     inv = oracle_invert(phi)
-    cands = set(phi.xs) | {inv(x) % 1 for x in outer.xs}
-    return [(x, outer(phi(x))) for x in cands]
+    cands = set(phi.xs) | {inv._at(x) % 1 for x in outer.xs}
+    return [(x, outer._at(phi._at(x))) for x in cands]
 
 
 def oracle_compose(f, g):
@@ -252,11 +254,11 @@ def oracle_pullback(p, phi):
 
 
 def oracle_add(p, q):
-    return PLCocycle.from_points((x, p(x) + q(x)) for x in set(p.xs) | set(q.xs))
+    return PLCocycle.from_points((x, p._at(x) + q._at(x)) for x in set(p.xs) | set(q.xs))
 
 
 def oracle_negate(p):
-    return PLCocycle.from_points((x, -p(x)) for x in p.xs)
+    return PLCocycle.from_points((x, -p._at(x)) for x in p.xs)
 
 
 def assert_same(result, expected):
@@ -275,6 +277,17 @@ TRANSLATION = PLMap.translation(F(-7, 4))
 CONSTANT = PLCocycle.constant(F(5, 2))
 CORNER_AT_ZERO = PLCocycle.from_points([(0, 1), (F(1, 3), -2), (F(3, 4), 0)])
 
+# shapes the merge walk treats apart; base_plmap() has corners at 1/3 and 2/3
+ON_CORNER = PLMap.from_points([(0, F(-2, 3)), (F(1, 2), F(-1, 2))])  # ys[0] = 1/3 - 1
+MEETS_CORNER = PLMap.from_points([(0, 0), (F(1, 4), F(2, 3))])  # ys[1] = 2/3
+NEGATIVE = PLMap.from_points([(F(1, 8), F(-11, 4)), (F(1, 2), F(-5, 2))])
+ABOVE_TWO = PLMap.from_points([(F(1, 4), F(9, 4)), (F(3, 4), F(5, 2))])
+# x -> CROSSING^-1(x) - 7/4, so that CROSSING followed by it is a translation
+UNDOES_CROSSING = oracle_compose(oracle_invert(CROSSING), TRANSLATION)
+# 5/2 minus CORNER_AT_ZERO, so that the two add up to a constant
+COMPLEMENT = PLCocycle.from_points((x, F(5, 2) - y) for x, y in CORNER_AT_ZERO.breakpoints())
+WIDE_TENT = c0().pullback(d_power(256))
+
 
 @KERNEL
 @given(plmaps(), plmaps())
@@ -282,6 +295,15 @@ CORNER_AT_ZERO = PLCocycle.from_points([(0, 1), (F(1, 3), -2), (F(3, 4), 0)])
 @example(TRANSLATION, CROSSING)
 @example(CROSSING, TRANSLATION)
 @example(TRANSLATION, TRANSLATION)
+@example(ON_CORNER, base_plmap())
+@example(MEETS_CORNER, base_plmap())
+@example(NEGATIVE, CROSSING)
+@example(ABOVE_TWO, CROSSING)
+@example(CROSSING, NEGATIVE)
+@example(TRANSLATION, base_plmap())
+@example(base_plmap(), TRANSLATION)
+@example(CROSSING, UNDOES_CROSSING)
+@example(base_plmap(), oracle_invert(base_plmap()))
 def test_compose_matches_oracle(f, g):
     assert_same(f.compose(g), oracle_compose(f, g))
 
@@ -300,6 +322,11 @@ def test_invert_matches_oracle(f):
 @example(CORNER_AT_ZERO, CROSSING)
 @example(CONSTANT, CROSSING)
 @example(CORNER_AT_ZERO, TRANSLATION)
+@example(CORNER_AT_ZERO, PLMap.identity())
+@example(base_cocycle(), ON_CORNER)
+@example(base_cocycle(), MEETS_CORNER)
+@example(CORNER_AT_ZERO, NEGATIVE)
+@example(CORNER_AT_ZERO, ABOVE_TWO)
 def test_pullback_matches_oracle(p, phi):
     assert_same(p.pullback(phi), oracle_pullback(p, phi))
 
@@ -311,6 +338,8 @@ def test_pullback_matches_oracle(p, phi):
 @example(CONSTANT, CORNER_AT_ZERO)
 @example(CONSTANT, PLCocycle.zero())
 @example(CORNER_AT_ZERO, CORNER_AT_ZERO.negate())
+@example(CORNER_AT_ZERO, COMPLEMENT)
+@example(WIDE_TENT, WIDE_TENT.negate())
 def test_add_matches_oracle(p, q):
     assert_same(p.add(q), oracle_add(p, q))
 
@@ -343,7 +372,7 @@ def test_wide_operands_match_oracle():
 
 WIDE = d_power(256)  # 512 corners, 258-bit denominators
 FIXED = (TRANSLATION, CONSTANT, PLMap.identity(), PLCocycle.zero(), CROSSING,
-         CORNER_AT_ZERO, base_plmap(), base_cocycle(), WIDE, c0().pullback(WIDE))
+         CORNER_AT_ZERO, base_plmap(), base_cocycle(), WIDE, WIDE_TENT)
 
 far_points = st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**6))
 shifts = st.integers(-10**6, 10**6)
