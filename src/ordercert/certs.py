@@ -1,8 +1,7 @@
 """Certificate files: canonical JSON envelopes around checkable payloads.
 
-Three kinds exist: ``relation-report`` (the generator identity checks),
-``derivation`` (a full inequality-calculus derivation plus its atom table),
-and ``nonlo-witness`` (a sign-exhaustive identity-product witness).
+Two kinds exist: ``relation-report`` (the generator identity checks) and
+``derivation`` (a full inequality-calculus derivation plus its atom table).
 
 Formatting is canonical -- sorted keys, no insignificant whitespace, UTF-8,
 rationals as lowest-term "p/q" strings -- so a certificate round-trips
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 import json
 from datetime import datetime, timezone
-from typing import Optional
 
 from .orderlogic.derivation import (
     CONTRADICTION_GOAL,
@@ -27,14 +25,13 @@ from .orderlogic.derivation import (
     Step,
 )
 from .orderlogic.facts import AtomTable
-from .orderlogic.signsearch import NonLOWitness
 from .orderlogic.words import CONTRADICTION, Less, WordEq
 from .skew import RelationReport
 
 CERT_VERSION = "1"
 TOOLCHAIN = "ordercert 0.1.0"
 
-KINDS = ("relation-report", "derivation", "nonlo-witness")
+KINDS = ("relation-report", "derivation")
 
 
 class CertificateError(ValueError):
@@ -249,7 +246,7 @@ def parse_derivation(payload: dict) -> Derivation:
     return Derivation(name, table, goal, root)
 
 
-# -- relation reports and witnesses ------------------------------------------
+# -- relation reports -------------------------------------------------------
 
 def serialize_relation_report(report: RelationReport, generators: dict | None = None) -> dict:
     payload = {
@@ -264,14 +261,3 @@ def serialize_relation_report(report: RelationReport, generators: dict | None = 
             name: element.serialize() for name, element in sorted(generators.items())
         }
     return payload
-
-
-def serialize_witness(witness: NonLOWitness, max_depth: int, atoms_spec: str) -> dict:
-    return {"witness": witness.serialize(), "max_depth": max_depth, "atoms": atoms_spec}
-
-
-def parse_witness(payload: dict) -> NonLOWitness:
-    try:
-        return NonLOWitness.deserialize(payload["witness"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CertificateError(f"malformed witness payload: {exc!r}") from exc

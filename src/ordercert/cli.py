@@ -7,12 +7,11 @@ Subcommands::
     prove        build, check, and write the no-left-order derivation
     check-cert   re-check a derivation certificate from disk
     eval         apply a word to an exact rational point
-    search       bounded non-left-orderability witness search
 
 Exit codes: 0 success / verified, 1 a checked statement is false or a
-derivation is invalid, 2 unknown or undecided facts (and "witness not
-found" for search), 3 input, syntax, or I/O errors.  Stdout carries
-human-readable text; certificates go only to files.
+derivation is invalid, 2 unknown or undecided facts, 3 usage, input,
+syntax, or I/O errors.  Stdout carries human-readable text; certificates
+go only to files.
 """
 
 from __future__ import annotations
@@ -22,29 +21,18 @@ import sys
 from fractions import Fraction
 
 from . import certs
-from .exactpl import PLError, format_rational
+from .exactpl import format_rational
 from .orderlogic import derivation as derivation_mod
 from .orderlogic.derivation import check_derivation
 from .orderlogic.scripts import script_theorem_main
-from .orderlogic.signsearch import (
-    OracleError,
-    lattice_oracle,
-    order_two_oracle,
-    sign_search,
-    skew_oracle,
-    verify_nonlo_witness,
-)
-from .plane import PLANE_GENERATOR_NAMES, plane_word
+from .plane import plane_word, verify_mirrored_relations
 from .skew import (
-    SkewElement,
     compute_epsilon,
     epsilon_offsets,
     perturb_generators,
     standard_generators,
     verify_relations,
-    word_to_element,
 )
-from .plane import verify_mirrored_relations
 from .wordsyntax import WordSyntaxError
 
 EXIT_OK = 0
@@ -177,58 +165,6 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _build_oracle(args):
-    if args.oracle == "test-z2":
-        return order_two_oracle()
-    if args.oracle == "lattice":
-        spec = args.atoms or "1,0;0,1"
-        vectors = []
-        for chunk in spec.split(";"):
-            x, y = chunk.split(",")
-            vectors.append((int(x), int(y)))
-        return lattice_oracle(vectors)
-    if args.oracle == "skew":
-        spec = args.atoms or "a;b;c;d"
-        return skew_oracle([chunk.strip() for chunk in spec.split(";") if chunk.strip()])
-    raise WordSyntaxError(f"unknown oracle {args.oracle!r}")
-
-
-def cmd_search(args) -> int:
-    try:
-        oracle = _build_oracle(args)
-    except (WordSyntaxError, ValueError, PLError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        witness = sign_search(oracle, max_depth=args.depth, max_products=args.max_products)
-    except OracleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    if witness is None:
-        print(f"no witness within depth {args.depth} (bound {args.max_products} products)")
-        return EXIT_UNKNOWN
-    if not verify_nonlo_witness(witness, oracle):
-        raise AssertionError("search produced a witness its own verifier rejects")
-    print(f"witness found: every sign choice for {witness.n_atoms} atom(s) reaches the identity")
-    for signs, indices in sorted(witness.products.items()):
-        sign_text = "".join("+" if s > 0 else "-" for s in signs)
-        product_text = " ".join(f"g{i}" if signs[i] > 0 else f"g{i}^-1" for i in indices)
-        print(f"  signs {sign_text}: {product_text} == 1")
-    if args.out:
-        try:
-            _write_cert(
-                args.out,
-                "nonlo-witness",
-                certs.serialize_witness(witness, args.depth, args.atoms or ""),
-                not args.no_timestamp,
-            )
-        except OSError as exc:
-            print(f"error: cannot write certificate: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-        print(f"certificate written to {args.out}")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ordercert",
@@ -262,22 +198,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("point")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("search", help="bounded non-left-orderability witness search")
-    p.add_argument("--oracle", choices=("skew", "lattice", "test-z2"), default="skew")
-    p.add_argument("--atoms", default=None,
-                   help="semicolon-separated atoms (words for skew, 'x,y' pairs for lattice)")
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--max-products", type=int, default=10000)
-    p.add_argument("--out", default=None)
-    p.add_argument("--no-timestamp", action="store_true")
-    p.set_defaults(func=cmd_search)
-
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:  # argparse has already printed the usage error
+            return EXIT_ERROR
+        raise
     return args.func(args)
 
 

@@ -1,9 +1,9 @@
 """A checkable inference system for left-order inequalities.
 
 Submodules: ``words`` (formal atom words and judgments), ``facts`` (atom
-tables and algebra-verified facts), ``rules`` (the rule engine), and
-``derivation`` (trees plus the checker), ``scripts`` (the two shipped
-derivations), ``signsearch`` (bounded non-left-orderability witnesses).
+tables and algebra-verified facts), ``rules`` (the rule engine),
+``derivation`` (trees plus the checker), and ``scripts`` (the two shipped
+derivations).
 """
 
 from .derivation import (
@@ -34,25 +34,13 @@ from .scripts import (
     script_theorem_main,
     theorem_atom_table,
 )
-from .signsearch import (
-    NonLOWitness,
-    OracleError,
-    ProductOracle,
-    lattice_oracle,
-    order_two_oracle,
-    sign_search,
-    skew_oracle,
-    verify_nonlo_witness,
-)
 from .words import CONTRADICTION, EMPTY, Less, Word, WordEq, atom_pow, t_pow, w_inv, w_mul, w_reduce
 
 __all__ = [
     "AtomTable", "Branch", "CONTRADICTION", "CONTRADICTION_GOAL", "Derivation",
-    "EMPTY", "Fact", "Hypothesis", "Less", "Node", "NonLOWitness", "OracleError",
-    "ProductOracle", "Realization", "RuleError", "Split", "Step", "Verdict",
-    "Word", "WordEq", "apply_rule", "atom_pow", "check_derivation", "commute_fact",
-    "epsilon_product_word", "identity_eq_fact", "lattice_oracle", "lemma_atom_table",
-    "non_identity_fact", "not_in_set_fact", "order_two_oracle", "script_lemma_gen",
-    "script_theorem_main", "sign_search", "skew_oracle", "t_pow", "theorem_atom_table",
-    "verify_nonlo_witness", "w_inv", "w_mul", "w_reduce",
+    "EMPTY", "Fact", "Hypothesis", "Less", "Node", "Realization", "RuleError",
+    "Split", "Step", "Verdict", "Word", "WordEq", "apply_rule", "atom_pow",
+    "check_derivation", "commute_fact", "epsilon_product_word", "identity_eq_fact",
+    "lemma_atom_table", "non_identity_fact", "not_in_set_fact", "script_lemma_gen",
+    "script_theorem_main", "t_pow", "theorem_atom_table", "w_inv", "w_mul", "w_reduce",
 ]

@@ -30,7 +30,7 @@ from typing import Optional, Union
 
 from .facts import AtomTable, UnknownFactError
 from .rules import RuleError, apply_rule
-from .words import CONTRADICTION, Judgment, Less, Word, WordEq, t_pow, w_format
+from .words import CONTRADICTION, Judgment, Less, Word, WordEq, t_pow
 
 CONTRADICTION_GOAL = "contradiction"
 

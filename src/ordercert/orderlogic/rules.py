@@ -22,7 +22,7 @@ fact).  Case splitting lives in the derivation tree, not here.
 
 from __future__ import annotations
 
-from .facts import COMMUTE, IDENTITY_EQ, NON_IDENTITY, NOT_IN_SET, Fact, required_commute_facts
+from .facts import IDENTITY_EQ, NON_IDENTITY, NOT_IN_SET, Fact, required_commute_facts
 from .words import CONTRADICTION, EMPTY, Judgment, Less, Word, WordEq, atom_pow, t_pow, w_format, w_inv, w_mul, w_reduce
 
 CORE_RULES = ("invert", "product", "conjugate_window", "flip_bound")

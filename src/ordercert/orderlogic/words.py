@@ -9,7 +9,7 @@ marker that closes a derivation branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from ..wordsyntax import format_word, reduce_letters
 

@@ -20,9 +20,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .exactpl import PLCocycle, PLMap, Rational, format_rational, rational
+from .exactpl import PLCocycle, PLMap, rational
 from .skew import (
     GENERATOR_NAMES,
     RelationFact,

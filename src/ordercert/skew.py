@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import reduce
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .exactpl import PLCocycle, PLMap, Rational, rational
 from .wordsyntax import GREEK_ALIASES, WordSyntaxError, parse_word

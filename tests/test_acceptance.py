@@ -13,12 +13,8 @@ from ordercert.cli import main
 from ordercert.exactpl import PLCocycle, PLMap
 from ordercert.orderlogic import (
     check_derivation,
-    lattice_oracle,
-    order_two_oracle,
     script_lemma_gen,
     script_theorem_main,
-    sign_search,
-    verify_nonlo_witness,
 )
 from ordercert.plane import verify_mirrored_relations
 from ordercert.skew import (
@@ -138,11 +134,7 @@ def test_soundness_sanity():
     snd.test_structural_rules_sound(n=1500)
     snd.test_contradiction_rules_unreachable_on_true_premises(n=750)
     snd.test_case_splits_cover_exactly_one_branch(n=750)
-
-    assert sign_search(lattice_oracle([(1, 0), (0, 1)]), max_depth=6) is None
-    toy = sign_search(order_two_oracle(), max_depth=2)
-    assert toy is not None and verify_nonlo_witness(toy, order_two_oracle())
-    _passed("soundness sanity: 10000+ true rule instances, lattice empty, toy witness verified")
+    _passed("soundness sanity: 10000+ true rule instances")
 
 
 def test_algebra_property_suite():

@@ -7,8 +7,6 @@ from ordercert.orderlogic import (
     check_derivation,
     script_lemma_gen,
     script_theorem_main,
-    sign_search,
-    order_two_oracle,
 )
 from ordercert.skew import standard_generators, verify_relations
 
@@ -94,10 +92,3 @@ def test_relation_report_payload_uses_lowest_term_strings():
     blob = certs.canonical_dumps(payload)
     assert json.loads(blob) == payload
 
-
-def test_witness_payload_round_trip():
-    witness = sign_search(order_two_oracle(), max_depth=2)
-    payload = certs.serialize_witness(witness, max_depth=2, atoms_spec="g")
-    assert certs.parse_witness(payload) == witness
-    with pytest.raises(certs.CertificateError):
-        certs.parse_witness({"witness": {"entries": "nope"}})

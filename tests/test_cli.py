@@ -137,6 +137,17 @@ def test_check_cert_parse_errors(tmp_path, capsys):
         wrong_kind, certs.make_certificate("relation-report", {"facts": [], "all_hold": True})
     )
     assert main(["check-cert", str(wrong_kind)]) == 3
+    capsys.readouterr()
+    # a sign-search witness, byte for byte as earlier releases wrote it
+    retired_kind = tmp_path / "retired.json"
+    retired_kind.write_bytes(
+        b'{"kind":"nonlo-witness","metadata":{"toolchain":"ordercert 0.1.0"},'
+        b'"payload":{"atoms":"","max_depth":2,"witness":{"entries":['
+        b'{"product":[0,0],"signs":[-1]},{"product":[0,0],"signs":[1]}],'
+        b'"n_atoms":1,"oracle":"test-z2"}},"version":"1"}'
+    )
+    assert main(["check-cert", str(retired_kind)]) == 3
+    assert capsys.readouterr().err == "error: unknown certificate kind 'nonlo-witness'\n"
 
 
 def test_check_cert_unknown_fact(tmp_path, capsys):
@@ -236,28 +247,23 @@ def test_eval_syntax_errors(capsys):
     assert main(["eval", "a", "x,y"]) == 3
 
 
-def test_search_toy_witness(tmp_path, capsys):
-    out = tmp_path / "wit.cert.json"
-    code = main(["search", "--oracle", "test-z2", "--depth", "2",
-                 "--no-timestamp", "--out", str(out)])
-    captured = capsys.readouterr().out
-    assert code == 0
-    lines = [line for line in captured.splitlines() if line.startswith("  signs")]
-    assert len(lines) == 2
-    cert = certs.read_certificate(out)
-    assert cert["kind"] == "nonlo-witness"
-    assert certs.parse_witness(cert["payload"]).n_atoms == 1
+
+USAGE_ERRORS = {
+    "retired-command": ["search"],
+    "unknown-command": ["nosuch"],
+    "bad-choice": ["verify", "--format", "xml"],
+    "no-command": [],
+}
 
 
-def test_search_lattice_comes_up_empty(capsys):
-    assert main(["search", "--oracle", "lattice", "--depth", "6"]) == 2
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_errors_are_input_errors(capsys, case):
+    assert main(USAGE_ERRORS[case]) == 3
+    assert capsys.readouterr().err.startswith("usage: ordercert")
 
 
-def test_search_skew_translations_come_up_empty(capsys):
-    assert main(["search", "--oracle", "skew", "--atoms", "a;b",
-                 "--depth", "4", "--max-products", "2000"]) == 2
-
-
-def test_search_bad_atoms(capsys):
-    assert main(["search", "--oracle", "lattice", "--atoms", "1;2"]) == 3
-    assert main(["search", "--oracle", "skew", "--atoms", "zz"]) == 3
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ordercert")
