@@ -8,14 +8,16 @@ never a letter; it only appears as the bijection between the two kinds.
 Words are kept in a simplified form: adjacent letters of the same kind merge
 by exact composition, identity letters vanish, and pure translations -- which
 live in both copies -- are absorbed into either neighbour and stored V-first
-when they stand alone.  Structural equality of simplified words therefore
-decides every equality this package needs; a bounded witness search handles
-inequality, and anything else is honestly reported as unknown.
+when they stand alone.  Letters with zero shift, (f(x), y) and (x, g(y)),
+commute, so such a pair is reordered until each merges with a same-kind
+neighbour; a lone pair of them is stored V-first.  Structural equality of
+simplified words therefore decides every equality this package needs,
+``d dh == dh d`` included; a bounded witness search handles inequality, and
+anything else is honestly reported as unknown.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,11 +40,6 @@ Point = tuple
 PLANE_GENERATOR_NAMES = ("a", "b", "c", "d", "ch", "dh")
 
 DEFAULT_SEED = 7302016
-
-
-def search_seed() -> int:
-    value = os.environ.get("ORDERCERT_SEED")
-    return int(value) if value else DEFAULT_SEED
 
 
 @dataclass(frozen=True)
@@ -119,6 +116,14 @@ def _push(stack: list[Letter], letter: Letter) -> None:
         elif top.is_translation:
             stack.pop()
             letter = _merge(top.as_kind(letter.kind), letter)
+        elif (letter.elem.shift.is_zero and top.elem.shift.is_zero
+              and (len(stack) > 1 or letter.kind == "V")):
+            # (f(x), y) and (x, g(y)) commute: sink the letter past the top to
+            # merge below it; a lone bottom pair is kept V first, or it would
+            # swap forever
+            stack.pop()
+            _push(stack, letter)
+            letter = top
         else:
             stack.append(letter)
             return
@@ -289,7 +294,7 @@ def _grid_points(config: WitnessSearchConfig):
 
 
 def _random_points(config: WitnessSearchConfig):
-    rng = random.Random(config.seed if config.seed is not None else search_seed())
+    rng = random.Random(config.seed if config.seed is not None else DEFAULT_SEED)
     qmax = config.random_max_denominator
     for _ in range(config.random_count):
         q = rng.randint(1, qmax)
@@ -327,6 +332,9 @@ def equal_or_unknown(w1: PlaneWord, w2: PlaneWord,
 
     ``equal`` only ever comes from identical simplified forms, never from
     sampling.  ``distinct`` always carries a point where the images differ.
+    Equal words whose simplified forms differ end ``unknown``: a translation
+    absorbed on different sides (``b d dh`` vs ``b dh d``), or a relator the
+    stack walk cannot cancel.
     """
     if w1.letters == w2.letters:
         return EqualityVerdict(EQUAL)
