@@ -197,9 +197,9 @@ def _check_node(node: Node, env: dict, goal, table: AtomTable, at_root: bool = F
         _fail(split_id, "case split with no branches")
 
     if split.kind == "trichotomy":
-        _check_trichotomy(split, env)
+        _check_cases(split, *_trichotomy_cases(split))
     elif split.kind == "window":
-        _check_window(split, env)
+        _check_cases(split, *_window_cases(split, env))
     elif split.kind != "given":
         _fail(split_id, f"unknown split kind {split.kind!r}")
 
@@ -213,16 +213,12 @@ def _check_node(node: Node, env: dict, goal, table: AtomTable, at_root: bool = F
         _check_node(branch.node, branch_env, branch_goal, table)
 
 
-def _check_trichotomy(split: Split, env: dict):
-    split_id = "split:trichotomy"
-    try:
-        w1 = tuple((s, int(e)) for s, e in split.params["w1"])
-        w2 = tuple((s, int(e)) for s, e in split.params["w2"])
-    except (KeyError, TypeError, ValueError):
-        _fail(split_id, "malformed trichotomy words")
-    expected = ((Less(w1, w2),), (WordEq(w1, w2),), (Less(w2, w1),))
-    if len(split.branches) != 3:
-        _fail(split_id, "trichotomy needs exactly three branches")
+def _check_cases(split: Split, what: str, expected):
+    """Each branch's hypotheses must be the canonical case at its position;
+    ``what`` names the split in the branch-count reason."""
+    split_id = f"split:{split.kind}"
+    if len(split.branches) != len(expected):
+        _fail(split_id, f"{what} needs {len(expected)} branches, got {len(split.branches)}")
     for branch, hyps in zip(split.branches, expected):
         got = tuple(h.judgment for h in branch.hypotheses)
         if got != hyps:
@@ -233,7 +229,18 @@ def _check_trichotomy(split: Split, env: dict):
             )
 
 
-def _check_window(split: Split, env: dict):
+def _trichotomy_cases(split: Split):
+    try:
+        w1 = tuple((s, int(e)) for s, e in split.params["w1"])
+        w2 = tuple((s, int(e)) for s, e in split.params["w2"])
+    except (KeyError, TypeError, ValueError):
+        _fail("split:trichotomy", "malformed trichotomy words")
+    return "trichotomy", ((Less(w1, w2),), (WordEq(w1, w2),), (Less(w2, w1),))
+
+
+def _window_cases(split: Split, env: dict):
+    """Check the window's parameters and cited premises; return its name and
+    canonical cases."""
     split_id = "split:window"
     try:
         v = tuple((s, int(e)) for s, e in split.params["v"])
@@ -255,21 +262,7 @@ def _check_window(split: Split, env: dict):
             _fail(split_id, f"premise {pid!r} is not in scope")
         if env[pid] != expected:
             _fail(split_id, f"premise {pid!r} must be '{expected}' (got '{env[pid]}')")
-    expected_branches = _window_branches(v, t, n1, n2)
-    if len(split.branches) != len(expected_branches):
-        _fail(
-            split_id,
-            f"window over [{n1}, {n2}] needs {len(expected_branches)} branches, "
-            f"got {len(split.branches)}",
-        )
-    for branch, hyps in zip(split.branches, expected_branches):
-        got = tuple(h.judgment for h in branch.hypotheses)
-        if got != hyps:
-            _fail(
-                split_id,
-                f"branch {branch.name!r} hypotheses are not the canonical case "
-                f"({' & '.join(str(h) for h in hyps)})",
-            )
+    return f"window over [{n1}, {n2}]", _window_branches(v, t, n1, n2)
 
 
 def _check_leaf(node: Node, env: dict, goal):

@@ -16,6 +16,14 @@ substitute in, and every branch closes.
 Builders construct conclusions through the same ``apply_rule`` engine the
 checker uses, so the emitted scripts are correct by construction and any
 later mutation is caught on re-checking.
+
+Each proof shape has one builder, shared by both signs and both sides of
+the swap: ``_sign_split`` (1 ? x), ``_quadrant`` (|a| ? |b|),
+``_dominated_branch`` (|x| < |y| by the product bound over y),
+``_product_bound_block`` with its paired ``products`` steps,
+``_base_positive`` (1 < x^sign) and ``_refuted_branch`` (an equality that
+contradicts a fact).  Steps and hypotheses draw ids from one counter, so
+emission order fixes every id, and with it the certificate's bytes.
 """
 
 from __future__ import annotations
@@ -160,6 +168,23 @@ class _Ctx:
         return Node(steps=tuple(self.steps), split=split)
 
 
+def _base_positive(ctx: _Ctx, atom: str, sign: int, hyp_id: str) -> str:
+    """Id of 1 < atom^sign: the sign hypothesis itself, or 1 < atom^-1
+    inverted out of the hypothesis atom < 1."""
+    if sign == 1:
+        return hyp_id
+    return ctx.step(
+        "invert", {"u": atom_pow(atom, 1), "t": (atom, 1), "m": 0, "direction": "lt"}, [hyp_id], []
+    )
+
+
+def _refuted_branch(ctx: _Ctx, name: str, hyp: Hypothesis, fact_id: str) -> Branch:
+    """A branch whose equality hypothesis contradicts the fact ``fact_id``."""
+    sub = ctx.child([hyp])
+    sub.step("eq_contra", {}, [hyp.id], [fact_id])
+    return Branch(name, (hyp,), sub.node())
+
+
 def _product_bound_block(ctx: _Ctx, L: _LemmaLetters, t, j_pos, j_a_lt, j_ainv_lt,
                          close: bool = False) -> Node:
     """Emit the product-bound argument onto ``ctx``; return the finished node.
@@ -169,10 +194,19 @@ def _product_bound_block(ctx: _Ctx, L: _LemmaLetters, t, j_pos, j_a_lt, j_ainv_l
     ``close`` every branch is closed by the epsilon identity ``L.epsilon``;
     without it the branches stop at the two product-bound judgments.
     """
-    A, C, D = L.a, L.c, L.d
+    A = L.a
     wa = atom_pow(A, 1)
-    wc = atom_pow(C, 1)
-    wd = atom_pow(D, 1)
+    wc = atom_pow(L.c, 1)
+    wd = atom_pow(L.d, 1)
+
+    def products(sub: _Ctx, u, v, m, n, up_premises, lo_premises):
+        """u v < t^(m+n) from upper bounds, then t^-(m+n) < u v from lower
+        bounds; returns both ids, upper first."""
+        params = {"u": u, "v": v, "t": t, "m": m, "n": n, "direction": "lt"}
+        cites = L.cites(u, v)
+        j_up = sub.step("product", params, up_premises, cites)
+        j_lo = sub.step("product", dict(params, m=-m, n=-n, direction="gt"), lo_premises, cites)
+        return j_up, j_lo
 
     j_tinv_a = ctx.step(
         "invert",
@@ -184,17 +218,8 @@ def _product_bound_block(ctx: _Ctx, L: _LemmaLetters, t, j_pos, j_a_lt, j_ainv_l
     up = {1: j_a_lt}
     lo = {1: j_tinv_a}
     for k in range(2, 6):
-        up[k] = ctx.step(
-            "product",
-            {"u": atom_pow(A, k - 1), "v": wa, "t": t, "m": k - 1, "n": 1, "direction": "lt"},
-            [up[k - 1], j_a_lt],
-            L.cites(wa),
-        )
-        lo[k] = ctx.step(
-            "product",
-            {"u": atom_pow(A, k - 1), "v": wa, "t": t, "m": -(k - 1), "n": -1, "direction": "gt"},
-            [lo[k - 1], j_tinv_a],
-            L.cites(wa),
+        up[k], lo[k] = products(
+            ctx, atom_pow(A, k - 1), wa, k - 1, 1, [up[k - 1], j_a_lt], [lo[k - 1], j_tinv_a]
         )
 
     def flip(u_word, eq_fact, part):
@@ -217,37 +242,20 @@ def _product_bound_block(ctx: _Ctx, L: _LemmaLetters, t, j_pos, j_a_lt, j_ainv_l
             j_wk = bctx.step("lmul", {"w": t_pow(t, -2)}, [j_pos])  # t^-2 < t^-1
         else:
             j_wk = bctx.step("lmul", {"w": t_pow(t, 1)}, [j_pos])  # t < t^2
-        product_word: Word = EMPTY
-        j_p_lo = j_p_up = None
         for k in range(6):
             if k == 0:
-                v_word = wd
-                n1k, n2k = -1, 1
-                jv_lo, jv_up = j_d_lo, j_d_up
+                v_word, jv_up, jv_lo = wd, j_d_up, j_d_lo
             else:
                 v_word = w_mul(wd, atom_pow(A, k))
-                n1k, n2k = -(1 + k), 1 + k
-                jv_up = bctx.step(
-                    "product",
-                    {"u": wd, "v": atom_pow(A, k), "t": t, "m": 1, "n": k, "direction": "lt"},
-                    [j_d_up, up[k]],
-                    L.cites(wd, atom_pow(A, k)),
+                jv_up, jv_lo = products(
+                    bctx, wd, atom_pow(A, k), 1, k, [j_d_up, up[k]], [j_d_lo, lo[k]]
                 )
-                jv_lo = bctx.step(
-                    "product",
-                    {"u": wd, "v": atom_pow(A, k), "t": t, "m": -1, "n": -k, "direction": "gt"},
-                    [j_d_lo, lo[k]],
-                    L.cites(wd, atom_pow(A, k)),
-                )
-            conj_params = {"u": wc, "v": v_word, "t": t, "m": m, "n1": n1k, "n2": n2k}
+            conj_params = {"u": wc, "v": v_word, "t": t, "m": m, "n1": -(1 + k), "n2": 1 + k}
             conj_cites = L.cites(wc, v_word)
-            jg_lo = bctx.step(
-                "conjugate_window", dict(conj_params, part="lower"),
-                [h_lo, h_up, jv_lo, jv_up], conj_cites,
-            )
-            jg_up = bctx.step(
-                "conjugate_window", dict(conj_params, part="upper"),
-                [h_lo, h_up, jv_lo, jv_up], conj_cites,
+            jg_lo, jg_up = (
+                bctx.step("conjugate_window", dict(conj_params, part=part),
+                          [h_lo, h_up, jv_lo, jv_up], conj_cites)
+                for part in ("lower", "upper")
             )
             g_word = w_mul(w_inv(v_word), wc, v_word)
             # widen to t^-2 < g < t^2
@@ -256,20 +264,10 @@ def _product_bound_block(ctx: _Ctx, L: _LemmaLetters, t, j_pos, j_a_lt, j_ainv_l
             else:
                 jg_up = bctx.step("trans", {}, [jg_up, j_wk])
             if k == 0:
-                product_word = g_word
-                j_p_lo, j_p_up = jg_lo, jg_up
+                product_word, j_p_up, j_p_lo = g_word, jg_up, jg_lo
             else:
-                j_p_up = bctx.step(
-                    "product",
-                    {"u": product_word, "v": g_word, "t": t, "m": 2 * k, "n": 2, "direction": "lt"},
-                    [j_p_up, jg_up],
-                    L.cites(product_word, g_word),
-                )
-                j_p_lo = bctx.step(
-                    "product",
-                    {"u": product_word, "v": g_word, "t": t, "m": -2 * k, "n": -2, "direction": "gt"},
-                    [j_p_lo, jg_lo],
-                    L.cites(product_word, g_word),
+                j_p_up, j_p_lo = products(
+                    bctx, product_word, g_word, 2 * k, 2, [j_p_up, jg_up], [j_p_lo, jg_lo]
                 )
                 product_word = w_mul(product_word, g_word)
         assert product_word == L.product
@@ -277,14 +275,8 @@ def _product_bound_block(ctx: _Ctx, L: _LemmaLetters, t, j_pos, j_a_lt, j_ainv_l
             return bctx.node()
         # substitute the epsilon identity into the failing bound, then cross
         # it with a power of the positive base
-        if t[1] == 1:
-            j_false = bctx.step(
-                "subst", {"side": "rhs", "pos": 0, "dir": "lr"}, [j_p_lo], [L.epsilon]
-            )
-        else:
-            j_false = bctx.step(
-                "subst", {"side": "lhs", "pos": 0, "dir": "lr"}, [j_p_up], [L.epsilon]
-            )
+        side, j_bound = ("rhs", j_p_lo) if t[1] == 1 else ("lhs", j_p_up)
+        j_false = bctx.step("subst", {"side": side, "pos": 0, "dir": "lr"}, [j_bound], [L.epsilon])
         powers = {1: j_pos}
         for m1, n1 in ((1, 1), (2, 2), (4, 4), (8, 8), (16, 8)):
             powers[m1 + n1] = bctx.step(
@@ -299,21 +291,18 @@ def _product_bound_block(ctx: _Ctx, L: _LemmaLetters, t, j_pos, j_a_lt, j_ainv_l
         return bctx.node()
 
     b = ctx.builder
-    strict_hyps = [
-        (b.hyp(Less(t_pow(t, -1), wc)), b.hyp(Less(wc, EMPTY))),
-        (b.hyp(Less(EMPTY, wc)), b.hyp(Less(wc, t_pow(t, 1)))),
-    ]
-    eq_hyp = (b.hyp(WordEq(wc, EMPTY)),)
-    eq_ctx = ctx.child(eq_hyp)
-    eq_ctx.step("eq_contra", {}, [eq_hyp[0].id], [L.nonid_c])
+    below = (b.hyp(Less(t_pow(t, -1), wc)), b.hyp(Less(wc, EMPTY)))
+    above = (b.hyp(Less(EMPTY, wc)), b.hyp(Less(wc, t_pow(t, 1))))
+    # emitted before the strict cases, whose ids follow it
+    equal = _refuted_branch(ctx, "c_equal_1", b.hyp(WordEq(wc, EMPTY)), L.nonid_c)
     split = Split(
         kind="window",
         params={"v": wc, "t": t, "n1": -1, "n2": 1},
         premises=(j_c_lo, j_c_up, j_pos),
         branches=(
-            Branch("c_below_1", strict_hyps[0], strict_branch(strict_hyps[0], 0)),
-            Branch("c_above_1", strict_hyps[1], strict_branch(strict_hyps[1], 1)),
-            Branch("c_equal_1", eq_hyp, eq_ctx.node()),
+            Branch("c_below_1", below, strict_branch(below, 0)),
+            Branch("c_above_1", above, strict_branch(above, 1)),
+            equal,
         ),
     )
     return ctx.node(split)
@@ -324,35 +313,20 @@ def script_lemma_gen() -> Derivation:
     table = lemma_atom_table()
     builder = _Builder(table)
     product = VSIDE.product
+    wb = atom_pow("b", 1)
     branches = []
-
-    t = ("b", 1)
-    hyps = (
-        builder.hyp(Less(EMPTY, atom_pow("b", 1))),
-        builder.hyp(Less(atom_pow("a", 1), atom_pow("b", 1))),
-        builder.hyp(Less(atom_pow("a", -1), atom_pow("b", 1))),
-    )
-    ctx = _Ctx(builder, {h.id: h.judgment for h in hyps})
-    node = _product_bound_block(ctx, VSIDE, t, hyps[0].id, hyps[1].id, hyps[2].id)
-    goal = (Less(t_pow(t, -12), product), Less(product, t_pow(t, 12)))
-    branches.append(Branch("b_positive", hyps, node, goal=goal))
-
-    t = ("b", -1)
-    hyps = (
-        builder.hyp(Less(atom_pow("b", 1), EMPTY)),
-        builder.hyp(Less(atom_pow("a", 1), atom_pow("b", -1))),
-        builder.hyp(Less(atom_pow("a", -1), atom_pow("b", -1))),
-    )
-    ctx = _Ctx(builder, {h.id: h.judgment for h in hyps})
-    j_pos = ctx.step(
-        "invert",
-        {"u": atom_pow("b", 1), "t": ("b", 1), "m": 0, "direction": "lt"},
-        [hyps[0].id],
-        [],
-    )
-    node = _product_bound_block(ctx, VSIDE, t, j_pos, hyps[1].id, hyps[2].id)
-    goal = (Less(t_pow(t, -12), product), Less(product, t_pow(t, 12)))
-    branches.append(Branch("b_negative", hyps, node, goal=goal))
+    for sign, name in ((1, "b_positive"), (-1, "b_negative")):
+        t = ("b", sign)
+        hyps = (
+            builder.hyp(Less(EMPTY, wb) if sign == 1 else Less(wb, EMPTY)),
+            builder.hyp(Less(atom_pow("a", 1), t_pow(t, 1))),
+            builder.hyp(Less(atom_pow("a", -1), t_pow(t, 1))),
+        )
+        ctx = _Ctx(builder, {h.id: h.judgment for h in hyps})
+        j_pos = _base_positive(ctx, "b", sign, hyps[0].id)
+        node = _product_bound_block(ctx, VSIDE, t, j_pos, hyps[1].id, hyps[2].id)
+        goal = (Less(t_pow(t, -12), product), Less(product, t_pow(t, 12)))
+        branches.append(Branch(name, hyps, node, goal=goal))
 
     root = Node(
         steps=(),
@@ -366,122 +340,66 @@ def script_lemma_gen() -> Derivation:
     return Derivation("product-bound", table, None, root)
 
 
+def _dominated_branch(ctx: _Ctx, L: _LemmaLetters, sides: dict) -> Branch:
+    """Case |x| < |y| for x = ``L.a``, y = ``L.b``, closed by the product
+    bound over the base y^sign.  ``sides`` maps each of a, b to its sign, the
+    id of its sign hypothesis and the id of 1 < atom^sign."""
+    x, y = L.a, L.b
+    s_x, h_x, _ = sides[x]
+    s_y, _, j_pos_y = sides[y]
+    hyp = ctx.builder.hyp(Less(atom_pow(x, s_x), atom_pow(y, s_y)))
+    sub = ctx.child([hyp])
+    if s_x == 1:
+        j_lt = hyp.id
+        j_drop = sub.step(
+            "invert", {"u": EMPTY, "t": (x, 1), "m": 1, "direction": "lt"}, [h_x], []
+        )
+        j_inv_lt = sub.step("trans", {}, [j_drop, j_pos_y])
+    else:
+        j_inv_lt = hyp.id
+        j_lt = sub.step("trans", {}, [h_x, j_pos_y])
+    node = _product_bound_block(sub, L, (y, s_y), j_pos_y, j_lt, j_inv_lt, close=True)
+    return Branch(f"mag_{x}_below_mag_{y}", (hyp,), node)
+
+
+def _quadrant(ctx: _Ctx, s_a: int, h_a: str, s_b: int, h_b: str) -> Node:
+    """|a| vs |b| for one sign of each: the strict cases close by the product
+    bound over the dominant letter, the equal case by F8."""
+    sides = {}
+    for atom, sign, hyp_id in (("b", s_b, h_b), ("a", s_a, h_a)):
+        sides[atom] = (sign, hyp_id, _base_positive(ctx, atom, sign, hyp_id))
+    wa = atom_pow("a", s_a)
+    wb = atom_pow("b", s_b)
+    below = _dominated_branch(ctx, VSIDE, sides)
+    equal = _refuted_branch(ctx, "mag_a_equal_mag_b", ctx.builder.hyp(WordEq(wa, wb)), "F8")
+    above = _dominated_branch(ctx, HSIDE, sides)
+    return ctx.node(Split("trichotomy", {"w1": wa, "w2": wb}, (), (below, equal, above)))
+
+
+def _sign_split(ctx: _Ctx, atom: str, fact_id: str, case) -> Node:
+    """Trichotomy 1 < x | 1 = x | x < 1 on the atom x.  ``case(ctx, sign,
+    hyp_id)`` builds each sign branch; the identity branch contradicts the
+    non-identity fact ``fact_id``."""
+    w = atom_pow(atom, 1)
+    b = ctx.builder
+    h_pos, h_eq, h_neg = b.hyp(Less(EMPTY, w)), b.hyp(WordEq(EMPTY, w)), b.hyp(Less(w, EMPTY))
+    positive = Branch(f"{atom}_positive", (h_pos,), case(ctx.child([h_pos]), 1, h_pos.id))
+    # emitted between the two sign subtrees: ids follow emission order, so
+    # moving this step would renumber the negative subtree
+    identity = _refuted_branch(ctx, f"{atom}_identity", h_eq, fact_id)
+    negative = Branch(f"{atom}_negative", (h_neg,), case(ctx.child([h_neg]), -1, h_neg.id))
+    split = Split("trichotomy", {"w1": EMPTY, "w2": w}, (), (positive, identity, negative))
+    return ctx.node(split)
+
+
 def script_theorem_main() -> Derivation:
     """The unconditional contradiction derivation for the plane group."""
     table = theorem_atom_table()
-    builder = _Builder(table)
-    wa1 = atom_pow("a", 1)
-    wb1 = atom_pow("b", 1)
 
-    def eq_branch_node(env, hyp: Hypothesis, fact_id: str) -> Node:
-        ctx = _Ctx(builder, env)
-        ctx.env[hyp.id] = hyp.judgment
-        ctx.step("eq_contra", {}, [hyp.id], [fact_id])
-        return ctx.node()
-
-    def quadrant(env, hb_id, s_b, ha_id, s_a) -> Node:
-        ctx = _Ctx(builder, env)
-        tb = ("b", s_b)
-        ta = ("a", s_a)
-        if s_b == 1:
-            j_pos_b = hb_id
-        else:
-            j_pos_b = ctx.step(
-                "invert", {"u": wb1, "t": ("b", 1), "m": 0, "direction": "lt"}, [hb_id], []
-            )
-        if s_a == 1:
-            j_pos_a = ha_id
-        else:
-            j_pos_a = ctx.step(
-                "invert", {"u": wa1, "t": ("a", 1), "m": 0, "direction": "lt"}, [ha_id], []
-            )
-        wa = atom_pow("a", s_a)
-        wb = atom_pow("b", s_b)
-
-        # |a| < |b|: bound the letters a, b, c, d over the base b^(s_b)
-        h_lt = builder.hyp(Less(wa, wb))
-        lt_ctx = ctx.child([h_lt])
-        if s_a == 1:
-            j_a_lt = h_lt.id
-            j_drop = lt_ctx.step(
-                "invert", {"u": EMPTY, "t": ("a", 1), "m": 1, "direction": "lt"}, [ha_id], []
-            )
-            j_ainv_lt = lt_ctx.step("trans", {}, [j_drop, j_pos_b])
-        else:
-            j_ainv_lt = h_lt.id
-            j_a_lt = lt_ctx.step("trans", {}, [ha_id, j_pos_b])
-        lt_node = _product_bound_block(
-            lt_ctx, VSIDE, tb, j_pos_b, j_a_lt, j_ainv_lt, close=True
+    def a_split(ctx, s_b, h_b):
+        return _sign_split(
+            ctx, "a", "F7a", lambda ctx, s_a, h_a: _quadrant(ctx, s_a, h_a, s_b, h_b)
         )
 
-        # |a| = |b|: excluded because a is neither b nor b^-1
-        h_eq = builder.hyp(WordEq(wa, wb))
-        eq_ctx = ctx.child([h_eq])
-        eq_ctx.step("eq_contra", {}, [h_eq.id], ["F8"])
-
-        # |b| < |a|: the mirrored bound over the base a^(s_a)
-        h_gt = builder.hyp(Less(wb, wa))
-        gt_ctx = ctx.child([h_gt])
-        if s_b == 1:
-            j_b_lt = h_gt.id
-            j_drop = gt_ctx.step(
-                "invert", {"u": EMPTY, "t": ("b", 1), "m": 1, "direction": "lt"}, [hb_id], []
-            )
-            j_binv_lt = gt_ctx.step("trans", {}, [j_drop, j_pos_a])
-        else:
-            j_binv_lt = h_gt.id
-            j_b_lt = gt_ctx.step("trans", {}, [hb_id, j_pos_a])
-        gt_node = _product_bound_block(
-            gt_ctx, HSIDE, ta, j_pos_a, j_b_lt, j_binv_lt, close=True
-        )
-
-        split = Split(
-            "trichotomy",
-            {"w1": wa, "w2": wb},
-            (),
-            (
-                Branch("mag_a_below_mag_b", (h_lt,), lt_node),
-                Branch("mag_a_equal_mag_b", (h_eq,), eq_ctx.node()),
-                Branch("mag_b_below_mag_a", (h_gt,), gt_node),
-            ),
-        )
-        return ctx.node(split)
-
-    def a_split(env, hb_id, s_b) -> Node:
-        ctx = _Ctx(builder, env)
-        h_pos = builder.hyp(Less(EMPTY, wa1))
-        h_eq = builder.hyp(WordEq(EMPTY, wa1))
-        h_neg = builder.hyp(Less(wa1, EMPTY))
-        split = Split(
-            "trichotomy",
-            {"w1": EMPTY, "w2": wa1},
-            (),
-            (
-                Branch("a_positive", (h_pos,),
-                       quadrant({**ctx.env, h_pos.id: h_pos.judgment}, hb_id, s_b, h_pos.id, 1)),
-                Branch("a_identity", (h_eq,), eq_branch_node(ctx.env, h_eq, "F7a")),
-                Branch("a_negative", (h_neg,),
-                       quadrant({**ctx.env, h_neg.id: h_neg.judgment}, hb_id, s_b, h_neg.id, -1)),
-            ),
-        )
-        return ctx.node(split)
-
-    h_pos = builder.hyp(Less(EMPTY, wb1))
-    h_eq = builder.hyp(WordEq(EMPTY, wb1))
-    h_neg = builder.hyp(Less(wb1, EMPTY))
-    root = Node(
-        steps=(),
-        split=Split(
-            "trichotomy",
-            {"w1": EMPTY, "w2": wb1},
-            (),
-            (
-                Branch("b_positive", (h_pos,),
-                       a_split({h_pos.id: h_pos.judgment}, h_pos.id, 1)),
-                Branch("b_identity", (h_eq,), eq_branch_node({}, h_eq, "F7b")),
-                Branch("b_negative", (h_neg,),
-                       a_split({h_neg.id: h_neg.judgment}, h_neg.id, -1)),
-            ),
-        ),
-    )
+    root = _sign_split(_Ctx(_Builder(table), {}), "b", "F7b", a_split)
     return Derivation("no-left-order", table, CONTRADICTION_GOAL, root)

@@ -186,6 +186,10 @@ class PlaneWord:
         return PlaneWord(tuple(l.invert() for l in reversed(self.letters)))
 
     def power(self, n: int) -> "PlaneWord":
+        if len(self.letters) == 1:
+            # one letter: square and multiply its element, not n re-simplifications
+            (letter,) = self.letters
+            return PlaneWord((Letter(letter.kind, letter.elem.power(n)),))
         if n < 0:
             return self.invert().power(-n)
         result = PlaneWord.identity()
@@ -199,13 +203,6 @@ class PlaneWord:
     def eta_conjugate(self) -> "PlaneWord":
         """Conjugation by the coordinate swap: V and H letters trade places."""
         return PlaneWord(tuple(l.swapped() for l in self.letters))
-
-    def serialize(self) -> list[dict]:
-        return [{"kind": l.kind, "elem": l.elem.serialize()} for l in self.letters]
-
-    @classmethod
-    def deserialize(cls, data) -> "PlaneWord":
-        return cls(Letter(item["kind"], SkewElement.deserialize(item["elem"])) for item in data)
 
 
 def _plane_generators(skew_gens) -> dict[str, PlaneWord]:

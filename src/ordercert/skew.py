@@ -151,10 +151,6 @@ class SkewElement:
     def serialize(self) -> dict:
         return {"x_part": self.x_part.to_pairs(), "shift": self.shift.to_pairs()}
 
-    @classmethod
-    def deserialize(cls, data: dict) -> "SkewElement":
-        return cls(PLMap.from_pairs(data["x_part"]), PLCocycle.from_pairs(data["shift"]))
-
 
 _IDENTITY = SkewElement(PLMap.identity(), PLCocycle.zero())
 

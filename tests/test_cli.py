@@ -5,13 +5,16 @@ import pytest
 
 from ordercert import certs
 from ordercert.cli import main
+from ordercert.orderlogic import script_lemma_gen
 
 
 # SHA-256 of the `--no-timestamp` certificates written by `prove` and
-# `verify`.  Certificates are canonical JSON, so any byte change -- intended
-# or not -- changes these digests.
+# `verify`, and of the serialized product-bound lemma.  Certificates are
+# canonical JSON, so any byte change -- intended or not -- changes these
+# digests.
 THEOREM_CERT_SHA256 = "fd16d403f7717b5594f7490180459681f6b531e4a7958c03c316ac0d9292ae9d"
 RELATIONS_CERT_SHA256 = "6e1aa08c1c75fc9ac73eef0cda8ad9f64745c0845262dd431aa633c4aa55aa5b"
+LEMMA_DERIVATION_SHA256 = "d8b87f51c639ad63a1cd44e87a4da084adac29913996400a363c1d74c5df3682"
 
 
 def _sha256(path) -> str:
@@ -28,6 +31,11 @@ def test_verify_certificate_bytes_are_pinned(tmp_path, capsys):
     out = tmp_path / "rel.cert.json"
     assert main(["verify", "--no-timestamp", "--out", str(out)]) == 0
     assert _sha256(out) == RELATIONS_CERT_SHA256
+
+
+def test_lemma_derivation_bytes_are_pinned():
+    blob = certs.canonical_dumps(certs.serialize_derivation(script_lemma_gen()))
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == LEMMA_DERIVATION_SHA256
 
 
 def test_verify_ok(tmp_path, capsys):

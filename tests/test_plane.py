@@ -24,7 +24,7 @@ from ordercert.plane import (
     _grid_points,
     _random_points,
 )
-from ordercert.skew import SkewElement, perturb_generators, standard_generators
+from ordercert.skew import SkewElement, generator, perturb_generators, standard_generators
 
 from util import random_point
 
@@ -60,6 +60,18 @@ def test_translations_canonicalize_to_vertical_kind():
     # a horizontal-letter translation collapses onto the same canonical form
     as_h = PlaneWord((Letter("H", standard_generators()["b"]),))
     assert as_h == h_generator("a")
+
+
+def test_one_letter_power_matches_repeated_concatenation():
+    for gen in GENS.values():
+        for g in (gen, gen.invert()):
+            for n in range(-7, 8):
+                factor = g if n >= 0 else g.invert()
+                linear = PlaneWord.identity()
+                for _ in range(abs(n)):
+                    linear = linear.concat(factor)
+                assert g.power(n) == linear
+    assert plane_word("d^256").letters == (Letter("V", generator("d").power(256)),)
 
 
 # -- the coordinate-swap conjugation -------------------------------------------
