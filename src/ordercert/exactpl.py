@@ -335,10 +335,6 @@ class _PLBase:
         """Serializable form: ordered [x, y] pairs of "p/q" strings."""
         return [[format_rational(x), format_rational(y)] for x, y in self.breakpoints()]
 
-    @classmethod
-    def from_pairs(cls, pairs):
-        return cls.from_points([(rational(x), rational(y)) for x, y in pairs])
-
     def __repr__(self):
         pts = ", ".join(f"({format_rational(x)}, {format_rational(y)})" for x, y in self.breakpoints())
         return f"{type(self).__name__}[{pts}]"

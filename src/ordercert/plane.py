@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from typing import Iterable, Optional
 
@@ -77,19 +78,20 @@ class Letter:
         return Letter(kind, swapped)
 
 
-def _apply_letters(letters: Iterable[Letter], point: Point) -> Point:
-    """Move ``point`` through ``letters`` in order, on integer pairs.
-
-    An H letter acts as its element on the swapped coordinates.
-    """
-    x = rational(point[0])
-    y = rational(point[1])
-    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+def _walk(letters: Iterable[Letter], xn: int, xd: int, yn: int, yd: int) -> tuple:
+    """Move (xn/xd, yn/yd) through ``letters`` in order, H letters on the
+    swapped coordinates; each image is reduced, denominators positive."""
     for letter in letters:
         if letter.kind == "V":
             xn, xd, yn, yd = letter.elem._apply_ints(xn, xd, yn, yd)
         else:
             yn, yd, xn, xd = letter.elem._apply_ints(yn, yd, xn, xd)
+    return xn, xd, yn, yd
+
+
+def _apply_letters(letters: Iterable[Letter], point: Point) -> Point:
+    x, y = rational(point[0]), rational(point[1])
+    xn, xd, yn, yd = _walk(letters, x.numerator, x.denominator, y.numerator, y.denominator)
     return (Fraction(xn, xd), Fraction(yn, yd))
 
 
@@ -282,12 +284,14 @@ class WitnessSearchConfig:
 
 
 def _grid_points(config: WitnessSearchConfig):
+    """(i/q, j/q) with gcd(i, j, q) = 1 as reduced (xn, xd, yn, yd) tuples."""
     bound = config.coord_bound
     for q in range(1, config.max_denominator + 1):
-        for i in range(-bound * q, bound * q + 1):
-            for j in range(-bound * q, bound * q + 1):
-                if gcd(gcd(abs(i), abs(j)), q) == 1:
-                    yield (Fraction(i, q), Fraction(j, q))
+        row = [(i, i // gcd(i, q), q // gcd(i, q)) for i in range(-bound * q, bound * q + 1)]
+        for i, xn, xd in row:
+            for j, yn, yd in row:
+                if gcd(i, j, q) == 1:
+                    yield (xn, xd, yn, yd)
 
 
 def _random_points(config: WitnessSearchConfig):
@@ -295,10 +299,8 @@ def _random_points(config: WitnessSearchConfig):
     qmax = config.random_max_denominator
     for _ in range(config.random_count):
         q = rng.randint(1, qmax)
-        yield (
-            Fraction(rng.randint(-2 * q, 2 * q), q),
-            Fraction(rng.randint(-2 * q, 2 * q), q),
-        )
+        i, j = rng.randint(-2 * q, 2 * q), rng.randint(-2 * q, 2 * q)
+        yield (i // gcd(i, q), q // gcd(i, q), j // gcd(j, q), q // gcd(j, q))
 
 
 def _single_letter_witness(w1: PlaneWord, w2: PlaneWord) -> Optional[Point]:
@@ -313,14 +315,16 @@ def _single_letter_witness(w1: PlaneWord, w2: PlaneWord) -> Optional[Point]:
     kind = kinds.pop() if kinds else "V"
     e1 = w1.letters[0].elem if w1.letters else SkewElement.identity()
     e2 = w2.letters[0].elem if w2.letters else SkewElement.identity()
-    xs = sorted(
-        set(e1.x_part.xs) | set(e2.x_part.xs) | set(e1.shift.xs) | set(e2.shift.xs)
-    )
+    xs = sorted({*e1.x_part.xs, *e2.x_part.xs, *e1.shift.xs, *e2.shift.xs})
     zero = Fraction(0)
     for x in xs:
         if e1.apply((x, zero)) != e2.apply((x, zero)):
             return (x, zero) if kind == "V" else (zero, x)
     return None
+
+
+def _common_length(u: tuple, v: tuple) -> int:
+    return next((k for k, (a, b) in enumerate(zip(u, v)) if a != b), min(len(u), len(v)))
 
 
 def equal_or_unknown(w1: PlaneWord, w2: PlaneWord,
@@ -332,6 +336,11 @@ def equal_or_unknown(w1: PlaneWord, w2: PlaneWord,
     Equal words whose simplified forms differ end ``unknown``: a translation
     absorbed on different sides (``b d dh`` vs ``b dh d``), or a relator the
     stack walk cannot cancel.
+
+    The search walks integer points through P and then only the middles of
+    w1 = P M1 S and w2 = P M2 S (P, S the longest common prefix and suffix).
+    S is a bijection, so S(M1(P(p))) and S(M2(P(p))) differ exactly when
+    M1(P(p)) and M2(P(p)) do: the first separating point, the witness, stays.
     """
     if w1.letters == w2.letters:
         return EqualityVerdict(EQUAL)
@@ -340,12 +349,15 @@ def equal_or_unknown(w1: PlaneWord, w2: PlaneWord,
         witness = _single_letter_witness(w1, w2)
         if witness is not None:
             return EqualityVerdict(DISTINCT, witness)
-    for point in _grid_points(config):
-        if w1.apply(point) != w2.apply(point):
-            return EqualityVerdict(DISTINCT, point)
-    for point in _random_points(config):
-        if w1.apply(point) != w2.apply(point):
-            return EqualityVerdict(DISTINCT, point)
+    l1, l2 = w1.letters, w2.letters
+    n = _common_length(l1, l2)
+    m = _common_length(l1[n:][::-1], l2[n:][::-1])
+    prefix, mid1, mid2 = l1[:n], l1[n:len(l1) - m], l2[n:len(l2) - m]
+    for point in chain(_grid_points(config), _random_points(config)):
+        xn, xd, yn, yd = _walk(prefix, *point)
+        if _walk(mid1, xn, xd, yn, yd) != _walk(mid2, xn, xd, yn, yd):
+            xn, xd, yn, yd = point
+            return EqualityVerdict(DISTINCT, (Fraction(xn, xd), Fraction(yn, yd)))
     return EqualityVerdict(UNKNOWN)
 
 
@@ -359,10 +371,6 @@ def verify_mirrored_relations(
     """
     gens = _plane_generators(skew_gens) if skew_gens else _PLANE_GENERATORS
     a, b, ch, dh = gens["a"], gens["b"], gens["ch"], gens["dh"]
-
-    def same(u: PlaneWord, v: PlaneWord) -> bool:
-        return u.letters == v.letters
-
     b3 = b.power(3)
     conj_ch = b3.invert().concat(ch).concat(b3)
     conj_dh = b3.invert().concat(dh).concat(b3)
@@ -370,18 +378,14 @@ def verify_mirrored_relations(
     a_minus36 = a.power(-36)
 
     facts = [
-        RelationFact("M1", "b a == a b", same(b.concat(a), a.concat(b))),
-        RelationFact("M2", "a ch == ch a", same(a.concat(ch), ch.concat(a))),
-        RelationFact("M3", "a dh == dh a", same(a.concat(dh), dh.concat(a))),
-        RelationFact("M4", "ch^(b^3) == ch^-1", same(conj_ch, ch.invert())),
-        RelationFact("M5", "dh^(b^3) == dh^-1", same(conj_dh, dh.invert())),
-        RelationFact("M6", "ch^dh ch^(dh b) ... ch^(dh b^5) == a^-36", same(eps_mirror, a_minus36)),
+        RelationFact("M1", "b a == a b", b.concat(a) == a.concat(b)),
+        RelationFact("M2", "a ch == ch a", a.concat(ch) == ch.concat(a)),
+        RelationFact("M3", "a dh == dh a", a.concat(dh) == dh.concat(a)),
+        RelationFact("M4", "ch^(b^3) == ch^-1", conj_ch == ch.invert()),
+        RelationFact("M5", "dh^(b^3) == dh^-1", conj_dh == dh.invert()),
+        RelationFact("M6", "ch^dh ch^(dh b) ... ch^(dh b^5) == a^-36", eps_mirror == a_minus36),
         RelationFact("M7ch", "ch is non-identity", not ch.is_identity_word),
         RelationFact("M7dh", "dh is non-identity", not dh.is_identity_word),
-        RelationFact(
-            "M8",
-            "b is neither a nor a^-1",
-            not same(b, a) and not same(b, a.invert()),
-        ),
+        RelationFact("M8", "b is neither a nor a^-1", b != a and b != a.invert()),
     ]
     return RelationReport(facts)

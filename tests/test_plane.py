@@ -2,13 +2,15 @@ import pickle
 import random
 from fractions import Fraction as F
 from itertools import chain
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ordercert.exactpl import PLCocycle, PLMap
 from ordercert.plane import (
+    DEFAULT_SEED,
     DISTINCT,
     EQUAL,
     UNKNOWN,
@@ -21,8 +23,6 @@ from ordercert.plane import (
     plane_word,
     stepwise_apply_plane,
     verify_mirrored_relations,
-    _grid_points,
-    _random_points,
 )
 from ordercert.skew import SkewElement, generator, perturb_generators, standard_generators
 
@@ -169,14 +169,16 @@ def test_mixed_letters_distinct():
         assert w1.apply(verdict.witness) != w2.apply(verdict.witness)
 
 
+# moves x strictly inside (0, 1/6) mod 1 only
+BUMP = SkewElement(
+    PLMap.from_points([(0, 0), (F(1, 24), F(1, 12)), (F(1, 6), F(1, 6))]),
+    PLCocycle.zero(),
+)
+
+
 def test_single_letters_never_need_search():
-    # a bump supported strictly inside (0, 1/6) is still separated exactly,
-    # with no dependence on the search grid
-    bump = SkewElement(
-        PLMap.from_points([(0, 0), (F(1, 24), F(1, 12)), (F(1, 6), F(1, 6))]),
-        PLCocycle.zero(),
-    )
-    word = PlaneWord((Letter("V", bump),))
+    # the bump is still separated exactly, with no dependence on the search grid
+    word = PlaneWord((Letter("V", BUMP),))
     config = WitnessSearchConfig(max_denominator=1, random_count=0, random_max_denominator=1, seed=1)
     v = equal_or_unknown(word, PlaneWord.identity(), config)
     assert v.status == DISTINCT
@@ -186,11 +188,7 @@ def test_single_letters_never_need_search():
 def test_unknown_when_search_is_exhausted():
     # mixed words whose difference hides strictly inside (0, 1/6): a coarse
     # grid cannot separate them, and the verdict stays honest
-    bump = SkewElement(
-        PLMap.from_points([(0, 0), (F(1, 24), F(1, 12)), (F(1, 6), F(1, 6))]),
-        PLCocycle.zero(),
-    )
-    w1 = PlaneWord((Letter("V", bump), Letter("H", standard_generators()["c"])))
+    w1 = PlaneWord((Letter("V", BUMP), Letter("H", standard_generators()["c"])))
     w2 = plane_word("ch")
     config = WitnessSearchConfig(max_denominator=3, random_count=8, random_max_denominator=3, seed=1)
     v = equal_or_unknown(w1, w2, config)
@@ -199,6 +197,18 @@ def test_unknown_when_search_is_exhausted():
     v2 = equal_or_unknown(w1, w2)
     assert v2.status == DISTINCT
     assert w1.apply(v2.witness) != w2.apply(v2.witness)
+
+
+def test_search_walks_the_shared_prefix():
+    # both words start with an H letter that moves every integer point into
+    # the bump's support; the bump alone fixes every integer point
+    shear = SkewElement(PLMap.identity(), PLCocycle.from_points([(0, F(1, 12)), (F(1, 2), 0)]))
+    w1 = PlaneWord((Letter("H", shear), Letter("V", BUMP)))
+    w2 = PlaneWord((Letter("H", shear),))
+    config = WitnessSearchConfig(max_denominator=1, coord_bound=1, random_count=0, seed=1)
+    v = equal_or_unknown(w1, w2, config)
+    assert v == EqualityVerdict(DISTINCT, (F(-1), F(-1)))
+    assert w1.apply(v.witness) != w2.apply(v.witness)
 
 
 # -- the mirrored relation report ---------------------------------------------------
@@ -278,8 +288,23 @@ def test_integer_evaluation_matches_fraction_walk(seed, x, y):
         assert letter.elem.apply((x, y)) == (fx, fy)
 
 
+def reference_points(config):
+    """The search order, in Fractions: the grid (i/q, j/q) with
+    gcd(i, j, q) = 1 for q = 1, 2, ..., then the seeded random points."""
+    bound = config.coord_bound
+    for q in range(1, config.max_denominator + 1):
+        for i in range(-bound * q, bound * q + 1):
+            for j in range(-bound * q, bound * q + 1):
+                if gcd(gcd(i, j), q) == 1:
+                    yield F(i, q), F(j, q)
+    rng = random.Random(config.seed if config.seed is not None else DEFAULT_SEED)
+    for _ in range(config.random_count):
+        q = rng.randint(1, config.random_max_denominator)
+        yield F(rng.randint(-2 * q, 2 * q), q), F(rng.randint(-2 * q, 2 * q), q)
+
+
 def reference_search(w1, w2, config):
-    """``equal_or_unknown`` spelled out over ``fraction_walk``."""
+    """``equal_or_unknown`` spelled out over ``fraction_walk``, whole words."""
     if w1.letters == w2.letters:
         return EqualityVerdict(EQUAL)
     if len(w1) <= 1 and len(w2) <= 1:
@@ -291,7 +316,7 @@ def reference_search(w1, w2, config):
                 point = (x, F(0)) if kind == "V" else (F(0), x)
                 if fraction_walk(w1, point) != fraction_walk(w2, point):
                     return EqualityVerdict(DISTINCT, point)
-    for point in chain(_grid_points(config), _random_points(config)):
+    for point in reference_points(config):
         if fraction_walk(w1, point) != fraction_walk(w2, point):
             return EqualityVerdict(DISTINCT, point)
     return EqualityVerdict(UNKNOWN)
@@ -362,3 +387,27 @@ def test_search_matches_fraction_reference(seed):
         assert verdict == reference_search(w1, w2, config), (u, v)
         statuses.add(verdict.status)
     assert statuses == {EQUAL, DISTINCT, UNKNOWN}
+
+
+letter_lists = st.lists(
+    st.tuples(st.sampled_from(PLANE_LETTERS), st.sampled_from((1, -1))), max_size=4)
+STRIP_CONFIG = WitnessSearchConfig(max_denominator=2, coord_bound=2, random_count=8, seed=3)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(letter_lists, letter_lists, letter_lists, letter_lists,
+       small_coordinates, small_coordinates)
+@example([("c", 1), ("ch", 1)], [], [("c", 1), ("ch", 1)], [], F(1, 3), F(-1, 2))  # u a prefix of v
+@example([], [], [("c", 1)], [("ch", 1), ("c", 1)], F(0), F(5, 4))  # u a suffix of v
+@example([("c", 1)], [("ch", 1)], [("dh", 1), ("c", 1)], [("b", -1), ("ch", 1)], F(2), F(1, 7))
+def test_search_over_differing_letters_matches_whole_words(prefix, x, y, suffix, px, py):
+    # u = P X S and v = P Y S: the search walks only the middles, the
+    # reference walks both whole words in Fractions
+    u, v = prefix + x + suffix, prefix + y + suffix
+    w1, w2 = plane_word(u), plane_word(v)
+    verdict = equal_or_unknown(w1, w2, STRIP_CONFIG)
+    assert verdict == reference_search(w1, w2, STRIP_CONFIG)
+    if verdict.status == DISTINCT:
+        assert stepwise_apply_plane(u, verdict.witness) != stepwise_apply_plane(v, verdict.witness)
+    for letters, word in ((u, w1), (v, w2)):
+        assert word.apply((px, py)) == stepwise_apply_plane(letters, (px, py))
