@@ -25,7 +25,7 @@ from .orderlogic.derivation import (
     Step,
 )
 from .orderlogic.facts import AtomTable
-from .orderlogic.words import CONTRADICTION, Less, WordEq
+from .orderlogic.words import CONTRADICTION, Less, WordEq, letter_pair
 from .skew import RelationReport
 
 CERT_VERSION = "1"
@@ -81,9 +81,9 @@ def read_certificate(path) -> dict:
 
 def _load_word(raw):
     try:
-        return tuple((str(sym), int(exp)) for sym, exp in raw)
+        return tuple(map(letter_pair, raw))
     except (TypeError, ValueError) as exc:
-        raise CertificateError(f"malformed word {raw!r}") from exc
+        raise CertificateError(f"malformed word {raw!r}: {exc}") from exc
 
 
 def _dump_judgment(judgment):
@@ -120,8 +120,8 @@ def _load_params(raw: dict):
             params[key] = _load_word(value)
         elif key == "t":
             try:
-                params[key] = (str(value[0]), int(value[1]))
-            except (TypeError, ValueError, IndexError) as exc:
+                params[key] = letter_pair(value)
+            except ValueError as exc:
                 raise CertificateError(f"malformed base {value!r}") from exc
         else:
             params[key] = value

@@ -401,13 +401,14 @@ class PLMap(_PLBase):
         if len(self.xs) == 1:
             inv = PLMap._make(self.xs, (-self.ys[0],), self._slopes)
         else:
-            # corners map to corners, and each slope to its reciprocal; the ys
-            # span [ys[0], ys[0] + 1), so those past the next integer wrap to
-            # the front
+            # corners map to corners, and each slope to its reciprocal (from
+            # its integer pair, no division); the ys span [ys[0], ys[0] + 1),
+            # so those past the next integer wrap to the front
             rows, head, top = [], [], _floor(self.ys[0]) + 1
             for x, y, s in zip(self.xs, self.ys, self._slopes):
                 n = _floor(y)
-                row = (y - n, x - n, 1 / s) if n else (y, x, 1 / s)
+                r = Fraction(s.denominator, s.numerator)
+                row = (y - n, x - n, r) if n else (y, x, r)
                 (head if n == top else rows).append(row)
             inv = PLMap._make(*map(tuple, zip(*head, *rows)))
         object.__setattr__(self, "_inv", inv)

@@ -178,7 +178,7 @@ def _check_node(node: Node, env: dict, goal, table: AtomTable, at_root: bool = F
             premises.append(env[pid])
         cited = _lookup_facts(step, table)
         try:
-            conclusion = apply_rule(step.rule, step.params, premises, cited)
+            conclusion = apply_rule(step.rule, step.params, premises, cited, table.conclusions)
         except RuleError as exc:
             _fail(step.id, str(exc))
         if conclusion != step.conclusion:
@@ -246,10 +246,11 @@ def _window_cases(split: Split, env: dict):
         v = tuple((s, int(e)) for s, e in split.params["v"])
         name, sign = split.params["t"]
         t = (str(name), int(sign))
-        n1 = int(split.params["n1"])
-        n2 = int(split.params["n2"])
+        n1, n2 = split.params["n1"], split.params["n2"]
     except (KeyError, TypeError, ValueError):
         _fail(split_id, "malformed window parameters")
+    if type(n1) is not int or type(n2) is not int:
+        _fail(split_id, "window bounds must be integers")
     if sign not in (1, -1):
         _fail(split_id, "base sign must be +1 or -1")
     if n1 >= n2:

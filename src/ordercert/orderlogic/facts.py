@@ -15,7 +15,7 @@ from typing import Optional
 from ..plane import DISTINCT, EQUAL, PLANE_GENERATOR_NAMES, PlaneWord, equal_or_unknown, plane_word
 from ..skew import GENERATOR_NAMES, SkewElement, word_to_element
 from ..wordsyntax import parse_word
-from .words import EMPTY, Word, w_format, w_reduce
+from .words import EMPTY, Word, letter_pair, w_format, w_reduce
 
 COMMUTE = "commute"
 IDENTITY_EQ = "identity_eq"
@@ -89,7 +89,8 @@ class AtomTable:
 
     Built tables are well formed (else ``ValueError``): the atoms share one
     known algebra, their words parse, and every fact has a known kind and
-    arity and names only atoms of the table.
+    arity and names only atoms of the table.  ``conclusions`` is the memo of
+    rule instances that ``apply_rule`` fills (see ``rules``).
     """
 
     def __init__(self, atoms: dict[str, Realization], facts: list[Fact]):
@@ -105,6 +106,7 @@ class AtomTable:
         self.failures: dict[str, str] = {}
         self._skew_cache: dict[str, SkewElement] = {}
         self._plane_cache: dict[str, PlaneWord] = {}
+        self.conclusions: dict = {}
 
     def _validate(self) -> str:
         """Check the table is well formed; return its algebra."""
@@ -239,7 +241,7 @@ class AtomTable:
 
 def _parse_args(kind: str, raw):
     if kind == IDENTITY_EQ:
-        return tuple(tuple((sym, int(exp)) for sym, exp in side) for side in raw)
+        return tuple(tuple(map(letter_pair, side)) for side in raw)
     return tuple(raw)
 
 
@@ -251,15 +253,17 @@ def required_commute_facts(word: Word, t_atom: str, cited: list[Fact]):
     fact ids actually used (the parents of the derived fact), or None when
     some letter is uncovered.
     """
+    partner: dict[str, str] = {}  # letter -> id of the first fact tying it to t
+    for f in cited:
+        if f.kind == COMMUTE and t_atom in f.args:
+            x, y = f.args
+            partner.setdefault(y if x == t_atom else x, f.id)
     used = []
     for name, _ in word:
-        if name == t_atom:
-            continue
-        for f in cited:
-            if f.kind == COMMUTE and {f.args[0], f.args[1]} == {name, t_atom}:
-                if f.id not in used:
-                    used.append(f.id)
-                break
-        else:
-            return None
+        if name != t_atom:
+            fid = partner.get(name)
+            if fid is None:
+                return None
+            if fid not in used:
+                used.append(fid)
     return used

@@ -5,6 +5,12 @@ construct conclusions and the certificate checker calls it again to validate
 them, so a stored conclusion is accepted only if it is exactly what the rule
 instance produces.
 
+Both pass their atom table's ``conclusions`` dict as a memo, so each distinct
+instance is worked out once per table.  The memo stores only ``apply_rule``'s
+own successful outputs, never a stated conclusion, keyed by the rule, the
+parameters with each top-level value's type (``True`` and ``1.0`` equal ``1``
+but are not integers), the premises and the cited ``Fact`` values.
+
 Core rules (u, v words commuting with the signed base t = (atom, sign)):
 
   invert            u < t^m              ==>  t^-m < u^-1        (and the > form)
@@ -24,9 +30,6 @@ from __future__ import annotations
 
 from .facts import IDENTITY_EQ, NON_IDENTITY, NOT_IN_SET, Fact, required_commute_facts
 from .words import CONTRADICTION, EMPTY, Judgment, Less, Word, WordEq, atom_pow, t_pow, w_format, w_inv, w_mul, w_reduce
-
-CORE_RULES = ("invert", "product", "conjugate_window", "flip_bound")
-STRUCTURAL_RULES = ("trans", "lmul", "subst", "absurd", "eq_contra")
 
 
 class RuleError(ValueError):
@@ -71,27 +74,30 @@ def _need_commute(word: Word, t: tuple[str, int], cited: list[Fact], label: str)
         raise RuleError(f"commutation of {label} ({w_format(word)}) with {t[0]} is not covered by cited facts")
 
 
-def apply_rule(rule: str, params: dict, premises: list[Judgment], cited: list[Fact]) -> Judgment:
-    """Return the unique conclusion of this rule instance, or raise RuleError."""
-    if rule == "invert":
-        return _rule_invert(params, premises, cited)
-    if rule == "product":
-        return _rule_product(params, premises, cited)
-    if rule == "conjugate_window":
-        return _rule_conjugate_window(params, premises, cited)
-    if rule == "flip_bound":
-        return _rule_flip_bound(params, premises, cited)
-    if rule == "trans":
-        return _rule_trans(premises)
-    if rule == "lmul":
-        return _rule_lmul(params, premises)
-    if rule == "subst":
-        return _rule_subst(params, premises, cited)
-    if rule == "absurd":
-        return _rule_absurd(premises)
-    if rule == "eq_contra":
-        return _rule_eq_contra(premises, cited)
-    raise RuleError(f"unknown rule {rule!r}")
+def apply_rule(rule: str, params: dict, premises: list[Judgment], cited: list[Fact],
+               memo: dict | None = None) -> Judgment:
+    """Return the unique conclusion of this rule instance, or raise RuleError.
+
+    ``memo`` maps instances already applied to their conclusions."""
+    if memo is None:
+        return _apply(rule, params, premises, cited)
+    key = (rule, tuple(params.items()), tuple(map(type, params.values())),
+           tuple(premises), tuple(cited))
+    try:
+        conclusion = memo.get(key)
+    except TypeError:  # an unhashable parameter: no memo
+        return _apply(rule, params, premises, cited)
+    if conclusion is None:
+        conclusion = memo[key] = _apply(rule, params, premises, cited)
+    return conclusion
+
+
+def _apply(rule, params, premises, cited) -> Judgment:
+    """Run the rule's checker from ``_RULES``, at the end of this module."""
+    check = _RULES.get(rule) if isinstance(rule, str) else None
+    if check is None:
+        raise RuleError(f"unknown rule {rule!r}")
+    return check(params, premises, cited)
 
 
 def _rule_invert(params, premises, cited):
@@ -185,7 +191,7 @@ def _rule_flip_bound(params, premises, cited):
     raise RuleError("part must be 'lower' or 'upper'")
 
 
-def _rule_trans(premises):
+def _rule_trans(_params, premises, _cited):
     if len(premises) < 2:
         raise RuleError("transitivity needs two premises")
     p1, p2 = premises[0], premises[1]
@@ -198,7 +204,7 @@ def _rule_trans(premises):
     return Less(p1.lhs, p2.rhs)
 
 
-def _rule_lmul(params, premises):
+def _rule_lmul(params, premises, _cited):
     w = _word(params, "w")
     if len(premises) < 1 or not isinstance(premises[0], Less):
         raise RuleError("left multiplication needs one inequality premise")
@@ -236,7 +242,7 @@ def _rule_subst(params, premises, cited):
     return Less(p.lhs, new_word)
 
 
-def _rule_absurd(premises):
+def _rule_absurd(_params, premises, _cited):
     if len(premises) == 1:
         p = premises[0]
         if isinstance(p, Less) and p.lhs == p.rhs:
@@ -265,7 +271,7 @@ def _equation_forms(eq: WordEq):
     }
 
 
-def _rule_eq_contra(premises, cited):
+def _rule_eq_contra(_params, premises, cited):
     if len(premises) < 1 or not isinstance(premises[0], WordEq):
         raise RuleError("needs an equality hypothesis premise")
     forms = _equation_forms(premises[0])
@@ -286,3 +292,11 @@ def _rule_eq_contra(premises, cited):
                 if any(p in forms for p in patterns):
                     return CONTRADICTION
     raise RuleError("equality hypothesis is not refuted by any cited fact")
+
+
+_RULES = {
+    "invert": _rule_invert, "product": _rule_product,
+    "conjugate_window": _rule_conjugate_window, "flip_bound": _rule_flip_bound,
+    "trans": _rule_trans, "lmul": _rule_lmul, "subst": _rule_subst,
+    "absurd": _rule_absurd, "eq_contra": _rule_eq_contra,
+}

@@ -156,7 +156,8 @@ class _Ctx:
     def step(self, rule: str, params: dict, premises, facts=()) -> str:
         premise_judgments = [self.env[p] for p in premises]
         cited = [self.builder.table.get(f) for f in facts]
-        conclusion = apply_rule(rule, params, premise_judgments, cited)
+        conclusion = apply_rule(rule, params, premise_judgments, cited,
+                                self.builder.table.conclusions)
         sid = self.builder.fresh("s")
         self.steps.append(
             Step(sid, rule, dict(params), tuple(premises), tuple(facts), conclusion)

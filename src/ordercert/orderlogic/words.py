@@ -19,14 +19,32 @@ EMPTY: Word = ()
 
 
 def w_reduce(pairs) -> Word:
-    return tuple(reduce_letters(pairs))
+    """``pairs`` freely reduced: one pass returns a word with no zero exponent
+    and no letter next to itself; others go through ``reduce_letters``."""
+    word = tuple(pairs)
+    prev = None
+    for sym, exp in word:
+        if not exp or sym == prev:
+            return tuple(reduce_letters(word))
+        prev = sym
+    return word
 
 
 def w_mul(*words: Word) -> Word:
-    pairs = []
-    for w in words:
-        pairs.extend(w)
-    return w_reduce(pairs)
+    return w_reduce(sum(words, EMPTY))
+
+
+def letter_pair(item) -> tuple[str, int]:
+    """One [letter, exponent] pair of untrusted data such as JSON, strictly
+    typed: a string and an integer -- not a bool, float or numeric string,
+    which int() would coerce.  Raises ValueError."""
+    try:
+        sym, exp = item
+    except (TypeError, ValueError):
+        raise ValueError(f"malformed letter {item!r}") from None
+    if type(sym) is not str or type(exp) is not int:
+        raise ValueError(f"letter {item!r} needs a string and an integer")
+    return sym, exp
 
 
 def w_inv(word: Word) -> Word:

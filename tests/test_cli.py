@@ -238,6 +238,77 @@ def test_check_cert_deeply_nested_input_is_an_input_error(tmp_path, capsys):
     assert "not a certificate" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def theorem_cert(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cert") / "thm.cert.json"
+    assert main(["prove", "--no-timestamp", "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def _steps(node):
+    yield from node["steps"]
+    for br in (node["split"] or {}).get("branches", ()):
+        yield from _steps(br["node"])
+
+
+def _check_edited(tmp_path, cert_bytes, edit) -> int:
+    data = json.loads(cert_bytes)
+    edit(data["payload"])
+    edited = tmp_path / "edited.cert.json"
+    edited.write_text(json.dumps(data))
+    return main(["check-cert", str(edited)])
+
+
+def _first_product_v(payload):
+    """The exponent-1 letter of the first product step's v parameter."""
+    step = next(s for s in _steps(payload["root"]) if s["rule"] == "product")
+    return next(letter for letter in step["params"]["v"] if letter[1] == 1)
+
+
+def _first_conclusion_letter(payload):
+    """The first exponent-1 letter of any stated inequality conclusion."""
+    return next(letter for s in _steps(payload["root"]) if "less" in s["conclusion"]
+                for side in s["conclusion"]["less"] for letter in side if letter[1] == 1)
+
+
+# Each value equals the exponent 1 it replaces once coerced by int(), and
+# each used to check as "valid".
+@pytest.mark.parametrize("value", [1.9, "1", True, 1.0], ids=repr)
+@pytest.mark.parametrize("site", [_first_product_v, _first_conclusion_letter],
+                         ids=["param", "conclusion"])
+def test_check_cert_non_integer_exponent_is_an_input_error(tmp_path, capsys, theorem_cert,
+                                                           site, value):
+    def edit(payload):
+        site(payload)[1] = value
+
+    assert _check_edited(tmp_path, theorem_cert, edit) == 3
+    assert "needs a string and an integer" in capsys.readouterr().err
+
+
+def test_check_cert_non_integer_base_fact_and_window(tmp_path, capsys, theorem_cert):
+    def base_sign(payload):
+        step = next(s for s in _steps(payload["root"]) if "t" in s["params"])
+        step["params"]["t"][1] = float(step["params"]["t"][1])
+
+    def fact_exponent(payload):
+        fact = next(f for f in payload["table"]["facts"] if f["kind"] == "identity_eq")
+        fact["args"][1][0][1] = str(fact["args"][1][0][1])
+
+    def window_bound(payload):
+        node = payload["root"]
+        while node["split"]["kind"] != "window":
+            node = node["split"]["branches"][0]["node"]
+        node["split"]["params"]["n1"] = float(node["split"]["params"]["n1"])
+
+    assert _check_edited(tmp_path, theorem_cert, base_sign) == 3
+    assert capsys.readouterr().err.startswith("error: malformed base")
+    assert _check_edited(tmp_path, theorem_cert, fact_exponent) == 3
+    assert capsys.readouterr().err.startswith("error: malformed derivation payload")
+    assert _check_edited(tmp_path, theorem_cert, window_bound) == 1
+    assert "window bounds must be integers" in capsys.readouterr().out
+    assert _check_edited(tmp_path, theorem_cert, lambda payload: None) == 0
+
+
 def test_eval(capsys):
     assert main(["eval", "c^d", "0,0"]) == 0
     assert capsys.readouterr().out.strip() == "0,3"

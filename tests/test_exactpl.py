@@ -316,6 +316,22 @@ def test_invert_matches_oracle(f):
 
 
 @KERNEL
+@given(plmaps(), st.integers(0, 4), st.integers(-3, 3), st.lists(values, max_size=4))
+@example(TRANSLATION, 0, 2, [F(1, 3)])
+@example(CROSSING, 1, 1, [F(1, 2)])
+@example(base_plmap(), 0, 0, [])
+def test_invert_undoes_the_map_on_an_integer(f, i, k, points):
+    # shift corner i onto the integer k, where the rotation wraps; a map
+    # with one corner is a translation
+    f = f.compose(PLMap.translation(k - f.ys[i % len(f.ys)]))
+    inv = f.invert()
+    assert_same(inv, oracle_invert(f))
+    for x in (*f.xs, *f.ys, *points):
+        assert inv._at(f._at(x)) == x
+        assert f._at(inv._at(x)) == x
+
+
+@KERNEL
 @given(cocycles(), plmaps())
 @example(CORNER_AT_ZERO, CROSSING)
 @example(CONSTANT, CROSSING)

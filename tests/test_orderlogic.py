@@ -3,6 +3,8 @@ import dataclasses
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordercert.orderlogic import (
     AtomTable,
@@ -34,6 +36,9 @@ from ordercert.orderlogic import (
 )
 from ordercert.orderlogic.facts import IDENTITY_EQ, required_commute_facts
 from ordercert.orderlogic.words import EMPTY, atom_pow, t_pow
+from ordercert.wordsyntax import reduce_letters
+
+from mutation_tools import _replace_step, _step_sites
 
 F1 = commute_fact("F1", "a", "b")
 F2 = commute_fact("F2", "b", "c")
@@ -60,6 +65,18 @@ def test_word_reduction():
     assert w_inv((("a", 2), ("b", -1))) == (("b", 1), ("a", -2))
     assert t_pow(("b", -1), 3) == (("b", -3),)
     assert t_pow(B, 0) == ()
+
+
+pair_lists = st.lists(st.tuples(st.sampled_from("abc"), st.integers(-2, 2)), max_size=12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(pair_lists, pair_lists, pair_lists)
+def test_reduced_words_match_reduce_letters(p, q, r):
+    assert w_reduce(p) == tuple(reduce_letters(p))
+    expected = tuple(reduce_letters([*p, *q, *r]))
+    assert w_mul(tuple(p), tuple(q), tuple(r)) == expected
+    assert w_mul(*(w_reduce(x) for x in (p, q, r))) == expected
 
 
 # -- the four core rules -----------------------------------------------------------
@@ -230,6 +247,64 @@ def test_commute_closure_records_parents():
     assert required_commute_facts(word, "b", [F1]) is None
     assert required_commute_facts(EMPTY, "b", []) == []
     assert required_commute_facts(atom_pow("b", 5), "b", []) == []
+
+
+# -- the rule-instance memo ---------------------------------------------------------
+
+def _checked_theorem():
+    derivation = script_theorem_main()
+    assert derivation.table.verify_all()
+    assert check_derivation(derivation).is_valid
+    return derivation
+
+
+def test_memo_rejects_non_integer_params_equal_to_memoized_ones():
+    derivation = _checked_theorem()
+    table = derivation.table
+    path, index, step = next(
+        site for site in _step_sites(derivation) if site[2].params.get("m") == 1
+    )
+    for value in (True, 1.0):
+        params = dict(step.params, m=value)
+        # the memo already holds an instance whose parameters equal these
+        assert any(key[0] == step.rule and dict(key[1]) == params for key in table.conclusions)
+        mutant = _replace_step(derivation, path, index, params=params)
+        verdict = check_derivation(mutant, table)
+        assert (verdict.step_id, verdict.reason) == (step.id, "parameter 'm' must be an integer")
+
+
+def test_memo_skips_unhashable_params():
+    derivation = _checked_theorem()
+    path, index, step = next(
+        site for site in _step_sites(derivation) if site[2].params.get("m") == 1
+    )
+    mutant = _replace_step(derivation, path, index, params=dict(step.params, m=[1]))
+    verdict = check_derivation(mutant, derivation.table)
+    assert (verdict.step_id, verdict.reason) == (step.id, "parameter 'm' must be an integer")
+    # a list-valued word is a valid parameter, applied without the memo
+    memo = {}
+    premise = j([("a", 1)], [("b", 1)])
+    got = apply_rule("lmul", {"w": [["a", 1]]}, [premise], [], memo)
+    assert got == apply_rule("lmul", {"w": atom_pow("a", 1)}, [premise], [])
+    assert memo == {}
+
+
+def test_memo_keeps_failures_out():
+    memo = {}
+    params = {"u": atom_pow("c", 1), "t": B, "m": 2, "direction": "lt"}
+    wrong = j([("c", 1)], [("b", 3)])
+    for _ in range(2):
+        with pytest.raises(RuleError, match="premise #1"):
+            apply_rule("invert", params, [wrong], [F2], memo)
+    assert memo == {}
+    right = j([("c", 1)], [("b", 2)])
+    first = apply_rule("invert", params, [right], [F2], memo)
+    assert apply_rule("invert", params, [right], [F2], memo) is first
+    assert first == apply_rule("invert", params, [right], [F2])
+    assert len(memo) == 1
+    # the cited facts are part of the instance
+    with pytest.raises(RuleError, match="not covered"):
+        apply_rule("invert", params, [right], [F1], memo)
 
 
 # -- the checker on small derivations ----------------------------------------------
