@@ -39,7 +39,9 @@ class CertificateError(ValueError):
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    # payloads are trees the serializers build, never cyclic: skip the check
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False,
+                      check_circular=False)
 
 
 def make_certificate(kind: str, payload: dict, timestamp: bool = True) -> dict:

@@ -33,6 +33,8 @@ from typing import Iterable, Sequence, Tuple
 
 Rational = Fraction
 Pair = Tuple[Rational, Rational]
+# x and slope of a one-corner function by rise; shared, as Fractions are immutable
+_AT_ZERO, _FLAT_SLOPE = (Fraction(0),), {0: (Fraction(0),), 1: (Fraction(1),)}
 
 
 class PLError(ValueError):
@@ -258,6 +260,11 @@ class _PLBase:
         object.__setattr__(self, "_slopes", slopes)
         return self
 
+    @classmethod
+    def _one_corner(cls, value):
+        """A translation (maps) or constant (cocycles), canonical as built."""
+        return cls._make(_AT_ZERO, (rational(value),), _FLAT_SLOPE[cls._wrap_rise])
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
@@ -365,11 +372,11 @@ class PLMap(_PLBase):
 
     @classmethod
     def identity(cls) -> "PLMap":
-        return cls(((Fraction(0), Fraction(0)),))
+        return cls._one_corner(0)
 
     @classmethod
     def translation(cls, amount) -> "PLMap":
-        return cls(((Fraction(0), rational(amount)),))
+        return cls._one_corner(amount)
 
     @property
     def is_translation(self) -> bool:
@@ -431,11 +438,11 @@ class PLCocycle(_PLBase):
 
     @classmethod
     def zero(cls) -> "PLCocycle":
-        return cls(((Fraction(0), Fraction(0)),))
+        return cls._one_corner(0)
 
     @classmethod
     def constant(cls, value) -> "PLCocycle":
-        return cls(((Fraction(0), rational(value)),))
+        return cls._one_corner(value)
 
     @property
     def is_constant(self) -> bool:

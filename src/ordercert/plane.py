@@ -179,7 +179,13 @@ class PlaneWord:
         return not self.letters
 
     def concat(self, other: "PlaneWord") -> "PlaneWord":
-        return PlaneWord(self.letters + other.letters)
+        # self.letters is a finished stack: push only other's letters onto it
+        stack = list(self.letters)
+        for letter in other.letters:
+            _push(stack, letter)
+        word = object.__new__(PlaneWord)
+        object.__setattr__(word, "letters", tuple(stack))
+        return word
 
     def __mul__(self, other: "PlaneWord") -> "PlaneWord":
         return self.concat(other)
@@ -274,7 +280,8 @@ class EqualityVerdict:
 
 @dataclass(frozen=True)
 class WitnessSearchConfig:
-    """Deterministic grid, then seeded random points; exact throughout."""
+    """Seeded random points, then a deterministic grid, all tried before
+    giving up; exact throughout.  ``equal_or_unknown`` says why in that order."""
 
     max_denominator: int = 24
     coord_bound: int = 2
@@ -337,7 +344,10 @@ def equal_or_unknown(w1: PlaneWord, w2: PlaneWord,
     absorbed on different sides (``b d dh`` vs ``b dh d``), or a relator the
     stack walk cannot cancel.
 
-    The search walks integer points through P and then only the middles of
+    The search tries ``config``'s seeded random points, then its grid: two
+    distinct PL maps differ on an open set, so a generic point separates them
+    at once, while grid points of small denominator may all lie where they
+    agree.  It walks integer points through P and then only the middles of
     w1 = P M1 S and w2 = P M2 S (P, S the longest common prefix and suffix).
     S is a bijection, so S(M1(P(p))) and S(M2(P(p))) differ exactly when
     M1(P(p)) and M2(P(p)) do: the first separating point, the witness, stays.
@@ -353,7 +363,7 @@ def equal_or_unknown(w1: PlaneWord, w2: PlaneWord,
     n = _common_length(l1, l2)
     m = _common_length(l1[n:][::-1], l2[n:][::-1])
     prefix, mid1, mid2 = l1[:n], l1[n:len(l1) - m], l2[n:len(l2) - m]
-    for point in chain(_grid_points(config), _random_points(config)):
+    for point in chain(_random_points(config), _grid_points(config)):
         xn, xd, yn, yd = _walk(prefix, *point)
         if _walk(mid1, xn, xd, yn, yd) != _walk(mid2, xn, xd, yn, yd):
             xn, xd, yn, yd = point

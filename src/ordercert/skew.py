@@ -45,10 +45,11 @@ class SkewElement:
     """An exact pair (x_part, shift) acting as (x, y) -> (x_part(x), y + shift(x)).
 
     Each vertical line x = t is carried onto the vertical line x = x_part(t)
-    by the translation y -> y + shift(t).
+    by the translation y -> y + shift(t).  The inverse is memoized in
+    ``_inv``, one way only, as on ``PLMap``.
     """
 
-    __slots__ = ("x_part", "shift")
+    __slots__ = ("x_part", "shift", "_inv")
 
     def __init__(self, x_part: PLMap, shift: PLCocycle):
         object.__setattr__(self, "x_part", x_part)
@@ -121,8 +122,12 @@ class SkewElement:
         )
 
     def invert(self) -> "SkewElement":
-        inv = self.x_part.invert()
-        return SkewElement(inv, self.shift.pullback(inv).negate())
+        inv = getattr(self, "_inv", None)
+        if inv is None:
+            x_inv = self.x_part.invert()
+            inv = SkewElement(x_inv, self.shift.pullback(x_inv).negate())
+            object.__setattr__(self, "_inv", inv)
+        return inv
 
     def power(self, n: int) -> "SkewElement":
         if n < 0:
@@ -233,15 +238,9 @@ def stepwise_apply(word, point: Point, gens: dict[str, SkewElement] | None = Non
     evaluator with ``word_to_element(word).apply``."""
     letters = _letters(word)
     gens = gens or _STANDARD
-    inverses: dict[str, SkewElement] = {}
     x, y = rational(point[0]), rational(point[1])
     for sym, exp in letters:
-        if exp > 0:
-            g = gens[sym]
-        else:
-            if sym not in inverses:
-                inverses[sym] = gens[sym].invert()
-            g = inverses[sym]
+        g = gens[sym] if exp > 0 else gens[sym].invert()
         for _ in range(abs(exp)):
             x, y = reference_apply(g, x, y)
     return x, y

@@ -1,3 +1,4 @@
+import copy
 import gc
 import pickle
 import random
@@ -16,7 +17,7 @@ from ordercert.exactpl import (
     make_plmap,
     rational,
 )
-from ordercert.skew import base_cocycle, base_plmap, generator, word_to_element
+from ordercert.skew import SkewElement, base_cocycle, base_plmap, generator, word_to_element
 
 from util import random_cocycle, random_plmap, random_rational, random_skew_word
 
@@ -468,6 +469,44 @@ def test_realizing_words_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@KERNEL
+@given(plmaps(), cocycles())
+@example(base_plmap(), base_cocycle())
+@example(TRANSLATION, CONSTANT)
+def test_skew_inverse_is_memoized_one_way(f, p):
+    e = SkewElement(f, p)
+    fresh = pickle.dumps(e)
+    inv = e.invert()
+    assert e.invert() is inv
+    assert inv.invert() == e
+    # the memo is not state: pickling drops it, copying shares the element
+    assert pickle.dumps(e) == fresh
+    clone = pickle.loads(pickle.dumps(e))
+    assert clone == e and clone.invert() == inv
+    assert copy.copy(e) is e and copy.deepcopy(e) is e
+    for element in (e, clone):
+        with pytest.raises(AttributeError):
+            element._inv = None
+        with pytest.raises(AttributeError):
+            element.x_part = f
+    assert e.invert() is inv
+
+
+# -- one-corner constructors -------------------------------------------------------
+
+@KERNEL
+@given(values)
+@example(F(0))
+def test_one_corner_constructors_match_from_points(v):
+    for literal in (v, format_rational(v)):
+        assert_same(PLMap.translation(literal), PLMap.from_points([(0, v)]))
+        assert_same(PLCocycle.constant(literal), PLCocycle.from_points([(0, v)]))
+    assert_same(PLMap.identity(), PLMap.from_points([(0, 0)]))
+    assert_same(PLCocycle.zero(), PLCocycle.from_points([(0, 0)]))
+    assert PLMap.translation(v)._slopes == PLMap.from_points([(0, v)])._slopes == (1,)
+    assert PLCocycle.constant(v)._slopes == PLCocycle.from_points([(0, v)])._slopes == (0,)
 
 
 # -- pickling --------------------------------------------------------------------

@@ -289,18 +289,18 @@ def test_integer_evaluation_matches_fraction_walk(seed, x, y):
 
 
 def reference_points(config):
-    """The search order, in Fractions: the grid (i/q, j/q) with
-    gcd(i, j, q) = 1 for q = 1, 2, ..., then the seeded random points."""
+    """The search order, in Fractions: the seeded random points, then the
+    grid (i/q, j/q) with gcd(i, j, q) = 1 for q = 1, 2, ..."""
+    rng = random.Random(config.seed if config.seed is not None else DEFAULT_SEED)
+    for _ in range(config.random_count):
+        q = rng.randint(1, config.random_max_denominator)
+        yield F(rng.randint(-2 * q, 2 * q), q), F(rng.randint(-2 * q, 2 * q), q)
     bound = config.coord_bound
     for q in range(1, config.max_denominator + 1):
         for i in range(-bound * q, bound * q + 1):
             for j in range(-bound * q, bound * q + 1):
                 if gcd(gcd(i, j), q) == 1:
                     yield F(i, q), F(j, q)
-    rng = random.Random(config.seed if config.seed is not None else DEFAULT_SEED)
-    for _ in range(config.random_count):
-        q = rng.randint(1, config.random_max_denominator)
-        yield F(rng.randint(-2 * q, 2 * q), q), F(rng.randint(-2 * q, 2 * q), q)
 
 
 def reference_search(w1, w2, config):
@@ -389,6 +389,16 @@ def test_search_matches_fraction_reference(seed):
     assert statuses == {EQUAL, DISTINCT, UNKNOWN}
 
 
+def test_generic_points_come_before_the_grid():
+    # these swaps agree on the grid's first small-denominator points; the
+    # first seeded point already separates them
+    first = next(reference_points(WitnessSearchConfig()))
+    for u, v in (("c ch", "ch c"), ("c dh", "dh c"), ("d ch", "ch d")):
+        assert equal_or_unknown(plane_word(u), plane_word(v)) == EqualityVerdict(DISTINCT, first)
+        assert equal_or_unknown(plane_word(v), plane_word(u)) == EqualityVerdict(DISTINCT, first)
+        assert stepwise_apply_plane(u, first) != stepwise_apply_plane(v, first)
+
+
 letter_lists = st.lists(
     st.tuples(st.sampled_from(PLANE_LETTERS), st.sampled_from((1, -1))), max_size=4)
 STRIP_CONFIG = WitnessSearchConfig(max_denominator=2, coord_bound=2, random_count=8, seed=3)
@@ -411,3 +421,51 @@ def test_search_over_differing_letters_matches_whole_words(prefix, x, y, suffix,
         assert stepwise_apply_plane(u, verdict.witness) != stepwise_apply_plane(v, verdict.witness)
     for letters, word in ((u, w1), (v, w2)):
         assert word.apply((px, py)) == stepwise_apply_plane(letters, (px, py))
+
+
+# -- word building ---------------------------------------------------------------
+
+def _power_letters(sym, exp):
+    return list(GENS[sym].power(exp).letters)
+
+
+def _translation_letter(kind, u, v):
+    return [Letter(kind, SkewElement(PLMap.translation(u), PLCocycle.constant(v)))]
+
+
+def _zero_shift_pair(e1, e2, dh_first):
+    pair = _power_letters("d", e1) + _power_letters("dh", e2)
+    return pair[::-1] if dh_first else pair
+
+
+# raw letter lists: generator powers, translations of either kind (an H one
+# is re-expressed as V when pushed), and adjacent d/dh pairs that commute
+pushed_letters = st.lists(
+    st.one_of(
+        st.builds(_power_letters, st.sampled_from(PLANE_LETTERS), st.sampled_from((-3, -2, -1, 1, 2, 3))),
+        st.builds(_translation_letter, st.sampled_from("VH"), small_coordinates, small_coordinates),
+        st.builds(_zero_shift_pair, st.sampled_from((1, -1)), st.sampled_from((1, -1)), st.booleans()),
+    ),
+    max_size=6,
+).map(lambda chunks: [letter for chunk in chunks for letter in chunk])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(pushed_letters, pushed_letters, small_coordinates, small_coordinates)
+def test_concat_pushes_only_the_new_letters(u, v, x, y):
+    a, b = PlaneWord(u), PlaneWord(v)
+    ab = a.concat(b)
+    assert ab.letters == PlaneWord(a.letters + b.letters).letters
+    assert ab.apply((x, y)) == b.apply(a.apply((x, y)))
+    assert a.power(3).letters == PlaneWord(a.letters * 3).letters
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(pushed_letters)
+def test_pushing_a_simplified_word_again_changes_nothing(u):
+    word = PlaneWord(u)
+    assert PlaneWord(word.letters).letters == word.letters
+    for k in range(len(word.letters) + 1):
+        prefix = PlaneWord(word.letters[:k])
+        assert prefix.letters == word.letters[:k]
+        assert prefix.concat(PlaneWord(word.letters[k:])).letters == word.letters
