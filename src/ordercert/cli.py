@@ -5,13 +5,13 @@ Subcommands::
     verify       check every generator identity, write a relation-report
     epsilon      compute the six-factor product and compare it to b^-36
     prove        build, check, and write the no-left-order derivation
-    check-cert   re-check a derivation certificate from disk
+    check-cert   re-check a no-left-order certificate from disk
     eval         apply a word to an exact rational point
 
-Exit codes: 0 success / verified, 1 a checked statement is false or a
-derivation is invalid, 2 unknown or undecided facts, 3 usage, input,
-syntax, or I/O errors.  Stdout carries human-readable text; certificates
-go only to files.
+Exit codes: 0 success / verified, 1 a checked statement or cited fact is
+false, a derivation is invalid or does not state the theorem, 2 unknown or
+undecided facts, 3 usage, input, syntax, or I/O errors.  Stdout carries
+human-readable text; certificates go only to files.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import certs
 from .exactpl import format_rational
 from .orderlogic import derivation as derivation_mod
-from .orderlogic.derivation import check_derivation
+from .orderlogic.derivation import check_derivation, statement_mismatch
 from .orderlogic.scripts import script_theorem_main
 from .plane import plane_word, verify_mirrored_relations
 from .skew import (
@@ -117,7 +117,7 @@ def cmd_prove(args) -> int:
     if not derivation.table.verify_all():
         bad = [fid for fid, ok in derivation.table.status.items() if not ok]
         print(f"facts failed verification: {', '.join(sorted(bad))}", file=sys.stderr)
-        return EXIT_UNKNOWN
+        return EXIT_FALSE if False in derivation.table.status.values() else EXIT_UNKNOWN
     verdict = check_derivation(derivation)
     print(
         f"derivation '{derivation.name}': {verdict} "
@@ -146,6 +146,10 @@ def cmd_check_cert(args) -> int:
     except certs.CertificateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    mismatch = statement_mismatch(derivation)
+    if mismatch:
+        print(f"derivation '{derivation.name}': statement mismatch: {mismatch}")
+        return EXIT_FALSE
     derivation.table.verify_all()
     verdict = check_derivation(derivation)
     print(f"derivation '{derivation.name}': {verdict}")
@@ -189,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-timestamp", action="store_true")
     p.set_defaults(func=cmd_prove)
 
-    p = sub.add_parser("check-cert", help="re-check a derivation certificate from disk")
+    p = sub.add_parser("check-cert", help="re-check a no-left-order certificate from disk")
     p.add_argument("path")
     p.set_defaults(func=cmd_check_cert)
 

@@ -1,9 +1,9 @@
 """A checkable inference system for left-order inequalities.
 
 Submodules: ``words`` (formal atom words and judgments), ``facts`` (atom
-tables and algebra-verified facts), ``rules`` (the rule engine),
-``derivation`` (trees plus the checker), and ``scripts`` (the two shipped
-derivations).
+tables binding each atom to a plane word, and the facts verified on them),
+``rules`` (the rule engine), ``derivation`` (trees, the checker and the
+theorem's statement check), and ``scripts`` (the two shipped derivations).
 """
 
 from .derivation import (
@@ -20,7 +20,6 @@ from .derivation import (
 from .facts import (
     AtomTable,
     Fact,
-    Realization,
     commute_fact,
     identity_eq_fact,
     non_identity_fact,
@@ -38,7 +37,7 @@ from .words import CONTRADICTION, EMPTY, Less, Word, WordEq, atom_pow, t_pow, w_
 
 __all__ = [
     "AtomTable", "Branch", "CONTRADICTION", "CONTRADICTION_GOAL", "Derivation",
-    "EMPTY", "Fact", "Hypothesis", "Less", "Node", "Realization", "RuleError",
+    "EMPTY", "Fact", "Hypothesis", "Less", "Node", "RuleError",
     "Split", "Step", "Verdict", "Word", "WordEq", "apply_rule", "atom_pow",
     "check_derivation", "commute_fact", "epsilon_product_word", "identity_eq_fact",
     "lemma_atom_table", "non_identity_fact", "not_in_set_fact", "script_lemma_gen",

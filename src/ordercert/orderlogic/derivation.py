@@ -16,11 +16,14 @@ Split kinds:
   given(...)               -- root-level assumption cases: each branch
                               declares its own hypotheses and goal, so the
                               derivation certifies the conjunction of
-                              per-branch conditionals
+                              per-branch conditionals; no other branch may
+                              declare a goal
 
 Checking is pure, deterministic, and reports the first failing step in tree
 order.  Facts are consulted through an :class:`AtomTable` whose verification
-statuses were computed beforehand by the exact algebra.
+statuses were computed beforehand by the exact algebra: a cited fact that is
+refuted makes the derivation ``invalid``, one that is undecided, unknown or
+re-stated ``unknown_facts``.
 """
 
 from __future__ import annotations
@@ -152,6 +155,19 @@ def check_derivation(derivation: Derivation, table: Optional[AtomTable] = None) 
     return Verdict(VALID)
 
 
+def statement_mismatch(derivation: Derivation) -> str:
+    """Why ``derivation`` does not state that the plane group has no left
+    order, or "".  Atoms are plane words, and a left order on the group would
+    restrict to the subgroup they generate: a contradiction derived under no
+    assumption refutes it."""
+    if derivation.goal != CONTRADICTION_GOAL:
+        return "the goal is not 'contradiction'"
+    split = derivation.root.split
+    if split is not None and split.kind == "given":
+        return "the root assumes cases by a 'given' split"
+    return ""
+
+
 def _lookup_facts(step: Step, table: AtomTable):
     cited = []
     for fid in step.facts:
@@ -159,9 +175,11 @@ def _lookup_facts(step: Step, table: AtomTable):
             fact = table.get(fid)
         except UnknownFactError:
             raise _Failure(UNKNOWN_FACTS, step.id, f"unknown fact {fid!r}")
-        if not table.is_verified(fid):
+        outcome = table.outcome(fid)
+        if outcome is not True:
             reason = table.failures.get(fid, "fact is not verified as stated")
-            raise _Failure(UNKNOWN_FACTS, step.id, f"fact {fid!r}: {reason}")
+            status = INVALID if outcome is False else UNKNOWN_FACTS
+            raise _Failure(status, step.id, f"fact {fid!r}: {reason}")
         cited.append(fact)
     return cited
 
@@ -204,6 +222,8 @@ def _check_node(node: Node, env: dict, goal, table: AtomTable, at_root: bool = F
         _fail(split_id, f"unknown split kind {split.kind!r}")
 
     for branch in split.branches:
+        if branch.goal is not None and split.kind != "given":
+            _fail(split_id, f"branch {branch.name!r} declares a goal; only 'given' branches may")
         branch_env = dict(env)
         for hyp in branch.hypotheses:
             if hyp.id in branch_env:

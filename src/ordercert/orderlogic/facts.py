@@ -1,10 +1,10 @@
-"""Atom tables: named group elements with realizations, and verified facts.
+"""Atom tables: atoms named by plane words, and the facts verified about them.
 
-Every fact a derivation cites must carry a verification that was actually
-computed in the exact algebra -- skew elements for words in a, b, c, d and
-plane words when the swapped generators ch, dh are involved.  Verification
-happens once, up front; checking a derivation then only consults the stored
-statuses.
+Each atom is a word over the plane group's generators a, b, c, d, ch, dh,
+and every fact a derivation cites must carry a verification that was
+actually computed in that one exact algebra (:mod:`ordercert.plane`).
+Verification happens once, up front; checking a derivation then only
+consults the stored statuses.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..plane import DISTINCT, EQUAL, PLANE_GENERATOR_NAMES, PlaneWord, equal_or_unknown, plane_word
-from ..skew import GENERATOR_NAMES, SkewElement, word_to_element
 from ..wordsyntax import parse_word
 from .words import EMPTY, Word, letter_pair, w_format, w_reduce
 
@@ -24,8 +23,8 @@ NOT_IN_SET = "not_in_set"
 
 ARITY = {COMMUTE: 2, IDENTITY_EQ: 2, NON_IDENTITY: 1, NOT_IN_SET: 2}
 
-# the letters an atom's realization word may use, per algebra
-ALGEBRA_LETTERS = {"skew": GENERATOR_NAMES, "plane": PLANE_GENERATOR_NAMES}
+# the algebra tag every serialized atom carries
+PLANE = "plane"
 
 
 class UnknownFactError(KeyError):
@@ -76,46 +75,36 @@ def not_in_set_fact(fid, x, y):
     return Fact(fid, NOT_IN_SET, (x, y))
 
 
-@dataclass(frozen=True)
-class Realization:
-    """How an atom is evaluated: a word in a concrete exact algebra."""
-
-    algebra: str  # "skew" or "plane"
-    word: str
-
-
 class AtomTable:
-    """Atoms bound to realizations plus the fact base grounded in them.
+    """Atoms bound to plane words plus the fact base grounded in them.
 
-    Built tables are well formed (else ``ValueError``): the atoms share one
-    known algebra, their words parse, and every fact has a known kind and
-    arity and names only atoms of the table.  ``conclusions`` is the memo of
-    rule instances that ``apply_rule`` fills (see ``rules``).
+    Built tables are well formed (else ``ValueError``): there is at least one
+    atom, every atom's word parses over the plane generators, and every fact
+    has a known kind and arity and names only atoms of the table.
+    ``status`` holds each fact's verified outcome: True (holds), False
+    (refuted) or None (undecided).  ``conclusions`` is the memo of rule
+    instances that ``apply_rule`` fills (see ``rules``).
     """
 
-    def __init__(self, atoms: dict[str, Realization], facts: list[Fact]):
+    def __init__(self, atoms: dict[str, str], facts: list[Fact]):
         self.atoms = dict(atoms)
         self.facts: dict[str, Fact] = {}
         for f in facts:
             if f.id in self.facts:
                 raise ValueError(f"duplicate fact id {f.id}")
             self.facts[f.id] = f
-        self.algebra = self._validate()
-        self.status: dict[str, bool] = {}
+        self._validate()
+        self.status: dict[str, Optional[bool]] = {}
         self._verified_as: dict[str, Fact] = {}  # the statement each status is about
         self.failures: dict[str, str] = {}
-        self._skew_cache: dict[str, SkewElement] = {}
         self._plane_cache: dict[str, PlaneWord] = {}
         self.conclusions: dict = {}
 
-    def _validate(self) -> str:
-        """Check the table is well formed; return its algebra."""
-        algebras = {r.algebra for r in self.atoms.values()}
-        if len(algebras) != 1 or not algebras <= ALGEBRA_LETTERS.keys():
-            raise ValueError(f"atoms must share one algebra, one of {sorted(ALGEBRA_LETTERS)}")
-        algebra = algebras.pop()
-        for r in self.atoms.values():
-            parse_word(r.word, ALGEBRA_LETTERS[algebra])
+    def _validate(self) -> None:
+        if not self.atoms:
+            raise ValueError("an atom table needs at least one atom")
+        for word in self.atoms.values():
+            parse_word(word, PLANE_GENERATOR_NAMES)
         for f in self.facts.values():
             if ARITY.get(f.kind) != len(f.args):
                 raise ValueError(f"fact {f.id!r}: unknown kind or wrong arity")
@@ -126,23 +115,14 @@ class AtomTable:
             for name in names:
                 if name not in self.atoms:
                     raise ValueError(f"fact {f.id!r}: unknown atom {name!r}")
-        return algebra
 
     # -- realization ------------------------------------------------------
-
-    def realize_skew(self, word: Word) -> SkewElement:
-        result = SkewElement.identity()
-        for name, exp in word:
-            if name not in self._skew_cache:
-                self._skew_cache[name] = word_to_element(self.atoms[name].word)
-            result = result.compose(self._skew_cache[name].power(exp))
-        return result
 
     def realize_plane(self, word: Word) -> PlaneWord:
         result = PlaneWord.identity()
         for name, exp in word:
             if name not in self._plane_cache:
-                self._plane_cache[name] = plane_word(self.atoms[name].word)
+                self._plane_cache[name] = plane_word(self.atoms[name])
             result = result.concat(self._plane_cache[name].power(exp))
         return result
 
@@ -150,8 +130,6 @@ class AtomTable:
 
     def _verify_equal(self, lhs: Word, rhs: Word) -> Optional[bool]:
         """True/False when decided, None when the algebra cannot decide."""
-        if self.algebra == "skew":
-            return self.realize_skew(lhs) == self.realize_skew(rhs)
         verdict = equal_or_unknown(self.realize_plane(lhs), self.realize_plane(rhs))
         if verdict.status == EQUAL:
             return True
@@ -159,47 +137,42 @@ class AtomTable:
             return False
         return None
 
-    def verify_fact(self, fact: Fact) -> bool:
-        outcome: Optional[bool]
+    def _differs_from_all(self, atom: str, words: list) -> Optional[bool]:
+        decided = [self._verify_equal(((atom, 1),), w) for w in words]
+        return None if None in decided else not any(decided)
+
+    def verify_fact(self, fact: Fact) -> Optional[bool]:
+        """True when the fact holds, False when refuted, None when undecided."""
+        args = fact.args
         if fact.kind == COMMUTE:
-            x, y = fact.args
-            u = ((x, 1), (y, 1))
-            v = ((y, 1), (x, 1))
-            outcome = self._verify_equal(u, v)
+            x, y = ((args[0], 1),), ((args[1], 1),)
+            outcome = self._verify_equal(x + y, y + x)
         elif fact.kind == IDENTITY_EQ:
-            outcome = self._verify_equal(fact.args[0], fact.args[1])
+            outcome = self._verify_equal(*args)
         elif fact.kind == NON_IDENTITY:
-            decided = self._verify_equal(((fact.args[0], 1),), EMPTY)
-            outcome = None if decided is None else not decided
+            outcome = self._differs_from_all(args[0], [EMPTY])
         elif fact.kind == NOT_IN_SET:
-            x, y = fact.args
-            first = self._verify_equal(((x, 1),), ((y, 1),))
-            second = self._verify_equal(((x, 1),), ((y, -1),))
-            if first is None or second is None:
-                outcome = None
-            else:
-                outcome = not first and not second
+            outcome = self._differs_from_all(args[0], [((args[1], 1),), ((args[1], -1),)])
         else:
             raise ValueError(f"unknown fact kind {fact.kind}")
         if outcome is None:
             self.failures[fact.id] = "algebra could not decide the statement"
-            return False
-        if not outcome:
+        elif not outcome:
             self.failures[fact.id] = "statement is false in the realization"
         return outcome
 
     def verify_all(self) -> bool:
-        ok = True
         for fid, fact in self.facts.items():
-            holds = self.verify_fact(fact)
-            self.status[fid] = holds
+            self.status[fid] = self.verify_fact(fact)
             self._verified_as[fid] = fact
-            ok = ok and holds
-        return ok
+        return all(self.status[fid] for fid in self.facts)
 
-    def is_verified(self, fid: str) -> bool:
-        """True only when the fact now under ``fid`` is the one that held."""
-        return self.status.get(fid, False) and self._verified_as.get(fid) == self.facts.get(fid)
+    def outcome(self, fid: str) -> Optional[bool]:
+        """The status of the fact now under ``fid``; None also when it was
+        never verified or was re-stated since."""
+        if self._verified_as.get(fid) != self.facts.get(fid):
+            return None
+        return self.status.get(fid)
 
     def get(self, fid: str) -> Fact:
         try:
@@ -211,10 +184,7 @@ class AtomTable:
 
     def serialize(self) -> dict:
         return {
-            "atoms": {
-                name: {"algebra": r.algebra, "word": r.word}
-                for name, r in self.atoms.items()
-            },
+            "atoms": {name: {"algebra": PLANE, "word": word} for name, word in self.atoms.items()},
             "facts": [
                 {
                     "id": f.id,
@@ -228,10 +198,11 @@ class AtomTable:
 
     @classmethod
     def deserialize(cls, data: dict) -> "AtomTable":
-        atoms = {
-            name: Realization(spec["algebra"], spec["word"])
-            for name, spec in data["atoms"].items()
-        }
+        atoms = {}
+        for name, spec in data["atoms"].items():
+            if spec["algebra"] != PLANE:
+                raise ValueError(f"atom {name!r}: algebra must be {PLANE!r}")
+            atoms[name] = spec["word"]
         facts = []
         for item in data["facts"]:
             args = _parse_args(item["kind"], item["args"])

@@ -42,7 +42,6 @@ from .derivation import (
 from .facts import (
     AtomTable,
     Fact,
-    Realization,
     commute_fact,
     identity_eq_fact,
     non_identity_fact,
@@ -108,13 +107,13 @@ HSIDE = _LemmaLetters("M", "b", "a", "ch", "dh")
 
 
 def lemma_atom_table() -> AtomTable:
-    atoms = {name: Realization("skew", name) for name in ("a", "b", "c", "d")}
+    atoms = {name: name for name in ("a", "b", "c", "d")}
     cited = {*VSIDE.commute_map.values(), VSIDE.eq_c, VSIDE.eq_d, VSIDE.nonid_c}
     return AtomTable(atoms, [f for f in VSIDE.facts() if f.id in cited])
 
 
 def theorem_atom_table() -> AtomTable:
-    atoms = {name: Realization("plane", name) for name in PLANE_GENERATOR_NAMES}
+    atoms = {name: name for name in PLANE_GENERATOR_NAMES}
     v_facts = VSIDE.facts()
     facts = (
         v_facts[:6]

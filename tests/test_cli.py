@@ -1,11 +1,12 @@
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from ordercert import certs
+from ordercert import certs, cli
 from ordercert.cli import main
-from ordercert.orderlogic import script_lemma_gen
+from ordercert.orderlogic import AtomTable, script_lemma_gen, script_theorem_main
 
 
 # SHA-256 of the `--no-timestamp` certificates written by `prove` and
@@ -14,7 +15,7 @@ from ordercert.orderlogic import script_lemma_gen
 # digests.
 THEOREM_CERT_SHA256 = "fd16d403f7717b5594f7490180459681f6b531e4a7958c03c316ac0d9292ae9d"
 RELATIONS_CERT_SHA256 = "6e1aa08c1c75fc9ac73eef0cda8ad9f64745c0845262dd431aa633c4aa55aa5b"
-LEMMA_DERIVATION_SHA256 = "d8b87f51c639ad63a1cd44e87a4da084adac29913996400a363c1d74c5df3682"
+LEMMA_DERIVATION_SHA256 = "6f328428e6eedd632976c6f63d3a5abe78afe54c5f2a20e555abe0c480b1558d"
 
 
 def _sha256(path) -> str:
@@ -202,7 +203,8 @@ def _set_atoms(value):
 
 
 # Malformed atom tables: each one used to end in a traceback (or, for an
-# unknown algebra on every atom, in "valid").
+# unknown algebra on every atom, in "valid").  Atoms are plane words, so the
+# "skew" tag that earlier tables could carry is malformed too.
 MALFORMED_TABLES = {
     "atoms-not-an-object": _set_atoms([]),
     "fact-names-unknown-atom": _set_first_fact("args", ["a", "zz"]),
@@ -307,6 +309,69 @@ def test_check_cert_non_integer_base_fact_and_window(tmp_path, capsys, theorem_c
     assert _check_edited(tmp_path, theorem_cert, window_bound) == 1
     assert "window bounds must be integers" in capsys.readouterr().out
     assert _check_edited(tmp_path, theorem_cert, lambda payload: None) == 0
+
+
+A1 = [["a", 1]]
+
+
+def _forge_empty_goal(payload):
+    payload["goal"] = []
+    payload["root"] = {"steps": [], "split": None}
+
+
+def _forge_given_root(payload):
+    """One assumed case, a < a, closed by absurdity."""
+    close = {"id": "s1", "rule": "absurd", "params": {}, "premises": ["h1"], "facts": [],
+             "conclusion": {"contradiction": True}}
+    branch = {"name": "only", "goal": None,
+              "hypotheses": [{"id": "h1", "judgment": {"less": [A1, A1]}}],
+              "node": {"steps": [close], "split": None}}
+    payload["root"] = {"steps": [], "split": {"kind": "given", "params": {}, "premises": [],
+                                              "branches": [branch]}}
+
+
+def _forge_trichotomy_goals(payload):
+    """The three canonical cases of 1 ? a, each declaring an empty goal."""
+    cases = [{"less": [[], A1]}, {"eq": [[], A1]}, {"less": [A1, []]}]
+    branches = [{"name": f"case{i}", "goal": [],
+                 "hypotheses": [{"id": f"h{i}", "judgment": case}],
+                 "node": {"steps": [], "split": None}}
+                for i, case in enumerate(cases)]
+    payload["root"] = {"steps": [], "split": {"kind": "trichotomy", "premises": [],
+                                              "params": {"w1": [], "w2": A1},
+                                              "branches": branches}}
+
+
+# Each of these forged statements used to print "valid" and exit 0.
+@pytest.mark.parametrize("forge, message", [
+    (_forge_empty_goal, "statement mismatch: the goal is not 'contradiction'"),
+    (_forge_given_root, "statement mismatch: the root assumes cases by a 'given' split"),
+    (_forge_trichotomy_goals, "declares a goal; only 'given' branches may"),
+], ids=["empty-goal", "given-root", "trichotomy-branch-goals"])
+def test_check_cert_rejects_forged_statements(tmp_path, capsys, theorem_cert, forge, message):
+    assert _check_edited(tmp_path, theorem_cert, forge) == 1
+    assert message in capsys.readouterr().out
+
+
+def test_check_cert_false_fact_is_invalid(tmp_path, capsys, theorem_cert):
+    def realize_d_as_d_b(payload):
+        payload["table"]["atoms"]["d"]["word"] = "d b"
+
+    assert _check_edited(tmp_path, theorem_cert, realize_d_as_d_b) == 1
+    assert "invalid at s0021: fact 'F5': statement is false" in capsys.readouterr().out
+
+
+def test_prove_with_a_false_fact_exits_1(tmp_path, capsys, monkeypatch):
+    def perturbed():
+        derivation = script_theorem_main()
+        table = AtomTable({**derivation.table.atoms, "d": "d b"}, derivation.table.facts.values())
+        return dataclasses.replace(derivation, table=table)
+
+    monkeypatch.setattr(cli, "script_theorem_main", perturbed)
+    out = tmp_path / "thm.cert.json"
+    assert main(["prove", "--no-timestamp", "--out", str(out)]) == 1
+    assert "facts failed verification: F5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval(capsys):

@@ -15,7 +15,6 @@ from ordercert.orderlogic import (
     Hypothesis,
     Less,
     Node,
-    Realization,
     RuleError,
     Split,
     Step,
@@ -36,6 +35,7 @@ from ordercert.orderlogic import (
 )
 from ordercert.orderlogic.facts import IDENTITY_EQ, required_commute_facts
 from ordercert.orderlogic.words import EMPTY, atom_pow, t_pow
+from ordercert.skew import word_to_element
 from ordercert.wordsyntax import reduce_letters
 
 from mutation_tools import _replace_step, _step_sites
@@ -309,8 +309,11 @@ def test_memo_keeps_failures_out():
 
 # -- the checker on small derivations ----------------------------------------------
 
+ATOMS = {name: name for name in ("a", "b", "c", "d")}
+
+
 def _tiny_table():
-    atoms = {name: Realization("skew", name) for name in ("a", "b", "c", "d")}
+    atoms = ATOMS
     return AtomTable(atoms, [F1, F2, F3, non_identity_fact("N_B", "b")])
 
 
@@ -382,8 +385,7 @@ def test_unknown_fact_statuses():
 
 
 def test_false_fact_is_flagged():
-    atoms = {name: Realization("skew", name) for name in ("a", "b", "c", "d")}
-    table = AtomTable(atoms, [commute_fact("BAD", "a", "c")])
+    table = AtomTable(ATOMS, [commute_fact("BAD", "a", "c")])
     assert not table.verify_all()
     h1 = Hypothesis("h1", Less(atom_pow("c", 1), atom_pow("a", 2)))
     step = Step("s1", "invert", {"u": atom_pow("c", 1), "t": ("a", 1), "m": 2, "direction": "lt"},
@@ -392,8 +394,24 @@ def test_false_fact_is_flagged():
         Branch("only", (h1,), Node(steps=(step,)), goal=(step.conclusion,)),
     )))
     verdict = check_derivation(Derivation("toy", table, None, root))
-    assert verdict.status == "unknown_facts"
+    assert verdict.status == "invalid"
     assert "false" in verdict.reason
+
+
+def test_branch_goals_only_under_given():
+    # each canonical trichotomy branch "proves" an empty goal, with no steps
+    table = _tiny_table()
+    w1, w2 = EMPTY, atom_pow("a", 1)
+    cases = ((Less(w1, w2),), (WordEq(w1, w2),), (Less(w2, w1),))
+    branches = tuple(
+        Branch(f"case{i}", (Hypothesis(f"h{i}", hyp),), Node(), goal=())
+        for i, (hyp,) in enumerate(cases)
+    )
+    root = Node(split=Split("trichotomy", {"w1": w1, "w2": w2}, (), branches))
+    verdict = check_derivation(Derivation("forged", table, CONTRADICTION_GOAL, root))
+    assert verdict.status == "invalid"
+    assert verdict.step_id == "split:trichotomy"
+    assert "only 'given' branches" in verdict.reason
 
 
 def test_window_split_structure_is_enforced():
@@ -474,7 +492,7 @@ def test_a_fact_replaced_after_verification_is_not_cited():
     assert table.verify_all()
     product = table.facts["F6"].args[0]
     table.facts["F6"] = identity_eq_fact("F6", product, atom_pow("b", -35))
-    assert not table.is_verified("F6")
+    assert table.outcome("F6") is None
     verdict = check_derivation(derivation)
     assert verdict.status == "unknown_facts"
     assert "F6" in verdict.reason
@@ -489,7 +507,7 @@ def test_atom_tables_verify():
 
 
 def test_atom_tables_reject_malformed_input():
-    atoms = {name: Realization("skew", name) for name in ("a", "b", "c", "d")}
+    atoms = ATOMS
     with pytest.raises(ValueError, match="unknown atom"):
         AtomTable(atoms, [commute_fact("X", "a", "zz")])
     with pytest.raises(ValueError, match="unknown atom"):
@@ -498,16 +516,40 @@ def test_atom_tables_reject_malformed_input():
         AtomTable(atoms, [dataclasses.replace(N_C, kind="weird")])
     with pytest.raises(ValueError, match="wrong arity"):
         AtomTable(atoms, [dataclasses.replace(F1, args=("a",))])
-    with pytest.raises(ValueError, match="one algebra"):
-        AtomTable({**atoms, "a": Realization("plane", "a")}, [])
-    with pytest.raises(ValueError, match="one algebra"):
-        AtomTable({"a": Realization("weird", "a")}, [])
-    with pytest.raises(ValueError, match="one algebra"):
+    with pytest.raises(ValueError, match="at least one atom"):
         AtomTable({}, [])
     with pytest.raises(ValueError):
-        AtomTable({**atoms, "a": Realization("skew", "a^^")}, [])
+        AtomTable({**atoms, "a": "a^^"}, [])
     with pytest.raises(ValueError):
-        AtomTable({**atoms, "a": Realization("skew", "ch")}, [])
+        AtomTable({**atoms, "a": "q"}, [])
+    # ch is a plane generator, so a word using it is an atom like any other
+    assert AtomTable({**atoms, "a": "ch"}, []).atoms["a"] == "ch"
+
+
+def test_atom_table_reads_only_plane_atoms():
+    data = lemma_atom_table().serialize()
+    assert {spec["algebra"] for spec in data["atoms"].values()} == {"plane"}
+    assert AtomTable.deserialize(data).atoms == ATOMS
+    # "skew" is how this table's atoms were once written
+    for tag in ("skew", "weird"):
+        for spec in data["atoms"].values():
+            spec["algebra"] = tag
+        with pytest.raises(ValueError, match="algebra must be 'plane'"):
+            AtomTable.deserialize(data)
+
+
+WORDS_OVER_ABCD = st.lists(st.tuples(st.sampled_from("abcd"), st.integers(-3, 3)), max_size=6)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(WORDS_OVER_ABCD, WORDS_OVER_ABCD)
+def test_plane_table_decides_skew_word_equality(u, v):
+    # the plane table decides every equation among words in a, b, c, d, as
+    # composing their skew elements does
+    u, v = tuple(u), tuple(v)
+    table = AtomTable(ATOMS, [identity_eq_fact("E", u, v)])
+    expected = word_to_element(u) == word_to_element(v)
+    assert table.verify_fact(table.facts["E"]) is expected
 
 
 def _swap(fact):
