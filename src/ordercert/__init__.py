@@ -12,8 +12,6 @@ from .exactpl import (
     PLMap,
     Rational,
     format_rational,
-    make_cocycle,
-    make_plmap,
     rational,
 )
 from .plane import (
@@ -27,7 +25,6 @@ from .plane import (
     verify_mirrored_relations,
 )
 from .skew import (
-    GeneratorWord,
     RelationFact,
     RelationReport,
     SkewElement,
@@ -41,10 +38,10 @@ from .skew import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EqualityVerdict", "GeneratorWord", "Letter", "PLCocycle", "PLError", "PLMap",
+    "EqualityVerdict", "Letter", "PLCocycle", "PLError", "PLMap",
     "PlaneWord", "Rational", "RelationFact", "RelationReport", "SkewElement",
     "WitnessSearchConfig", "compute_epsilon", "equal_or_unknown", "format_rational",
-    "generator", "h_generator", "make_cocycle", "make_plmap", "plane_word",
+    "generator", "h_generator", "plane_word",
     "rational", "standard_generators", "verify_mirrored_relations",
     "verify_relations", "word_to_element", "__version__",
 ]

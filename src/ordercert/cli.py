@@ -112,19 +112,26 @@ def conj_pairs(pairs) -> str:
     return " ".join(f"({x}, {y})" for x, y in pairs)
 
 
+def _verdict_exit_code(verdict) -> int:
+    if verdict.is_valid:
+        return EXIT_OK
+    return EXIT_UNKNOWN if verdict.status == derivation_mod.UNKNOWN_FACTS else EXIT_FALSE
+
+
 def cmd_prove(args) -> int:
     derivation = script_theorem_main()
-    if not derivation.table.verify_all():
-        bad = [fid for fid, ok in derivation.table.status.items() if not ok]
-        print(f"facts failed verification: {', '.join(sorted(bad))}", file=sys.stderr)
-        return EXIT_FALSE if False in derivation.table.status.values() else EXIT_UNKNOWN
+    table = derivation.table
+    if not table.verify_all():
+        bad = sorted(fid for fid in table.facts if not table.outcome(fid))
+        print(f"facts failed verification: {', '.join(bad)}", file=sys.stderr)
+        return EXIT_FALSE if False in map(table.outcome, bad) else EXIT_UNKNOWN
     verdict = check_derivation(derivation)
     print(
         f"derivation '{derivation.name}': {verdict} "
         f"({derivation.count_steps()} steps, {derivation.count_branches()} branches)"
     )
     if not verdict.is_valid:
-        return EXIT_UNKNOWN if verdict.status == derivation_mod.UNKNOWN_FACTS else EXIT_FALSE
+        return _verdict_exit_code(verdict)
     try:
         _write_cert(args.out, "derivation", certs.serialize_derivation(derivation),
                     not args.no_timestamp)
@@ -150,12 +157,9 @@ def cmd_check_cert(args) -> int:
     if mismatch:
         print(f"derivation '{derivation.name}': statement mismatch: {mismatch}")
         return EXIT_FALSE
-    derivation.table.verify_all()
     verdict = check_derivation(derivation)
     print(f"derivation '{derivation.name}': {verdict}")
-    if verdict.is_valid:
-        return EXIT_OK
-    return EXIT_UNKNOWN if verdict.status == derivation_mod.UNKNOWN_FACTS else EXIT_FALSE
+    return _verdict_exit_code(verdict)
 
 
 def cmd_eval(args) -> int:

@@ -475,11 +475,3 @@ class PLCocycle(_PLBase):
         if len(self.xs) == 1 or phi.is_identity:
             return self  # a constant, or any cocycle through the identity
         return PLCocycle._make(*_through(self, phi))
-
-
-def make_plmap(points) -> PLMap:
-    return PLMap.from_points(points)
-
-
-def make_cocycle(points) -> PLCocycle:
-    return PLCocycle.from_points(points)

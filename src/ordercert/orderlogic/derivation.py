@@ -19,11 +19,11 @@ Split kinds:
                               per-branch conditionals; no other branch may
                               declare a goal
 
-Checking is pure, deterministic, and reports the first failing step in tree
-order.  Facts are consulted through an :class:`AtomTable` whose verification
-statuses were computed beforehand by the exact algebra: a cited fact that is
-refuted makes the derivation ``invalid``, one that is undecided, unknown or
-re-stated ``unknown_facts``.
+Checking is deterministic and reports the first failing step in tree order.
+Facts are consulted through the derivation's :class:`AtomTable`, which
+decides each fact in the exact algebra when a step first cites it: a cited
+fact that is refuted makes the derivation ``invalid``, one that is undecided
+or unknown ``unknown_facts``.
 """
 
 from __future__ import annotations
@@ -143,13 +143,10 @@ def _window_branches(v: Word, t, n1: int, n2: int):
     return expected
 
 
-def check_derivation(derivation: Derivation, table: Optional[AtomTable] = None) -> Verdict:
+def check_derivation(derivation: Derivation) -> Verdict:
     """Validate every step, split, and leaf; deterministic first failure."""
-    table = table if table is not None else derivation.table
-    if not table.status:
-        table.verify_all()
     try:
-        _check_node(derivation.root, {}, derivation.goal, table, at_root=True)
+        _check_node(derivation.root, {}, derivation.goal, derivation.table, at_root=True)
     except _Failure as failure:
         return failure.verdict
     return Verdict(VALID)
@@ -176,10 +173,11 @@ def _lookup_facts(step: Step, table: AtomTable):
         except UnknownFactError:
             raise _Failure(UNKNOWN_FACTS, step.id, f"unknown fact {fid!r}")
         outcome = table.outcome(fid)
-        if outcome is not True:
-            reason = table.failures.get(fid, "fact is not verified as stated")
-            status = INVALID if outcome is False else UNKNOWN_FACTS
-            raise _Failure(status, step.id, f"fact {fid!r}: {reason}")
+        if outcome is False:
+            raise _Failure(INVALID, step.id, f"fact {fid!r}: statement is false in the realization")
+        if outcome is None:
+            raise _Failure(UNKNOWN_FACTS, step.id,
+                           f"fact {fid!r}: algebra could not decide the statement")
         cited.append(fact)
     return cited
 

@@ -2,14 +2,15 @@
 
 Each atom is a word over the plane group's generators a, b, c, d, ch, dh,
 and every fact a derivation cites must carry a verification that was
-actually computed in that one exact algebra (:mod:`ordercert.plane`).
-Verification happens once, up front; checking a derivation then only
-consults the stored statuses.
+actually computed in that one exact algebra (:mod:`ordercert.plane`).  A
+table is read-only, and it decides each fact once, when a step first cites
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Optional
 
 from ..plane import DISTINCT, EQUAL, PLANE_GENERATOR_NAMES, PlaneWord, equal_or_unknown, plane_word
@@ -76,29 +77,43 @@ def not_in_set_fact(fid, x, y):
 
 
 class AtomTable:
-    """Atoms bound to plane words plus the fact base grounded in them.
+    """Atoms bound to plane words plus the fact base grounded in them: a value.
 
     Built tables are well formed (else ``ValueError``): there is at least one
     atom, every atom's word parses over the plane generators, and every fact
-    has a known kind and arity and names only atoms of the table.
-    ``status`` holds each fact's verified outcome: True (holds), False
-    (refuted) or None (undecided).  ``conclusions`` is the memo of rule
-    instances that ``apply_rule`` fills (see ``rules``).
+    has a known kind and arity and names only atoms of the table.  ``atoms``
+    and ``facts`` are read-only, so a copy is the table itself, and each fact
+    is decided once, the first time ``outcome`` asks for it.
+    ``conclusions`` is the memo of rule instances that ``apply_rule`` fills
+    (see ``rules``).  A pickled table keeps neither memo.
     """
 
+    __slots__ = ("atoms", "facts", "conclusions", "_outcomes", "_plane_cache")
+
     def __init__(self, atoms: dict[str, str], facts: list[Fact]):
-        self.atoms = dict(atoms)
-        self.facts: dict[str, Fact] = {}
+        by_id: dict[str, Fact] = {}
         for f in facts:
-            if f.id in self.facts:
+            if f.id in by_id:
                 raise ValueError(f"duplicate fact id {f.id}")
-            self.facts[f.id] = f
+            by_id[f.id] = f
+        object.__setattr__(self, "atoms", MappingProxyType(dict(atoms)))
+        object.__setattr__(self, "facts", MappingProxyType(by_id))
         self._validate()
-        self.status: dict[str, Optional[bool]] = {}
-        self._verified_as: dict[str, Fact] = {}  # the statement each status is about
-        self.failures: dict[str, str] = {}
-        self._plane_cache: dict[str, PlaneWord] = {}
-        self.conclusions: dict = {}
+        object.__setattr__(self, "conclusions", {})
+        object.__setattr__(self, "_outcomes", {})
+        object.__setattr__(self, "_plane_cache", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AtomTable is immutable")
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        return (AtomTable, (dict(self.atoms), list(self.facts.values())))
 
     def _validate(self) -> None:
         if not self.atoms:
@@ -146,33 +161,25 @@ class AtomTable:
         args = fact.args
         if fact.kind == COMMUTE:
             x, y = ((args[0], 1),), ((args[1], 1),)
-            outcome = self._verify_equal(x + y, y + x)
-        elif fact.kind == IDENTITY_EQ:
-            outcome = self._verify_equal(*args)
-        elif fact.kind == NON_IDENTITY:
-            outcome = self._differs_from_all(args[0], [EMPTY])
-        elif fact.kind == NOT_IN_SET:
-            outcome = self._differs_from_all(args[0], [((args[1], 1),), ((args[1], -1),)])
-        else:
-            raise ValueError(f"unknown fact kind {fact.kind}")
-        if outcome is None:
-            self.failures[fact.id] = "algebra could not decide the statement"
-        elif not outcome:
-            self.failures[fact.id] = "statement is false in the realization"
-        return outcome
-
-    def verify_all(self) -> bool:
-        for fid, fact in self.facts.items():
-            self.status[fid] = self.verify_fact(fact)
-            self._verified_as[fid] = fact
-        return all(self.status[fid] for fid in self.facts)
+            return self._verify_equal(x + y, y + x)
+        if fact.kind == IDENTITY_EQ:
+            return self._verify_equal(*args)
+        if fact.kind == NON_IDENTITY:
+            return self._differs_from_all(args[0], [EMPTY])
+        if fact.kind == NOT_IN_SET:
+            return self._differs_from_all(args[0], [((args[1], 1),), ((args[1], -1),)])
+        raise ValueError(f"unknown fact kind {fact.kind}")
 
     def outcome(self, fid: str) -> Optional[bool]:
-        """The status of the fact now under ``fid``; None also when it was
-        never verified or was re-stated since."""
-        if self._verified_as.get(fid) != self.facts.get(fid):
-            return None
-        return self.status.get(fid)
+        """The outcome of ``verify_fact`` on the fact ``fid``, computed the
+        first time it is asked for."""
+        if fid not in self._outcomes:
+            self._outcomes[fid] = self.verify_fact(self.get(fid))
+        return self._outcomes[fid]
+
+    def verify_all(self) -> bool:
+        """Decide every fact, not only those up to the first that fails."""
+        return all([self.outcome(fid) for fid in self.facts])
 
     def get(self, fid: str) -> Fact:
         try:
@@ -215,26 +222,3 @@ def _parse_args(kind: str, raw):
         return tuple(tuple(map(letter_pair, side)) for side in raw)
     return tuple(raw)
 
-
-def required_commute_facts(word: Word, t_atom: str, cited: list[Fact]):
-    """Check the cited commutation facts cover every letter of ``word``.
-
-    The closure rule: a word commutes with t when each of its letters is t
-    itself or is tied to t by a cited commute fact.  Returns the list of
-    fact ids actually used (the parents of the derived fact), or None when
-    some letter is uncovered.
-    """
-    partner: dict[str, str] = {}  # letter -> id of the first fact tying it to t
-    for f in cited:
-        if f.kind == COMMUTE and t_atom in f.args:
-            x, y = f.args
-            partner.setdefault(y if x == t_atom else x, f.id)
-    used = []
-    for name, _ in word:
-        if name != t_atom:
-            fid = partner.get(name)
-            if fid is None:
-                return None
-            if fid not in used:
-                used.append(fid)
-    return used

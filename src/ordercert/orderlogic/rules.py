@@ -28,7 +28,7 @@ fact).  Case splitting lives in the derivation tree, not here.
 
 from __future__ import annotations
 
-from .facts import IDENTITY_EQ, NON_IDENTITY, NOT_IN_SET, Fact, required_commute_facts
+from .facts import COMMUTE, IDENTITY_EQ, NON_IDENTITY, NOT_IN_SET, Fact
 from .words import CONTRADICTION, EMPTY, Judgment, Less, Word, WordEq, atom_pow, t_pow, w_format, w_inv, w_mul, w_reduce
 
 
@@ -70,7 +70,13 @@ def _expect(premises, index, expected: Judgment, label: str):
 
 
 def _need_commute(word: Word, t: tuple[str, int], cited: list[Fact], label: str):
-    if required_commute_facts(word, t[0], cited) is None:
+    """The closure rule: a word commutes with t when each of its letters is t
+    itself or is tied to t by a cited commute fact."""
+    covered = {t[0]}
+    for f in cited:
+        if f.kind == COMMUTE and t[0] in f.args:
+            covered.update(f.args)
+    if any(name not in covered for name, _ in word):
         raise RuleError(f"commutation of {label} ({w_format(word)}) with {t[0]} is not covered by cited facts")
 
 

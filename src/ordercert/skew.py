@@ -182,41 +182,16 @@ def standard_generators() -> dict[str, SkewElement]:
     return dict(_STANDARD)
 
 
-@dataclass(frozen=True)
-class GeneratorWord:
-    """A freely reduced word in the generator letters a, b, c, d."""
-
-    letters: tuple[tuple[str, int], ...]
-
-    def __post_init__(self):
-        for sym, exp in self.letters:
-            if sym not in GENERATOR_NAMES:
-                raise ValueError(f"unknown letter {sym!r}")
-            if exp == 0:
-                raise ValueError("zero exponents are not allowed")
-        for (s1, _), (s2, _) in zip(self.letters, self.letters[1:]):
-            if s1 == s2:
-                raise ValueError("adjacent letters must differ (word not reduced)")
-
-    @classmethod
-    def parse(cls, text: str) -> "GeneratorWord":
-        return cls(tuple(parse_word(text, GENERATOR_NAMES)))
-
-    def to_element(self, gens: dict[str, SkewElement] | None = None) -> SkewElement:
-        return word_to_element(self, gens)
-
-
 def _letters(word):
     if isinstance(word, str):
-        word = GeneratorWord.parse(word)
-    return word.letters if isinstance(word, GeneratorWord) else word
+        return parse_word(word, GENERATOR_NAMES)
+    return word
 
 
 def word_to_element(word, gens: dict[str, SkewElement] | None = None) -> SkewElement:
     """Exact product of generator powers, applied left to right.
 
-    ``word`` may be a GeneratorWord, a word string, or an iterable of
-    (letter, exponent) pairs.
+    ``word`` may be a word string or an iterable of (letter, exponent) pairs.
     """
     letters = _letters(word)
     gens = gens or _STANDARD

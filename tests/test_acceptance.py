@@ -88,11 +88,10 @@ def test_theorem_certificate(tmp_path, capsys):
 def test_mutation_suite():
     total = 0
     for derivation, per_kind in ((script_lemma_gen(), 4), (script_theorem_main(), 5)):
-        derivation.table.verify_all()
         assert check_derivation(derivation).is_valid
         for label, mutant in generate_mutations(derivation, per_kind=per_kind):
-            first = check_derivation(mutant, derivation.table)
-            second = check_derivation(mutant, derivation.table)
+            first = check_derivation(mutant)
+            second = check_derivation(mutant)
             assert not first.is_valid, f"mutation survived: {label}"
             assert first == second and first.step_id, f"unstable report: {label}"
             total += 1

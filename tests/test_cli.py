@@ -6,7 +6,7 @@ import pytest
 
 from ordercert import certs, cli
 from ordercert.cli import main
-from ordercert.orderlogic import AtomTable, script_lemma_gen, script_theorem_main
+from ordercert.orderlogic import AtomTable, check_derivation, script_lemma_gen, script_theorem_main
 
 
 # SHA-256 of the `--no-timestamp` certificates written by `prove` and
@@ -372,6 +372,39 @@ def test_prove_with_a_false_fact_exits_1(tmp_path, capsys, monkeypatch):
     assert main(["prove", "--no-timestamp", "--out", str(out)]) == 1
     assert "facts failed verification: F5" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _count_decisions(monkeypatch):
+    """Record the id of each fact any table decides."""
+    decided = []
+    verify_fact = AtomTable.verify_fact
+    monkeypatch.setattr(AtomTable, "verify_fact",
+                        lambda table, fact: decided.append(fact.id) or verify_fact(table, fact))
+    return decided
+
+
+def test_prove_decides_each_fact_once(tmp_path, capsys, monkeypatch):
+    built = []
+
+    def build():
+        built.append(script_theorem_main())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "script_theorem_main", build)
+    decided = _count_decisions(monkeypatch)
+    assert main(["prove", "--no-timestamp", "--out", str(tmp_path / "thm.cert.json")]) == 0
+    # re-checking the same derivation decides nothing again
+    derivation, = built
+    assert derivation.table.verify_all() and check_derivation(derivation).is_valid
+    assert sorted(decided) == sorted(derivation.table.facts)
+
+
+def test_check_cert_decides_only_cited_facts(tmp_path, capsys, monkeypatch, theorem_cert):
+    decided = _count_decisions(monkeypatch)
+    assert _check_edited(tmp_path, theorem_cert, lambda payload: None) == 0
+    # no step of the theorem cites F7d or M7d
+    facts = [f["id"] for f in json.loads(theorem_cert)["payload"]["table"]["facts"]]
+    assert sorted(decided) == sorted(set(facts) - {"F7d", "M7d"})
 
 
 def test_eval(capsys):

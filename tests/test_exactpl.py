@@ -13,8 +13,6 @@ from ordercert.exactpl import (
     PLError,
     PLMap,
     format_rational,
-    make_cocycle,
-    make_plmap,
     rational,
 )
 from ordercert.skew import SkewElement, base_cocycle, base_plmap, generator, word_to_element
@@ -50,12 +48,12 @@ def test_interpolated_values():
 
 
 def test_identity_and_translation():
-    ident = make_plmap([(0, 0)])
+    ident = PLMap.from_points([(0, 0)])
     assert ident(F(7, 5)) == F(7, 5)
     assert ident.is_identity
     # a single breakpoint anywhere means a translation, pinned at x = 0
-    assert make_plmap([(F(1, 2), F(3, 4))]) == make_plmap([(0, F(1, 4))])
-    assert make_plmap([(F(1, 2), F(3, 4))]).translation_amount == F(1, 4)
+    assert PLMap.from_points([(F(1, 2), F(3, 4))]) == PLMap.from_points([(0, F(1, 4))])
+    assert PLMap.from_points([(F(1, 2), F(3, 4))]).translation_amount == F(1, 4)
 
 
 def test_extension_rules():
@@ -67,35 +65,35 @@ def test_extension_rules():
 
 
 def test_points_normalized_mod_one():
-    rebuilt = make_plmap([(F(4, 3), F(7, 6)), (F(2, 3), F(5, 6))])
+    rebuilt = PLMap.from_points([(F(4, 3), F(7, 6)), (F(2, 3), F(5, 6))])
     assert rebuilt == d0()
-    cocycle = make_cocycle([(F(3, 2), -3), (1, 3)])
+    cocycle = PLCocycle.from_points([(F(3, 2), -3), (1, 3)])
     assert cocycle == c0()
 
 
 def test_collinear_points_removed():
-    redundant = make_plmap([(F(1, 3), F(1, 6)), (F(1, 2), F(1, 2)), (F(2, 3), F(5, 6))])
+    redundant = PLMap.from_points([(F(1, 3), F(1, 6)), (F(1, 2), F(1, 2)), (F(2, 3), F(5, 6))])
     assert redundant == d0()
     assert redundant.breakpoints() == d0().breakpoints()
-    const = make_cocycle([(0, 5), (F(1, 3), 5), (F(2, 3), 5)])
+    const = PLCocycle.from_points([(0, 5), (F(1, 3), 5), (F(2, 3), 5)])
     assert const == PLCocycle.constant(5)
 
 
 def test_bad_inputs_rejected():
     with pytest.raises(PLError):
-        make_plmap([])
+        PLMap.from_points([])
     with pytest.raises(PLError):
-        make_plmap([(0, 0), (F(1, 2), F(-1, 4))])  # y not increasing
+        PLMap.from_points([(0, 0), (F(1, 2), F(-1, 4))])  # y not increasing
     with pytest.raises(PLError):
-        make_plmap([(0, 0), (F(1, 2), F(3, 2))])  # wrap segment would fall
+        PLMap.from_points([(0, 0), (F(1, 2), F(3, 2))])  # wrap segment would fall
     with pytest.raises(PLError):
-        make_plmap([(F(1, 3), 0), (F(4, 3), F(1, 2))])  # same x mod 1, clashing y
+        PLMap.from_points([(F(1, 3), 0), (F(4, 3), F(1, 2))])  # same x mod 1, clashing y
     with pytest.raises(PLError):
-        make_cocycle([(0, 1), (1, 2)])  # duplicate x mod 1 with different values
+        PLCocycle.from_points([(0, 1), (1, 2)])  # duplicate x mod 1 with different values
     with pytest.raises(PLError):
         rational(0.5)
     # consistent duplicates are fine
-    assert make_plmap([(F(1, 3), F(1, 6)), (F(4, 3), F(7, 6)), (F(2, 3), F(5, 6))]) == d0()
+    assert PLMap.from_points([(F(1, 3), F(1, 6)), (F(4, 3), F(7, 6)), (F(2, 3), F(5, 6))]) == d0()
 
 
 def test_compose_invert_values():
@@ -111,7 +109,7 @@ def test_compose_invert_values():
 
 def test_equality_is_canonical_not_syntactic():
     assert c0() != c0().negate()
-    assert make_cocycle([(0, 3), (F(1, 4), 0), (F(1, 2), -3)]) == c0()
+    assert PLCocycle.from_points([(0, 3), (F(1, 4), 0), (F(1, 2), -3)]) == c0()
     assert d0() != PLMap.identity()
 
 

@@ -33,7 +33,7 @@ from ordercert.orderlogic import (
     w_mul,
     w_reduce,
 )
-from ordercert.orderlogic.facts import IDENTITY_EQ, required_commute_facts
+from ordercert.orderlogic.facts import IDENTITY_EQ
 from ordercert.orderlogic.words import EMPTY, atom_pow, t_pow
 from ordercert.skew import word_to_element
 from ordercert.wordsyntax import reduce_letters
@@ -240,13 +240,17 @@ def test_contradiction_rules():
         apply_rule("eq_contra", {}, [WordEq(atom_pow("d", 1), EMPTY)], [N_C])
 
 
-def test_commute_closure_records_parents():
+def test_commute_closure_needs_every_letter_covered():
+    def invert(u, cited):
+        return apply_rule("invert", {"u": u, "t": B, "m": 1}, [Less(u, atom_pow("b", 1))], cited)
+
     word = w_mul(atom_pow("d", 1), atom_pow("a", 2), atom_pow("d", -1))
-    used = required_commute_facts(word, "b", [F1, F2, F3])
-    assert used == ["F3", "F1"]
-    assert required_commute_facts(word, "b", [F1]) is None
-    assert required_commute_facts(EMPTY, "b", []) == []
-    assert required_commute_facts(atom_pow("b", 5), "b", []) == []
+    assert invert(word, [F1, F2, F3]) == Less(atom_pow("b", -1), w_inv(word))
+    with pytest.raises(RuleError, match="not covered"):
+        invert(word, [F1])
+    # the empty word and powers of t itself need no fact
+    assert invert(EMPTY, []) == Less(atom_pow("b", -1), EMPTY)
+    assert invert(atom_pow("b", 5), []) == Less(atom_pow("b", -1), atom_pow("b", -5))
 
 
 # -- the rule-instance memo ---------------------------------------------------------
@@ -269,7 +273,7 @@ def test_memo_rejects_non_integer_params_equal_to_memoized_ones():
         # the memo already holds an instance whose parameters equal these
         assert any(key[0] == step.rule and dict(key[1]) == params for key in table.conclusions)
         mutant = _replace_step(derivation, path, index, params=params)
-        verdict = check_derivation(mutant, table)
+        verdict = check_derivation(mutant)
         assert (verdict.step_id, verdict.reason) == (step.id, "parameter 'm' must be an integer")
 
 
@@ -279,7 +283,7 @@ def test_memo_skips_unhashable_params():
         site for site in _step_sites(derivation) if site[2].params.get("m") == 1
     )
     mutant = _replace_step(derivation, path, index, params=dict(step.params, m=[1]))
-    verdict = check_derivation(mutant, derivation.table)
+    verdict = check_derivation(mutant)
     assert (verdict.step_id, verdict.reason) == (step.id, "parameter 'm' must be an integer")
     # a list-valued word is a valid parameter, applied without the memo
     memo = {}
@@ -465,40 +469,42 @@ def test_theorem_script_checks_valid():
     assert derivation.count_branches() == 31
 
 
+def _without_facts(derivation, *fids):
+    table = derivation.table
+    kept = [f for fid, f in table.facts.items() if fid not in fids]
+    return dataclasses.replace(derivation, table=AtomTable(table.atoms, kept))
+
+
 def test_theorem_needs_the_mirrored_facts():
-    derivation = script_theorem_main()
-    for fid in ("M2", "M3", "M4", "M5", "M6", "M7c"):
-        del derivation.table.facts[fid]
-    derivation.table.status.clear()
-    derivation.table.verify_all()
+    derivation = _without_facts(script_theorem_main(), "M2", "M3", "M4", "M5", "M6", "M7c")
     verdict = check_derivation(derivation)
     assert verdict.status == "unknown_facts"
     assert "M" in verdict.reason
 
 
 def test_theorem_needs_the_distinctness_fact():
-    derivation = script_theorem_main()
-    del derivation.table.facts["F8"]
-    derivation.table.status.clear()
-    derivation.table.verify_all()
+    derivation = _without_facts(script_theorem_main(), "F8")
     verdict = check_derivation(derivation)
     assert verdict.status == "unknown_facts"
     assert "F8" in verdict.reason
 
 
-def test_a_fact_replaced_after_verification_is_not_cited():
-    derivation = script_theorem_main()
-    table = derivation.table
+def test_atom_table_rejects_assignment():
+    table = theorem_atom_table()
     assert table.verify_all()
     product = table.facts["F6"].args[0]
-    table.facts["F6"] = identity_eq_fact("F6", product, atom_pow("b", -35))
-    assert table.outcome("F6") is None
-    verdict = check_derivation(derivation)
-    assert verdict.status == "unknown_facts"
-    assert "F6" in verdict.reason
-    # re-verifying the false statement records its failure
-    assert not table.verify_all()
-    assert "false" in check_derivation(derivation).reason
+    with pytest.raises(TypeError):
+        table.facts["F6"] = identity_eq_fact("F6", product, atom_pow("b", -35))
+    # rebinding an atom once left the verified outcomes in place
+    with pytest.raises(TypeError):
+        table.atoms["d"] = "d b"
+    with pytest.raises(TypeError):
+        del table.facts["F8"]
+    with pytest.raises(AttributeError):
+        table.atoms = {**table.atoms, "d": "d b"}
+    assert table.atoms["d"] == "d" and table.verify_all()
+    # a table bound to d b instead refutes F5
+    assert not AtomTable({**table.atoms, "d": "d b"}, table.facts.values()).outcome("F5")
 
 
 def test_atom_tables_verify():
@@ -597,9 +603,21 @@ def test_copied_derivations_keep_the_contradiction_marker():
     assert copy.deepcopy(CONTRADICTION) is CONTRADICTION
     assert pickle.loads(pickle.dumps(CONTRADICTION)) is CONTRADICTION
     derivation = script_lemma_gen()
-    derivation.table.verify_all()
-    assert check_derivation(copy.deepcopy(derivation), derivation.table).is_valid
+    assert check_derivation(copy.deepcopy(derivation)).is_valid
     assert check_derivation(pickle.loads(pickle.dumps(derivation))).is_valid
+
+
+def test_atom_table_copies_are_the_table():
+    derivation = script_theorem_main()
+    table = derivation.table
+    assert copy.copy(table) is table
+    assert copy.deepcopy(derivation).table is table
+    fresh = pickle.dumps(table)
+    assert table.verify_all()
+    assert pickle.dumps(table) == fresh  # no outcome or memo is pickled
+    clone = pickle.loads(fresh)
+    assert clone is not table and (clone.atoms, clone.facts) == (table.atoms, table.facts)
+    assert clone._outcomes == {} and clone.conclusions == {} and clone._plane_cache == {}
 
 
 def test_lemma_script_contains_the_expected_bounds():

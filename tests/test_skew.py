@@ -5,7 +5,6 @@ from fractions import Fraction as F
 import pytest
 
 from ordercert.skew import (
-    GeneratorWord,
     SkewElement,
     compute_epsilon,
     epsilon_offsets,
@@ -78,10 +77,6 @@ def test_words():
     assert word_to_element("") == SkewElement.identity()
     assert word_to_element("d^-1 c d").apply((F(5, 6), 0)) == (F(5, 6), -1)
     assert word_to_element("c^d") == C.conjugate(D)
-    with pytest.raises(ValueError):
-        GeneratorWord((("a", 0),))
-    with pytest.raises(ValueError):
-        GeneratorWord((("a", 1), ("a", 2)))
 
 
 def test_commutation():
@@ -199,13 +194,6 @@ def test_identity_operand_returns_the_other():
     assert SkewElement.identity().compose(D) is D
     assert D.compose(SkewElement.identity()) is D
     assert D.power(1) is D
-
-
-def test_word_and_generator_word_realize_alike():
-    rng = random.Random(211)
-    for _ in range(30):
-        letters = random_skew_word(rng)
-        assert GeneratorWord(tuple(letters)).to_element() == word_to_element(letters)
 
 
 def test_pickle_round_trip():
