@@ -25,8 +25,6 @@ from .plane import (
     verify_mirrored_relations,
 )
 from .skew import (
-    RelationFact,
-    RelationReport,
     SkewElement,
     compute_epsilon,
     generator,
@@ -39,7 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EqualityVerdict", "Letter", "PLCocycle", "PLError", "PLMap",
-    "PlaneWord", "Rational", "RelationFact", "RelationReport", "SkewElement",
+    "PlaneWord", "Rational", "SkewElement",
     "WitnessSearchConfig", "compute_epsilon", "equal_or_unknown", "format_rational",
     "generator", "h_generator", "plane_word",
     "rational", "standard_generators", "verify_mirrored_relations",

@@ -1,7 +1,9 @@
 """Certificate files: canonical JSON envelopes around checkable payloads.
 
-Two kinds exist: ``relation-report`` (the generator identity checks) and
-``derivation`` (a full inequality-calculus derivation plus its atom table).
+Two kinds exist: ``relation-report`` (the generator identity checks, whose
+payload ``cli`` builds from the rows of ``skew.verify_relations`` and
+``plane.verify_mirrored_relations``) and ``derivation`` (a full
+inequality-calculus derivation plus its atom table).
 
 Formatting is canonical -- sorted keys, no insignificant whitespace, UTF-8,
 rationals as lowest-term "p/q" strings -- so a certificate round-trips
@@ -26,7 +28,6 @@ from .orderlogic.derivation import (
 )
 from .orderlogic.facts import AtomTable
 from .orderlogic.words import CONTRADICTION, Less, WordEq, letter_pair
-from .skew import RelationReport
 
 CERT_VERSION = "1"
 TOOLCHAIN = "ordercert 0.1.0"
@@ -247,19 +248,3 @@ def parse_derivation(payload: dict) -> Derivation:
         raise CertificateError(f"malformed derivation payload: {exc!r}") from exc
     return Derivation(name, table, goal, root)
 
-
-# -- relation reports -------------------------------------------------------
-
-def serialize_relation_report(report: RelationReport, generators: dict | None = None) -> dict:
-    payload = {
-        "facts": [
-            {"id": fid, "description": desc, "holds": holds}
-            for fid, desc, holds in report.rows()
-        ],
-        "all_hold": report.all_hold,
-    }
-    if generators is not None:
-        payload["generators"] = {
-            name: element.serialize() for name, element in sorted(generators.items())
-        }
-    return payload

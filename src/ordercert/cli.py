@@ -60,34 +60,45 @@ def _write_cert(path, kind, payload, timestamp: bool) -> None:
     certs.write_certificate(path, certificate)
 
 
+def _exit_code(outcomes) -> int:
+    """0 when every outcome holds, 1 when any is false, 2 when some are
+    undecided and none is false."""
+    outcomes = set(outcomes)
+    if False in outcomes:
+        return EXIT_FALSE
+    return EXIT_UNKNOWN if None in outcomes else EXIT_OK
+
+
+_MARKS = {True: "ok  ", False: "FAIL", None: "unknown"}
+_TOTALS = {EXIT_OK: "all identities hold", EXIT_FALSE: "some identities FAIL",
+           EXIT_UNKNOWN: "some identities undecided"}
+
+
 def cmd_verify(args) -> int:
     try:
         gens = perturb_generators(args.perturb) if args.perturb else standard_generators()
     except WordSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    report = verify_relations(gens)
-    mirrored = verify_mirrored_relations(gens)
-    rows = report.rows() + mirrored.rows()
-    all_hold = report.all_hold and mirrored.all_hold
-    payload = certs.serialize_relation_report(report, generators=gens)
-    payload["facts"].extend(
-        {"id": fid, "description": desc, "holds": holds}
-        for fid, desc, holds in mirrored.rows()
-    )
-    payload["all_hold"] = all_hold
+    rows = verify_relations(gens) + verify_mirrored_relations(gens)
+    code = _exit_code(outcome for _, _, outcome in rows)
+    payload = {
+        "facts": [{"id": fid, "description": desc, "holds": holds} for fid, desc, holds in rows],
+        "all_hold": code == EXIT_OK,
+        "generators": {name: element.serialize() for name, element in sorted(gens.items())},
+    }
     if args.format == "json":
         print(certs.canonical_dumps(payload))
     else:
-        for fid, desc, holds in rows:
-            print(f"{fid:5s} {'ok  ' if holds else 'FAIL'} {desc}")
-        print(f"total: {'all identities hold' if all_hold else 'some identities FAIL'}")
+        for fid, desc, outcome in rows:
+            print(f"{fid:5s} {_MARKS[outcome]} {desc}")
+        print(f"total: {_TOTALS[code]}")
     try:
         _write_cert(args.out, "relation-report", payload, not args.no_timestamp)
     except OSError as exc:
         print(f"error: cannot write certificate: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    return EXIT_OK if all_hold else EXIT_FALSE
+    return code
 
 
 def cmd_epsilon(args) -> int:
@@ -122,9 +133,12 @@ def cmd_prove(args) -> int:
     derivation = script_theorem_main()
     table = derivation.table
     if not table.verify_all():
-        bad = sorted(fid for fid in table.facts if not table.outcome(fid))
-        print(f"facts failed verification: {', '.join(bad)}", file=sys.stderr)
-        return EXIT_FALSE if False in map(table.outcome, bad) else EXIT_UNKNOWN
+        outcomes = {fid: table.outcome(fid) for fid in sorted(table.facts)}
+        for label, value in (("refuted", False), ("undecided", None)):
+            ids = [fid for fid, outcome in outcomes.items() if outcome is value]
+            if ids:
+                print(f"{label}: {', '.join(ids)}", file=sys.stderr)
+        return _exit_code(outcomes.values())
     verdict = check_derivation(derivation)
     print(
         f"derivation '{derivation.name}': {verdict} "

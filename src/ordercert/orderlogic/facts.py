@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Optional
 
-from ..plane import DISTINCT, EQUAL, PLANE_GENERATOR_NAMES, PlaneWord, equal_or_unknown, plane_word
+from ..plane import PLANE_GENERATOR_NAMES, PlaneWord, decide_equal, plane_word
 from ..wordsyntax import parse_word
 from .words import EMPTY, Word, letter_pair, w_format, w_reduce
 
@@ -145,12 +145,7 @@ class AtomTable:
 
     def _verify_equal(self, lhs: Word, rhs: Word) -> Optional[bool]:
         """True/False when decided, None when the algebra cannot decide."""
-        verdict = equal_or_unknown(self.realize_plane(lhs), self.realize_plane(rhs))
-        if verdict.status == EQUAL:
-            return True
-        if verdict.status == DISTINCT:
-            return False
-        return None
+        return decide_equal(self.realize_plane(lhs), self.realize_plane(rhs))
 
     def _differs_from_all(self, atom: str, words: list) -> Optional[bool]:
         decided = [self._verify_equal(((atom, 1),), w) for w in words]

@@ -28,8 +28,6 @@ from typing import Iterable, Optional
 from .exactpl import PLCocycle, PLMap, rational
 from .skew import (
     GENERATOR_NAMES,
-    RelationFact,
-    RelationReport,
     SkewElement,
     reference_apply,
     standard_generators,
@@ -371,31 +369,36 @@ def equal_or_unknown(w1: PlaneWord, w2: PlaneWord,
     return EqualityVerdict(UNKNOWN)
 
 
+_OUTCOMES = {EQUAL: True, DISTINCT: False, UNKNOWN: None}
+
+
+def decide_equal(w1: PlaneWord, w2: PlaneWord) -> Optional[bool]:
+    """``equal_or_unknown`` on the default search as an outcome: True when
+    equal, False when distinct, None when undecided."""
+    return _OUTCOMES[equal_or_unknown(w1, w2).status]
+
+
 def verify_mirrored_relations(
     skew_gens: dict[str, SkewElement] | None = None,
-) -> RelationReport:
-    """Exact verification of the swapped copies of the defining identities.
-
-    Every check runs inside the horizontal-skew copy via plane-word algebra;
-    nothing is inferred from the vertical-side report by symmetry.
+) -> list[tuple[str, str, Optional[bool]]]:
+    """The swapped copies of the defining identities as ordered (id,
+    description, outcome) rows, checked inside the horizontal-skew copy by
+    plane-word algebra, never inferred from the vertical rows by symmetry.
+    ``decide_equal`` decides M1-M6, so an undecided one is None, not False;
+    M7ch, M7dh and M8 compare one-letter words, which is exact.
     """
     gens = _plane_generators(skew_gens) if skew_gens else _PLANE_GENERATORS
     a, b, ch, dh = gens["a"], gens["b"], gens["ch"], gens["dh"]
     b3 = b.power(3)
-    conj_ch = b3.invert().concat(ch).concat(b3)
-    conj_dh = b3.invert().concat(dh).concat(b3)
     eps_mirror = plane_word(epsilon_letters("b", "ch", "dh"), gens)
-    a_minus36 = a.power(-36)
-
-    facts = [
-        RelationFact("M1", "b a == a b", b.concat(a) == a.concat(b)),
-        RelationFact("M2", "a ch == ch a", a.concat(ch) == ch.concat(a)),
-        RelationFact("M3", "a dh == dh a", a.concat(dh) == dh.concat(a)),
-        RelationFact("M4", "ch^(b^3) == ch^-1", conj_ch == ch.invert()),
-        RelationFact("M5", "dh^(b^3) == dh^-1", conj_dh == dh.invert()),
-        RelationFact("M6", "ch^dh ch^(dh b) ... ch^(dh b^5) == a^-36", eps_mirror == a_minus36),
-        RelationFact("M7ch", "ch is non-identity", not ch.is_identity_word),
-        RelationFact("M7dh", "dh is non-identity", not dh.is_identity_word),
-        RelationFact("M8", "b is neither a nor a^-1", b != a and b != a.invert()),
+    return [
+        ("M1", "b a == a b", decide_equal(b.concat(a), a.concat(b))),
+        ("M2", "a ch == ch a", decide_equal(a.concat(ch), ch.concat(a))),
+        ("M3", "a dh == dh a", decide_equal(a.concat(dh), dh.concat(a))),
+        ("M4", "ch^(b^3) == ch^-1", decide_equal(b3.invert().concat(ch).concat(b3), ch.invert())),
+        ("M5", "dh^(b^3) == dh^-1", decide_equal(b3.invert().concat(dh).concat(b3), dh.invert())),
+        ("M6", "ch^dh ch^(dh b) ... ch^(dh b^5) == a^-36", decide_equal(eps_mirror, a.power(-36))),
+        ("M7ch", "ch is non-identity", not ch.is_identity_word),
+        ("M7dh", "dh is non-identity", not dh.is_identity_word),
+        ("M8", "b is neither a nor a^-1", b != a and b != a.invert()),
     ]
-    return RelationReport(facts)

@@ -15,11 +15,9 @@ Everything is exact and immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
 
 from .exactpl import PLCocycle, PLMap, Rational, rational
 from .wordsyntax import GREEK_ALIASES, WordSyntaxError, parse_word
@@ -238,36 +236,8 @@ def epsilon_offsets(gens: dict[str, SkewElement] | None = None) -> list[Rational
     return [g.apply((zero, zero))[1] for g in _epsilon_factors(gens or _STANDARD)]
 
 
-@dataclass(frozen=True)
-class RelationFact:
-    id: str
-    description: str
-    holds: bool
-
-
-class RelationReport:
-    """Named, ordered verification results; stable ids for certificates."""
-
-    def __init__(self, facts: Sequence[RelationFact]):
-        self.facts = tuple(facts)
-        self._by_id = {f.id: f for f in self.facts}
-
-    def __iter__(self):
-        return iter(self.facts)
-
-    def __getitem__(self, fact_id: str) -> RelationFact:
-        return self._by_id[fact_id]
-
-    @property
-    def all_hold(self) -> bool:
-        return all(f.holds for f in self.facts)
-
-    def rows(self) -> list[tuple[str, str, bool]]:
-        return [(f.id, f.description, f.holds) for f in self.facts]
-
-
-def verify_relations(gens: dict[str, SkewElement] | None = None) -> RelationReport:
-    """Exact check of the defining identities among a, b, c, d.
+def verify_relations(gens: dict[str, SkewElement] | None = None) -> list[tuple[str, str, bool]]:
+    """Exact (id, description, holds) rows for the identities among a, b, c, d.
 
     All facts hold for the standard generators; perturbed generator maps can
     be passed in to see which facts break.
@@ -283,23 +253,18 @@ def verify_relations(gens: dict[str, SkewElement] | None = None) -> RelationRepo
         for i in range(6)
         for j in range(i + 1, 6)
     )
-    facts = [
-        RelationFact("F1", "a b == b a", a.commutes(b)),
-        RelationFact("F2", "b c == c b", b.commutes(c)),
-        RelationFact("F3", "b d == d b", b.commutes(d)),
-        RelationFact("F4", "c^(a^3) == c^-1", c.conjugate(a3) == c.invert()),
-        RelationFact("F5", "d^(a^3) == d^-1", d.conjugate(a3) == d.invert()),
-        RelationFact("F6", "c^d c^(da) ... c^(da^5) == b^-36", eps == b.power(-36)),
-        RelationFact("F6a", "c^(da^6) == c^d", c.conjugate(d.compose(a.power(6))) == c.conjugate(d)),
-        RelationFact("F6b", "the six conjugates pairwise commute", pairwise),
-        RelationFact(
-            "F7",
-            "a, b, c, d are all non-identity",
-            all(not g.is_identity for g in (a, b, c, d)),
-        ),
-        RelationFact("F8", "a is neither b nor b^-1", a != b and a != b.invert()),
+    return [
+        ("F1", "a b == b a", a.commutes(b)),
+        ("F2", "b c == c b", b.commutes(c)),
+        ("F3", "b d == d b", b.commutes(d)),
+        ("F4", "c^(a^3) == c^-1", c.conjugate(a3) == c.invert()),
+        ("F5", "d^(a^3) == d^-1", d.conjugate(a3) == d.invert()),
+        ("F6", "c^d c^(da) ... c^(da^5) == b^-36", eps == b.power(-36)),
+        ("F6a", "c^(da^6) == c^d", c.conjugate(d.compose(a.power(6))) == c.conjugate(d)),
+        ("F6b", "the six conjugates pairwise commute", pairwise),
+        ("F7", "a, b, c, d are all non-identity", all(not g.is_identity for g in (a, b, c, d))),
+        ("F8", "a is neither b nor b^-1", a != b and a != b.invert()),
     ]
-    return RelationReport(facts)
 
 
 def perturb_generators(spec: str) -> dict[str, SkewElement]:

@@ -3,12 +3,12 @@ import json
 import pytest
 
 from ordercert import certs
+from ordercert.cli import main
 from ordercert.orderlogic import (
     check_derivation,
     script_lemma_gen,
     script_theorem_main,
 )
-from ordercert.skew import standard_generators, verify_relations
 
 
 def test_canonical_formatting():
@@ -81,9 +81,10 @@ def test_parse_errors(tmp_path):
         certs.parse_derivation({"root": {"steps": []}})
 
 
-def test_relation_report_payload_uses_lowest_term_strings():
-    gens = standard_generators()
-    payload = certs.serialize_relation_report(verify_relations(gens), generators=gens)
+def test_relation_report_payload_uses_lowest_term_strings(tmp_path, capsys):
+    assert main(["verify", "--format", "json", "--no-timestamp",
+                 "--out", str(tmp_path / "rel.cert.json")]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["all_hold"] is True
     a_map = payload["generators"]["a"]["x_part"]
     assert a_map == [["0", "1/6"]]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ordercert import certs, cli
+from ordercert import certs, cli, plane
 from ordercert.cli import main
 from ordercert.orderlogic import AtomTable, check_derivation, script_lemma_gen, script_theorem_main
 
@@ -60,7 +60,42 @@ def test_verify_perturbed_fails(tmp_path, capsys):
     assert "F5" in captured and "FAIL" in captured
     cert = certs.read_certificate(out)
     report = {f["id"]: f["holds"] for f in cert["payload"]["facts"]}
-    assert report["F3"] is True and report["F5"] is False
+    assert report["F3"] is True and report["F5"] is False and report["M5"] is False
+
+
+def test_verify_reports_an_undecided_identity_as_unknown(tmp_path, capsys):
+    out = tmp_path / "rel.cert.json"
+    code = main(["verify", "--perturb", "b:=b d", "--no-timestamp", "--out", str(out)])
+    lines = capsys.readouterr().out.splitlines()
+    assert "M5    unknown dh^(b^3) == dh^-1" in lines
+    outcomes = {f["id"]: f["holds"] for f in certs.read_certificate(out)["payload"]["facts"]}
+    assert outcomes["M5"] is None
+    assert [fid for fid, holds in outcomes.items() if holds is False] == [
+        "F1", "F2", "F6", "M1", "M4", "M6"]
+    assert code == 1
+
+
+def test_verify_exits_2_when_the_only_open_identity_is_undecided(tmp_path, capsys, monkeypatch):
+    decide_equal = plane.decide_equal
+    monkeypatch.setattr(plane, "decide_equal",
+                        lambda w1, w2: None if w2 == plane.plane_word("dh^-1") else decide_equal(w1, w2))
+    out = tmp_path / "rel.cert.json"
+    assert main(["verify", "--no-timestamp", "--out", str(out)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "ok  " not in line] == [
+        "M5    unknown dh^(b^3) == dh^-1", "total: some identities undecided"]
+    payload = certs.read_certificate(out)["payload"]
+    assert payload["all_hold"] is False
+    assert [f["id"] for f in payload["facts"] if f["holds"] is not True] == ["M5"]
+
+
+def test_verify_perturbed_mirror_fails(tmp_path, capsys):
+    out = tmp_path / "rel.cert.json"
+    assert main(["verify", "--perturb", "c:=c a", "--no-timestamp", "--out", str(out)]) == 1
+    outcomes = {f["id"]: f["holds"] for f in certs.read_certificate(out)["payload"]["facts"]}
+    assert [fid for fid, holds in outcomes.items() if holds is not True] == [
+        "F4", "F6", "F6b", "M4", "M6"]
+    assert "total: some identities FAIL" in capsys.readouterr().out
 
 
 def test_verify_bad_perturbation(tmp_path, capsys):
@@ -370,7 +405,17 @@ def test_prove_with_a_false_fact_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "script_theorem_main", perturbed)
     out = tmp_path / "thm.cert.json"
     assert main(["prove", "--no-timestamp", "--out", str(out)]) == 1
-    assert "facts failed verification: F5" in capsys.readouterr().err
+    assert capsys.readouterr().err == "refuted: F5\n"
+    assert not out.exists()
+
+
+def test_prove_with_an_undecided_fact_exits_2(tmp_path, capsys, monkeypatch):
+    verify_fact = AtomTable.verify_fact
+    monkeypatch.setattr(AtomTable, "verify_fact",
+                        lambda table, fact: None if fact.id == "F8" else verify_fact(table, fact))
+    out = tmp_path / "thm.cert.json"
+    assert main(["prove", "--no-timestamp", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "undecided: F8\n"
     assert not out.exists()
 
 

@@ -131,16 +131,16 @@ def test_breakpoints_stay_on_sixth_lattice():
 # -- relation report -------------------------------------------------------------
 
 def test_relations_all_hold():
-    report = verify_relations()
-    assert report.all_hold
-    assert [f.id for f in report][:6] == ["F1", "F2", "F3", "F4", "F5", "F6"]
+    rows = verify_relations()
+    assert all(holds is True for _, _, holds in rows)
+    assert [fid for fid, _, _ in rows][:6] == ["F1", "F2", "F3", "F4", "F5", "F6"]
 
 
 def test_perturbed_generator_breaks_the_right_facts():
-    report = verify_relations(perturb_generators("d:=d b"))
-    assert report["F3"].holds
-    assert not report["F5"].holds
-    assert not report.all_hold
+    outcomes = {fid: holds for fid, _, holds in verify_relations(perturb_generators("d:=d b"))}
+    assert outcomes["F3"] is True
+    assert outcomes["F5"] is False
+    assert not all(outcomes.values())
 
 
 def test_distinctness_witness():
