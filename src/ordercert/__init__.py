@@ -20,14 +20,12 @@ from .plane import (
     PlaneWord,
     WitnessSearchConfig,
     equal_or_unknown,
-    h_generator,
     plane_word,
     verify_mirrored_relations,
 )
 from .skew import (
     SkewElement,
     compute_epsilon,
-    generator,
     standard_generators,
     verify_relations,
     word_to_element,
@@ -39,7 +37,6 @@ __all__ = [
     "EqualityVerdict", "Letter", "PLCocycle", "PLError", "PLMap",
     "PlaneWord", "Rational", "SkewElement",
     "WitnessSearchConfig", "compute_epsilon", "equal_or_unknown", "format_rational",
-    "generator", "h_generator", "plane_word",
-    "rational", "standard_generators", "verify_mirrored_relations",
+    "plane_word", "rational", "standard_generators", "verify_mirrored_relations",
     "verify_relations", "word_to_element", "__version__",
 ]

@@ -27,7 +27,7 @@ from .orderlogic.derivation import (
     Step,
 )
 from .orderlogic.facts import AtomTable
-from .orderlogic.words import CONTRADICTION, Less, WordEq, letter_pair
+from .orderlogic.words import CONTRADICTION, Less, WordEq, letter_pair, strict_str
 
 CERT_VERSION = "1"
 TOOLCHAIN = "ordercert 0.1.0"
@@ -188,15 +188,21 @@ def _dump_node(node: Node):
     return out
 
 
+def _ids(raw, field: str) -> tuple[str, ...]:
+    return tuple(strict_str(item, field) for item in raw)
+
+
 def _load_node(raw) -> Node:
+    # an id, name or kind that is not a string raises ValueError, which
+    # parse_derivation reports
     try:
         steps = tuple(
             Step(
-                str(item["id"]),
-                str(item["rule"]),
+                strict_str(item["id"], "step id"),
+                strict_str(item["rule"], "rule"),
                 _load_params(item.get("params", {})),
-                tuple(str(p) for p in item.get("premises", ())),
-                tuple(str(f) for f in item.get("facts", ())),
+                _ids(item.get("premises", ()), "premise id"),
+                _ids(item.get("facts", ()), "fact id"),
                 _load_judgment(item["conclusion"]),
             )
             for item in raw["steps"]
@@ -206,20 +212,19 @@ def _load_node(raw) -> Node:
         if raw_split is not None:
             branches = tuple(
                 Branch(
-                    str(br["name"]),
-                    tuple(
-                        Hypothesis(str(h["id"]), _load_judgment(h["judgment"]))
-                        for h in br.get("hypotheses", ())
-                    ),
+                    strict_str(br["name"], "branch name"),
+                    tuple(Hypothesis(strict_str(h["id"], "hypothesis id"),
+                                     _load_judgment(h["judgment"]))
+                          for h in br.get("hypotheses", ())),
                     _load_node(br["node"]),
                     goal=_load_goal(br.get("goal")),
                 )
                 for br in raw_split["branches"]
             )
             split = Split(
-                str(raw_split["kind"]),
+                strict_str(raw_split["kind"], "split kind"),
                 _load_params(raw_split.get("params", {})),
-                tuple(str(p) for p in raw_split.get("premises", ())),
+                _ids(raw_split.get("premises", ()), "premise id"),
                 branches,
             )
     except (KeyError, TypeError) as exc:
@@ -239,7 +244,7 @@ def serialize_derivation(derivation: Derivation) -> dict:
 def parse_derivation(payload: dict) -> Derivation:
     try:
         table = AtomTable.deserialize(payload["table"])
-        name = str(payload.get("name", "derivation"))
+        name = strict_str(payload.get("name", "derivation"), "derivation name")
         goal = _load_goal(payload.get("goal"))
         root = _load_node(payload["root"])
     except CertificateError:

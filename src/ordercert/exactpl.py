@@ -94,21 +94,17 @@ def _prepare(points: Iterable[Pair], wrap_rise: int) -> list[Pair]:
 
 
 def _essential(pairs: Sequence[Pair], wrap_rise: int):
-    """Drop breakpoints that are linear interpolants of their cyclic neighbours.
-
-    ``pairs`` are sorted with distinct xs in [0, 1).  Returns the kept
-    ``(xs, ys, slopes)``, each slope that of the segment leaving its point.
-    """
-    slopes = [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(pairs, pairs[1:])]
-    (x0, y0), (x1, y1) = pairs[0], pairs[-1]
-    slopes.append((y0 + wrap_rise - y1) / (x0 + 1 - x1))
-    kept = [i for i in range(len(pairs)) if slopes[i - 1] != slopes[i]]
-    if not kept:
-        # every point collinear: a translation (maps) or a constant (cocycles)
-        x0, y0 = pairs[0]
-        return (Fraction(0),), (y0 - wrap_rise * x0,), (Fraction(wrap_rise),)
-    return (tuple(pairs[i][0] for i in kept), tuple(pairs[i][1] for i in kept),
-            tuple(slopes[i] for i in kept))
+    """Canonical ``(xs, ys, slopes)`` of ``pairs``, sorted with distinct xs in
+    [0, 1): each point goes to ``_canonical`` in reduced integer pairs, with
+    the slope of the segment to its cyclic successor."""
+    points = [(*x.as_integer_ratio(), *y.as_integer_ratio()) for x, y in pairs]
+    xn, xd, yn, yd = points[0]
+    ends = points[1:] + [(xn + xd, xd, yn + wrap_rise * yd, yd)]
+    # each run is positive, so the slope's pair takes the sign of its rise
+    return _canonical([(xn, xd, yn, yd, _reduced((vn * yd - yn * vd) * ud * xd,
+                                                  (un * xd - xn * ud) * vd * yd))
+                       for (xn, xd, yn, yd), (un, ud, vn, vd) in zip(points, ends)],
+                      wrap_rise)
 
 
 def _corners(f: "_PLBase") -> list[tuple[int, ...]]:
@@ -240,7 +236,23 @@ def _integer_table(xs, ys, slopes, rise: int):
     return tuple(xn * (d // xd) for xn, xd in xq), d, tuple(rows), c, rise * c
 
 
-class _PLBase:
+class Frozen:
+    """Base of immutable values: a subclass sets its attributes once, with
+    ``object.__setattr__``, and a copy of a value is the value itself."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+class _PLBase(Frozen):
     """Shared storage and evaluation for one-period PL data."""
 
     __slots__ = ("xs", "ys", "_slopes", "_table")
@@ -264,15 +276,6 @@ class _PLBase:
     def _one_corner(cls, value):
         """A translation (maps) or constant (cocycles), canonical as built."""
         return cls._make(_AT_ZERO, (rational(value),), _FLAT_SLOPE[cls._wrap_rise])
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
 
     def __reduce__(self):
         return (type(self), (self.breakpoints(),))

@@ -27,7 +27,6 @@ from .facts import (
 )
 from .rules import RuleError, apply_rule
 from .scripts import (
-    epsilon_product_word,
     lemma_atom_table,
     script_lemma_gen,
     script_theorem_main,
@@ -39,7 +38,7 @@ __all__ = [
     "AtomTable", "Branch", "CONTRADICTION", "CONTRADICTION_GOAL", "Derivation",
     "EMPTY", "Fact", "Hypothesis", "Less", "Node", "RuleError",
     "Split", "Step", "Verdict", "Word", "WordEq", "apply_rule", "atom_pow",
-    "check_derivation", "commute_fact", "epsilon_product_word", "identity_eq_fact",
+    "check_derivation", "commute_fact", "identity_eq_fact",
     "lemma_atom_table", "non_identity_fact", "not_in_set_fact", "script_lemma_gen",
     "script_theorem_main", "t_pow", "theorem_atom_table", "w_inv", "w_mul", "w_reduce",
 ]

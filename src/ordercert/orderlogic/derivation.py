@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .facts import AtomTable, UnknownFactError
-from .rules import RuleError, apply_rule
+from .rules import RuleError, apply_rule, read_base, read_int, read_word
 from .words import CONTRADICTION, Judgment, Less, Word, WordEq, t_pow
 
 CONTRADICTION_GOAL = "contradiction"
@@ -83,23 +83,21 @@ class Derivation:
     goal: Union[str, tuple]  # CONTRADICTION_GOAL or a tuple of judgments
     root: Node
 
-    def count_steps(self) -> int:
-        def walk(node: Node) -> int:
-            total = len(node.steps)
+    def _nodes(self):
+        """Every node of the tree, each before its branches' nodes."""
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            yield node
             if node.split:
-                for br in node.split.branches:
-                    total += walk(br.node)
-            return total
+                stack.extend(br.node for br in node.split.branches)
 
-        return walk(self.root)
+    def count_steps(self) -> int:
+        return sum(len(node.steps) for node in self._nodes())
 
     def count_branches(self) -> int:
-        def walk(node: Node) -> int:
-            if not node.split:
-                return 1
-            return sum(walk(br.node) for br in node.split.branches)
-
-        return walk(self.root)
+        """The leaves: nodes that end in no split."""
+        return sum(not node.split for node in self._nodes())
 
 
 VALID = "valid"
@@ -134,13 +132,12 @@ def _fail(step_id, reason):
 
 
 def _window_branches(v: Word, t, n1: int, n2: int):
-    """Canonical hypothesis sets of the integer-window split, in order."""
-    expected = []
+    """Canonical hypothesis sets of the integer-window split, in order, built
+    one at a time as they are compared."""
     for n0 in range(n1, n2):
-        expected.append((Less(t_pow(t, n0), v), Less(v, t_pow(t, n0 + 1))))
+        yield Less(t_pow(t, n0), v), Less(v, t_pow(t, n0 + 1))
     for n0 in range(n1 + 1, n2):
-        expected.append((WordEq(v, t_pow(t, n0)),))
-    return expected
+        yield (WordEq(v, t_pow(t, n0)),)
 
 
 def check_derivation(derivation: Derivation) -> Verdict:
@@ -231,13 +228,15 @@ def _check_node(node: Node, env: dict, goal, table: AtomTable, at_root: bool = F
         _check_node(branch.node, branch_env, branch_goal, table)
 
 
-def _check_cases(split: Split, what: str, expected):
-    """Each branch's hypotheses must be the canonical case at its position;
-    ``what`` names the split in the branch-count reason."""
+def _check_cases(split: Split, what: str, count: int, cases):
+    """The split must have ``count`` branches, each with the hypotheses of the
+    canonical case at its position; ``what`` names the split in the
+    branch-count reason.  The count is checked first, so ``cases`` may be
+    built lazily."""
     split_id = f"split:{split.kind}"
-    if len(split.branches) != len(expected):
-        _fail(split_id, f"{what} needs {len(expected)} branches, got {len(split.branches)}")
-    for branch, hyps in zip(split.branches, expected):
+    if len(split.branches) != count:
+        _fail(split_id, f"{what} needs {count} branches, got {len(split.branches)}")
+    for branch, hyps in zip(split.branches, cases):
         got = tuple(h.judgment for h in branch.hypotheses)
         if got != hyps:
             _fail(
@@ -249,28 +248,21 @@ def _check_cases(split: Split, what: str, expected):
 
 def _trichotomy_cases(split: Split):
     try:
-        w1 = tuple((s, int(e)) for s, e in split.params["w1"])
-        w2 = tuple((s, int(e)) for s, e in split.params["w2"])
-    except (KeyError, TypeError, ValueError):
-        _fail("split:trichotomy", "malformed trichotomy words")
-    return "trichotomy", ((Less(w1, w2),), (WordEq(w1, w2),), (Less(w2, w1),))
+        w1, w2 = read_word(split.params, "w1"), read_word(split.params, "w2")
+    except RuleError as exc:
+        _fail("split:trichotomy", str(exc))
+    return "trichotomy", 3, ((Less(w1, w2),), (WordEq(w1, w2),), (Less(w2, w1),))
 
 
 def _window_cases(split: Split, env: dict):
-    """Check the window's parameters and cited premises; return its name and
-    canonical cases."""
+    """Check the window's parameters and cited premises; return its name,
+    its number of cases and the cases."""
     split_id = "split:window"
     try:
-        v = tuple((s, int(e)) for s, e in split.params["v"])
-        name, sign = split.params["t"]
-        t = (str(name), int(sign))
-        n1, n2 = split.params["n1"], split.params["n2"]
-    except (KeyError, TypeError, ValueError):
-        _fail(split_id, "malformed window parameters")
-    if type(n1) is not int or type(n2) is not int:
-        _fail(split_id, "window bounds must be integers")
-    if sign not in (1, -1):
-        _fail(split_id, "base sign must be +1 or -1")
+        v, t = read_word(split.params, "v"), read_base(split.params)
+        n1, n2 = read_int(split.params, "n1"), read_int(split.params, "n2")
+    except RuleError as exc:
+        _fail(split_id, str(exc))
     if n1 >= n2:
         _fail(split_id, "window needs n1 < n2")
     required = (Less(t_pow(t, n1), v), Less(v, t_pow(t, n2)), Less((), t_pow(t, 1)))
@@ -281,7 +273,7 @@ def _window_cases(split: Split, env: dict):
             _fail(split_id, f"premise {pid!r} is not in scope")
         if env[pid] != expected:
             _fail(split_id, f"premise {pid!r} must be '{expected}' (got '{env[pid]}')")
-    return f"window over [{n1}, {n2}]", _window_branches(v, t, n1, n2)
+    return f"window over [{n1}, {n2}]", 2 * (n2 - n1) - 1, _window_branches(v, t, n1, n2)
 
 
 def _check_leaf(node: Node, env: dict, goal):

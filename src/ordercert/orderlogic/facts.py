@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Optional
 
+from ..exactpl import Frozen
 from ..plane import PLANE_GENERATOR_NAMES, PlaneWord, decide_equal, plane_word
 from ..wordsyntax import parse_word
-from .words import EMPTY, Word, letter_pair, w_format, w_reduce
+from .words import EMPTY, Word, letter_pair, strict_str, w_format, w_reduce
 
 COMMUTE = "commute"
 IDENTITY_EQ = "identity_eq"
@@ -76,7 +77,7 @@ def not_in_set_fact(fid, x, y):
     return Fact(fid, NOT_IN_SET, (x, y))
 
 
-class AtomTable:
+class AtomTable(Frozen):
     """Atoms bound to plane words plus the fact base grounded in them: a value.
 
     Built tables are well formed (else ``ValueError``): there is at least one
@@ -102,15 +103,6 @@ class AtomTable:
         object.__setattr__(self, "conclusions", {})
         object.__setattr__(self, "_outcomes", {})
         object.__setattr__(self, "_plane_cache", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AtomTable is immutable")
-
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
 
     def __reduce__(self):
         return (AtomTable, (dict(self.atoms), list(self.facts.values())))
@@ -208,7 +200,8 @@ class AtomTable:
         facts = []
         for item in data["facts"]:
             args = _parse_args(item["kind"], item["args"])
-            facts.append(Fact(item["id"], item["kind"], args, item.get("description", "")))
+            facts.append(Fact(strict_str(item["id"], "fact id"), item["kind"], args,
+                              strict_str(item.get("description", ""), "fact description")))
         return cls(atoms, facts)
 
 

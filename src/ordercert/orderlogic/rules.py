@@ -29,31 +29,34 @@ fact).  Case splitting lives in the derivation tree, not here.
 from __future__ import annotations
 
 from .facts import COMMUTE, IDENTITY_EQ, NON_IDENTITY, NOT_IN_SET, Fact
-from .words import CONTRADICTION, EMPTY, Judgment, Less, Word, WordEq, atom_pow, t_pow, w_format, w_inv, w_mul, w_reduce
+from .words import (CONTRADICTION, EMPTY, Judgment, Less, Word, WordEq, atom_pow, letter_pair,
+                    t_pow, w_format, w_inv, w_mul, w_reduce)
 
 
 class RuleError(ValueError):
     """A step is not a correct instance of its rule."""
 
 
-def _word(params, key) -> Word:
+def read_word(params, key) -> Word:
+    """The word parameter ``key``, its letters read by ``letter_pair``."""
     try:
-        return w_reduce(tuple((sym, int(exp)) for sym, exp in params[key]))
+        return w_reduce(tuple(map(letter_pair, params[key])))
     except (KeyError, TypeError, ValueError) as exc:
         raise RuleError(f"malformed word parameter {key!r}") from exc
 
 
-def _base(params) -> tuple[str, int]:
+def read_base(params) -> tuple[str, int]:
+    """The signed base parameter ``t`` = (atom, +1 or -1)."""
     try:
-        name, sign = params["t"]
+        name, sign = letter_pair(params["t"])
     except (KeyError, TypeError, ValueError) as exc:
         raise RuleError("malformed base parameter 't'") from exc
     if sign not in (1, -1):
         raise RuleError("base sign must be +1 or -1")
-    return (str(name), int(sign))
+    return name, sign
 
 
-def _int(params, key) -> int:
+def read_int(params, key) -> int:
     value = params.get(key)
     if not isinstance(value, int) or isinstance(value, bool):
         raise RuleError(f"parameter {key!r} must be an integer")
@@ -107,9 +110,9 @@ def _apply(rule, params, premises, cited) -> Judgment:
 
 
 def _rule_invert(params, premises, cited):
-    u = _word(params, "u")
-    t = _base(params)
-    m = _int(params, "m")
+    u = read_word(params, "u")
+    t = read_base(params)
+    m = read_int(params, "m")
     direction = params.get("direction", "lt")
     _need_commute(u, t, cited, "u")
     if direction == "lt":
@@ -122,11 +125,11 @@ def _rule_invert(params, premises, cited):
 
 
 def _rule_product(params, premises, cited):
-    u = _word(params, "u")
-    v = _word(params, "v")
-    t = _base(params)
-    m = _int(params, "m")
-    n = _int(params, "n")
+    u = read_word(params, "u")
+    v = read_word(params, "v")
+    t = read_base(params)
+    m = read_int(params, "m")
+    n = read_int(params, "n")
     direction = params.get("direction", "lt")
     _need_commute(u, t, cited, "u")
     _need_commute(v, t, cited, "v")
@@ -142,12 +145,12 @@ def _rule_product(params, premises, cited):
 
 
 def _rule_conjugate_window(params, premises, cited):
-    u = _word(params, "u")
-    v = _word(params, "v")
-    t = _base(params)
-    m = _int(params, "m")
-    n1 = _int(params, "n1")
-    n2 = _int(params, "n2")
+    u = read_word(params, "u")
+    v = read_word(params, "v")
+    t = read_base(params)
+    m = read_int(params, "m")
+    n1 = read_int(params, "n1")
+    n2 = read_int(params, "n2")
     part = params.get("part")
     if n1 >= n2:
         raise RuleError("conjugator window needs n1 < n2")
@@ -166,11 +169,11 @@ def _rule_conjugate_window(params, premises, cited):
 
 
 def _rule_flip_bound(params, premises, cited):
-    u = _word(params, "u")
-    v = _word(params, "v")
-    t = _base(params)
-    n1 = _int(params, "n1")
-    n2 = _int(params, "n2")
+    u = read_word(params, "u")
+    v = read_word(params, "v")
+    t = read_base(params)
+    n1 = read_int(params, "n1")
+    n2 = read_int(params, "n2")
     part = params.get("part")
     if n1 >= n2:
         raise RuleError("conjugator window needs n1 < n2")
@@ -211,7 +214,7 @@ def _rule_trans(_params, premises, _cited):
 
 
 def _rule_lmul(params, premises, _cited):
-    w = _word(params, "w")
+    w = read_word(params, "w")
     if len(premises) < 1 or not isinstance(premises[0], Less):
         raise RuleError("left multiplication needs one inequality premise")
     p = premises[0]
@@ -220,7 +223,7 @@ def _rule_lmul(params, premises, _cited):
 
 def _rule_subst(params, premises, cited):
     side = params.get("side")
-    pos = _int(params, "pos")
+    pos = read_int(params, "pos")
     direction = params.get("dir", "lr")
     if side not in ("lhs", "rhs"):
         raise RuleError("side must be 'lhs' or 'rhs'")

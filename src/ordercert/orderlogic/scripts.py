@@ -51,11 +51,6 @@ from .rules import apply_rule
 from .words import EMPTY, Less, Word, WordEq, atom_pow, t_pow, w_inv, w_mul
 
 
-def epsilon_product_word(a: str, c: str, d: str) -> Word:
-    """The formal word c^d c^(da) c^(da^2) ... c^(da^5), freely reduced."""
-    return tuple(epsilon_letters(a, c, d))
-
-
 class _LemmaLetters:
     """Letter assignment for one instantiation of the product-bound block.
 
@@ -74,7 +69,7 @@ class _LemmaLetters:
         self.eq_d = f"{prefix}5"
         self.epsilon = f"{prefix}6"
         self.nonid_c = f"{prefix}7c"
-        self.product = epsilon_product_word(a, c, d)
+        self.product = tuple(epsilon_letters(a, c, d))
 
     def facts(self) -> list[Fact]:
         p, a, b, c, d = self.prefix, self.a, self.b, self.c, self.d

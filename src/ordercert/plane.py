@@ -25,14 +25,14 @@ from itertools import chain
 from math import gcd
 from typing import Iterable, Optional
 
-from .exactpl import PLCocycle, PLMap, rational
+from .exactpl import Frozen, PLCocycle, PLMap, rational
 from .skew import (
     GENERATOR_NAMES,
     SkewElement,
     reference_apply,
     standard_generators,
 )
-from .wordsyntax import GREEK_ALIASES, epsilon_letters, parse_word
+from .wordsyntax import epsilon_letters, word_letters
 
 Point = tuple
 
@@ -129,7 +129,7 @@ def _push(stack: list[Letter], letter: Letter) -> None:
             return
 
 
-class PlaneWord:
+class PlaneWord(Frozen):
     """A simplified word of V and H letters; immutable."""
 
     __slots__ = ("letters",)
@@ -139,15 +139,6 @@ class PlaneWord:
         for letter in letters:
             _push(stack, letter)
         object.__setattr__(self, "letters", tuple(stack))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PlaneWord is immutable")
-
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
 
     def __reduce__(self):
         # re-simplifying an already simplified word leaves it unchanged
@@ -185,9 +176,6 @@ class PlaneWord:
         object.__setattr__(word, "letters", tuple(stack))
         return word
 
-    def __mul__(self, other: "PlaneWord") -> "PlaneWord":
-        return self.concat(other)
-
     def invert(self) -> "PlaneWord":
         return PlaneWord(tuple(l.invert() for l in reversed(self.letters)))
 
@@ -222,25 +210,11 @@ def _plane_generators(skew_gens) -> dict[str, PlaneWord]:
 _PLANE_GENERATORS = _plane_generators(standard_generators())
 
 
-def h_generator(symbol: str) -> PlaneWord:
-    """The six generators a, b, c, d, ch, dh as one-letter words."""
-    try:
-        return _PLANE_GENERATORS[GREEK_ALIASES.get(symbol, symbol)]
-    except KeyError:
-        raise ValueError(f"unknown generator {symbol!r}") from None
-
-
-def _plane_letters(text_or_letters):
-    if isinstance(text_or_letters, str):
-        return parse_word(text_or_letters, PLANE_GENERATOR_NAMES)
-    return text_or_letters
-
-
 def plane_word(text_or_letters, gens: dict[str, PlaneWord] | None = None) -> PlaneWord:
     """Build a word from a string ("a c^-1 ch^2") or (letter, exp) pairs."""
     gens = gens or _PLANE_GENERATORS
     result = PlaneWord.identity()
-    for sym, exp in _plane_letters(text_or_letters):
+    for sym, exp in word_letters(text_or_letters, PLANE_GENERATOR_NAMES):
         result = result.concat(gens[sym].power(exp))
     return result
 
@@ -251,7 +225,7 @@ def stepwise_apply_plane(text_or_letters, point: Point,
     ``skew.reference_apply``: the independent route to ``PlaneWord.apply``."""
     gens = gens or _PLANE_GENERATORS
     x, y = rational(point[0]), rational(point[1])
-    for sym, exp in _plane_letters(text_or_letters):
+    for sym, exp in word_letters(text_or_letters, PLANE_GENERATOR_NAMES):
         g = gens[sym] if exp > 0 else gens[sym].invert()
         for _ in range(abs(exp)):
             for letter in g.letters:
@@ -271,9 +245,6 @@ UNKNOWN = "unknown"
 class EqualityVerdict:
     status: str
     witness: Optional[Point] = None
-
-    def __bool__(self):
-        return self.status == EQUAL
 
 
 @dataclass(frozen=True)

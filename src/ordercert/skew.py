@@ -19,8 +19,8 @@ from functools import reduce
 from fractions import Fraction
 from math import gcd
 
-from .exactpl import PLCocycle, PLMap, Rational, rational
-from .wordsyntax import GREEK_ALIASES, WordSyntaxError, parse_word
+from .exactpl import Frozen, PLCocycle, PLMap, Rational, rational
+from .wordsyntax import GREEK_ALIASES, WordSyntaxError, word_letters
 
 Point = tuple
 
@@ -39,7 +39,7 @@ def base_plmap() -> PLMap:
     )
 
 
-class SkewElement:
+class SkewElement(Frozen):
     """An exact pair (x_part, shift) acting as (x, y) -> (x_part(x), y + shift(x)).
 
     Each vertical line x = t is carried onto the vertical line x = x_part(t)
@@ -52,15 +52,6 @@ class SkewElement:
     def __init__(self, x_part: PLMap, shift: PLCocycle):
         object.__setattr__(self, "x_part", x_part)
         object.__setattr__(self, "shift", shift)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SkewElement is immutable")
-
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
 
     def __reduce__(self):
         return (SkewElement, (self.x_part, self.shift))
@@ -167,23 +158,9 @@ _STANDARD = {
 }
 
 
-def generator(symbol: str) -> SkewElement:
-    """One of the four standard generators a, b, c, d (Greek aliases accepted)."""
-    try:
-        return _STANDARD[GREEK_ALIASES.get(symbol, symbol)]
-    except KeyError:
-        raise ValueError(f"unknown generator {symbol!r}") from None
-
-
 def standard_generators() -> dict[str, SkewElement]:
     """A fresh table over the shared generators; callers may reassign entries."""
     return dict(_STANDARD)
-
-
-def _letters(word):
-    if isinstance(word, str):
-        return parse_word(word, GENERATOR_NAMES)
-    return word
 
 
 def word_to_element(word, gens: dict[str, SkewElement] | None = None) -> SkewElement:
@@ -191,10 +168,9 @@ def word_to_element(word, gens: dict[str, SkewElement] | None = None) -> SkewEle
 
     ``word`` may be a word string or an iterable of (letter, exponent) pairs.
     """
-    letters = _letters(word)
     gens = gens or _STANDARD
     result = SkewElement.identity()
-    for sym, exp in letters:
+    for sym, exp in word_letters(word, GENERATOR_NAMES):
         result = result.compose(gens[sym].power(exp))
     return result
 
@@ -209,10 +185,9 @@ def stepwise_apply(word, point: Point, gens: dict[str, SkewElement] | None = Non
     """Apply a word one generator at a time through ``reference_apply``: the
     independent route, sharing neither the composed element nor the integer
     evaluator with ``word_to_element(word).apply``."""
-    letters = _letters(word)
     gens = gens or _STANDARD
     x, y = rational(point[0]), rational(point[1])
-    for sym, exp in letters:
+    for sym, exp in word_letters(word, GENERATOR_NAMES):
         g = gens[sym] if exp > 0 else gens[sym].invert()
         for _ in range(abs(exp)):
             x, y = reference_apply(g, x, y)

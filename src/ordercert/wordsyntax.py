@@ -105,6 +105,12 @@ def parse_word(text: str, alphabet) -> list[tuple[str, int]]:
     return reduce_letters(letters)
 
 
+def word_letters(word, alphabet):
+    """``word`` as (letter, exponent) pairs: a word string is parsed over
+    ``alphabet``; anything else is taken to be such pairs already."""
+    return parse_word(word, alphabet) if isinstance(word, str) else word
+
+
 def epsilon_letters(a: str, c: str, d: str) -> list[tuple[str, int]]:
     """The reduced product c^d c^(d a) ... c^(d a^5).
 

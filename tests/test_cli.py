@@ -3,6 +3,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordercert import certs, cli, plane
 from ordercert.cli import main
@@ -342,7 +344,7 @@ def test_check_cert_non_integer_base_fact_and_window(tmp_path, capsys, theorem_c
     assert _check_edited(tmp_path, theorem_cert, fact_exponent) == 3
     assert capsys.readouterr().err.startswith("error: malformed derivation payload")
     assert _check_edited(tmp_path, theorem_cert, window_bound) == 1
-    assert "window bounds must be integers" in capsys.readouterr().out
+    assert "parameter 'n1' must be an integer" in capsys.readouterr().out
     assert _check_edited(tmp_path, theorem_cert, lambda payload: None) == 0
 
 
@@ -386,6 +388,101 @@ def _forge_trichotomy_goals(payload):
 def test_check_cert_rejects_forged_statements(tmp_path, capsys, theorem_cert, forge, message):
     assert _check_edited(tmp_path, theorem_cert, forge) == 1
     assert message in capsys.readouterr().out
+
+
+def _trichotomy(w1, w2, tag, first):
+    """The split w1 ? w2 in canonical cases, hypotheses {tag}0..{tag}2, with
+    ``first`` as the node of the w1 < w2 case and bare leaves elsewhere."""
+    cases = [{"less": [w1, w2]}, {"eq": [w1, w2]}, {"less": [w2, w1]}]
+    branches = [{"name": f"{tag}{i}", "hypotheses": [{"id": f"{tag}{i}", "judgment": case}],
+                 "node": first if i == 0 else {"steps": [], "split": None}}
+                for i, case in enumerate(cases)]
+    return {"steps": [], "split": {"kind": "trichotomy", "premises": [],
+                                   "params": {"w1": w1, "w2": w2}, "branches": branches}}
+
+
+def test_check_cert_window_is_bounded_by_its_branches(tmp_path, capsys, theorem_cert):
+    # three trichotomies put b^-N < c, c < b^N and 1 < b in scope; a window
+    # over [-N, N] with one branch is then refused before its cases are built
+    n = 10**9
+    leaf = {"steps": [], "split": None}
+    window = {"steps": [], "split": {
+        "kind": "window", "premises": ["x0", "y0", "z0"],
+        "params": {"v": [["c", 1]], "t": ["b", 1], "n1": -n, "n2": n},
+        "branches": [{"name": "only", "hypotheses": [], "node": leaf}]}}
+    root = _trichotomy([["b", -n]], [["c", 1]], "x", _trichotomy(
+        [["c", 1]], [["b", n]], "y", _trichotomy([], [["b", 1]], "z", window)))
+
+    assert _check_edited(tmp_path, theorem_cert, lambda payload: payload.update(root=root)) == 1
+    assert capsys.readouterr().out == (
+        "derivation 'no-left-order': invalid at split:window: "
+        "window over [-1000000000, 1000000000] needs 3999999999 branches, got 1\n")
+
+
+def _first_step(payload):
+    return next(_steps(payload["root"]))
+
+
+def _first_branch(payload):
+    return payload["root"]["split"]["branches"][0]
+
+
+def _fact(payload, fid):
+    return next(f for f in payload["table"]["facts"] if f["id"] == fid)
+
+
+# Each of these edits used to be read through str(), or not checked at all,
+# and the edited certificate still printed "valid" or reached the checker.
+@pytest.mark.parametrize("edit, field", [
+    (lambda payload: _first_step(payload).update(id=7), "step id"),
+    (lambda payload: payload.update(name=12), "derivation name"),
+    (lambda payload: _first_branch(payload).update(name=None), "branch name"),
+    (lambda payload: _fact(payload, "F1").update(description=["a", "b"]), "fact description"),
+    (lambda payload: next(s for s in _steps(payload["root"]) if s["premises"])["premises"]
+     .__setitem__(0, 7), "premise id"),
+], ids=["step-id-integer", "name-integer", "branch-name-null", "description-list",
+        "premise-id-integer"])
+def test_check_cert_string_fields_are_strict(tmp_path, capsys, theorem_cert, edit, field):
+    assert _check_edited(tmp_path, theorem_cert, edit) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed derivation payload") and f"{field} must be a string" in err
+
+
+_FUZZ_VALUES = [None, True, False, 0, -1, 1.5, "", [], {}, 10**6, [["a", 1]],
+                {"less": [[], [["a", 1]]]}]
+
+
+def _paths(tree, path=()):
+    """The key path of every value in a JSON tree, in document order."""
+    for key in (tree.keys() if isinstance(tree, dict) else range(len(tree))):
+        yield path + (key,)
+        if isinstance(tree[key], (dict, list)):
+            yield from _paths(tree[key], path + (key,))
+
+
+@pytest.fixture(scope="module")
+def theorem_cert_paths(theorem_cert):
+    return list(_paths(json.loads(theorem_cert)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_check_cert_survives_single_edits(tmp_path_factory, theorem_cert, theorem_cert_paths,
+                                          data):
+    """One JSON-level edit of the shipped certificate -- a value replaced,
+    a key deleted or a list element dropped -- never raises out of check-cert."""
+    cert = json.loads(theorem_cert)
+    *route, key = data.draw(st.sampled_from(theorem_cert_paths))
+    container = cert
+    for step in route:
+        container = container[step]
+    if data.draw(st.booleans()):
+        container[key] = data.draw(st.sampled_from(_FUZZ_VALUES))
+    else:
+        del container[key]
+    path = tmp_path_factory.mktemp("fuzz") / "edited.cert.json"
+    path.write_text(json.dumps(cert))
+    assert main(["check-cert", str(path)]) in (0, 1, 2, 3)
 
 
 def test_check_cert_false_fact_is_invalid(tmp_path, capsys, theorem_cert):

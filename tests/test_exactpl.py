@@ -15,7 +15,7 @@ from ordercert.exactpl import (
     format_rational,
     rational,
 )
-from ordercert.skew import SkewElement, base_cocycle, base_plmap, generator, word_to_element
+from ordercert.skew import SkewElement, base_cocycle, base_plmap, word_to_element
 
 from util import random_cocycle, random_plmap, random_rational, random_skew_word
 
@@ -266,7 +266,7 @@ def assert_same(result, expected):
 
 
 def d_power(n):
-    return generator("d").power(n).x_part
+    return word_to_element("d").power(n).x_part
 
 
 CROSSING = PLMap.from_points([(0, F(5, 6)), (F(1, 2), F(7, 6))])  # ys cross 1
