@@ -27,7 +27,7 @@ from .orderlogic.derivation import (
     Step,
 )
 from .orderlogic.facts import AtomTable
-from .orderlogic.words import CONTRADICTION, Less, WordEq, letter_pair, strict_str
+from .orderlogic.words import CONTRADICTION, Less, WordEq, letter_pair, strict_list, strict_str
 
 CERT_VERSION = "1"
 TOOLCHAIN = "ordercert 0.1.0"
@@ -189,7 +189,7 @@ def _dump_node(node: Node):
 
 
 def _ids(raw, field: str) -> tuple[str, ...]:
-    return tuple(strict_str(item, field) for item in raw)
+    return tuple(strict_str(item, field) for item in strict_list(raw, f"{field}s"))
 
 
 def _load_node(raw) -> Node:
@@ -201,8 +201,8 @@ def _load_node(raw) -> Node:
                 strict_str(item["id"], "step id"),
                 strict_str(item["rule"], "rule"),
                 _load_params(item.get("params", {})),
-                _ids(item.get("premises", ()), "premise id"),
-                _ids(item.get("facts", ()), "fact id"),
+                _ids(item.get("premises", []), "premise id"),
+                _ids(item.get("facts", []), "fact id"),
                 _load_judgment(item["conclusion"]),
             )
             for item in raw["steps"]
@@ -224,7 +224,7 @@ def _load_node(raw) -> Node:
             split = Split(
                 strict_str(raw_split["kind"], "split kind"),
                 _load_params(raw_split.get("params", {})),
-                _ids(raw_split.get("premises", ()), "premise id"),
+                _ids(raw_split.get("premises", []), "premise id"),
                 branches,
             )
     except (KeyError, TypeError) as exc:

@@ -242,14 +242,65 @@ class Frozen:
 
     __slots__ = ()
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     def __copy__(self):
         return self
 
     def __deepcopy__(self, memo):
         return self
+
+
+class Record(Frozen):
+    """An immutable value made of named fields: its ``__slots__`` that do not
+    start with ``_``, in order; underscore slots are memos, neither compared
+    nor pickled.  ``_defaults`` holds the trailing fields' defaults.  Records
+    are equal when their classes are the same and their fields equal, so
+    ``Less(u, v) != WordEq(u, v)``."""
+
+    __slots__ = ()
+    _defaults = ()
+
+    def __init_subclass__(cls):
+        cls._fields = fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        # generated per class, as namedtuple does, to cost what hand-written code
+        # costs; slot names are identifiers, checked by Python, so this is safe
+        source = f"def _values(self): return ({''.join(f'self.{name}, ' for name in fields)})"
+        if "__init__" not in cls.__dict__:
+            source += (f"\ndef __init__(self, {', '.join(fields)}):"
+                       + "".join(f"\n _set(self, {name!r}, {name})" for name in fields))
+        namespace = {"_set": object.__setattr__, "__name__": cls.__module__}
+        exec(source, namespace)
+        cls._values = namespace["_values"]
+        if "__init__" in namespace:
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__defaults__ = cls._defaults
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return (type(self), self._values())
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed; an unknown field is a TypeError."""
+        values = {name: changes.pop(name, value) for name, value in zip(self._fields, self._values())}
+        if changes:
+            raise TypeError(f"{type(self).__name__} has no field {next(iter(changes))!r}")
+        return type(self)(**values)
 
 
 class _PLBase(Frozen):

@@ -28,60 +28,38 @@ or unknown ``unknown_facts``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
-
+from ..exactpl import Record
 from .facts import AtomTable, UnknownFactError
 from .rules import RuleError, apply_rule, read_base, read_int, read_word
-from .words import CONTRADICTION, Judgment, Less, Word, WordEq, t_pow
+from .words import CONTRADICTION, Less, Word, WordEq, t_pow
 
 CONTRADICTION_GOAL = "contradiction"
 
 
-@dataclass(frozen=True)
-class Step:
-    id: str
-    rule: str
-    params: dict
-    premises: tuple[str, ...]
-    facts: tuple[str, ...]
-    conclusion: Judgment
+class Step(Record):
+    __slots__ = ("id", "rule", "params", "premises", "facts", "conclusion")
 
 
-@dataclass(frozen=True)
-class Hypothesis:
-    id: str
-    judgment: Judgment
+class Hypothesis(Record):
+    __slots__ = ("id", "judgment")
 
 
-@dataclass(frozen=True)
-class Branch:
-    name: str
-    hypotheses: tuple[Hypothesis, ...]
-    node: "Node"
-    goal: Union[str, tuple, None] = None  # None inherits the enclosing goal
+class Branch(Record):
+    __slots__ = ("name", "hypotheses", "node", "goal")
+    _defaults = (None,)  # None inherits the enclosing goal
 
 
-@dataclass(frozen=True)
-class Split:
-    kind: str  # trichotomy | window | given
-    params: dict
-    premises: tuple[str, ...]
-    branches: tuple[Branch, ...]
+class Split(Record):
+    __slots__ = ("kind", "params", "premises", "branches")  # kind: trichotomy | window | given
 
 
-@dataclass(frozen=True)
-class Node:
-    steps: tuple[Step, ...] = ()
-    split: Optional[Split] = None
+class Node(Record):
+    __slots__ = ("steps", "split")
+    _defaults = ((), None)
 
 
-@dataclass(frozen=True)
-class Derivation:
-    name: str
-    table: AtomTable
-    goal: Union[str, tuple]  # CONTRADICTION_GOAL or a tuple of judgments
-    root: Node
+class Derivation(Record):
+    __slots__ = ("name", "table", "goal", "root")  # goal: CONTRADICTION_GOAL or judgments
 
     def _nodes(self):
         """Every node of the tree, each before its branches' nodes."""
@@ -105,11 +83,9 @@ INVALID = "invalid"
 UNKNOWN_FACTS = "unknown_facts"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str
-    step_id: str = ""
-    reason: str = ""
+class Verdict(Record):
+    __slots__ = ("status", "step_id", "reason")
+    _defaults = ("", "")
 
     @property
     def is_valid(self) -> bool:

@@ -9,14 +9,13 @@ it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Optional
 
-from ..exactpl import Frozen
+from ..exactpl import Frozen, Record
 from ..plane import PLANE_GENERATOR_NAMES, PlaneWord, decide_equal, plane_word
 from ..wordsyntax import parse_word
-from .words import EMPTY, Word, letter_pair, strict_str, w_format, w_reduce
+from .words import EMPTY, Word, letter_pair, strict_list, strict_str, w_format, w_reduce
 
 COMMUTE = "commute"
 IDENTITY_EQ = "identity_eq"
@@ -33,8 +32,7 @@ class UnknownFactError(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class Fact:
+class Fact(Record):
     """A citable statement about atoms, with a stable identifier.
 
     kinds and args:
@@ -44,10 +42,8 @@ class Fact:
       not_in_set:    args = (x, y)          -- x is neither y nor y^-1
     """
 
-    id: str
-    kind: str
-    args: tuple
-    description: str = ""
+    __slots__ = ("id", "kind", "args", "description")
+    _defaults = ("",)
 
     def __str__(self):
         if self.kind == COMMUTE:
@@ -207,6 +203,7 @@ class AtomTable(Frozen):
 
 def _parse_args(kind: str, raw):
     if kind == IDENTITY_EQ:
-        return tuple(tuple(map(letter_pair, side)) for side in raw)
-    return tuple(raw)
+        return tuple(tuple(map(letter_pair, strict_list(side, "fact args")))
+                     for side in strict_list(raw, "fact args"))
+    return tuple(strict_list(raw, "fact args"))
 

@@ -8,9 +8,9 @@ marker that closes a derivation branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
+from ..exactpl import Record
 from ..wordsyntax import format_word, reduce_letters
 
 Word = Tuple[Tuple[str, int], ...]
@@ -56,6 +56,14 @@ def strict_str(item, field: str) -> str:
     return item
 
 
+def strict_list(item, field: str):
+    """A JSON list (or a tuple, as serialized in process), not a string or
+    object, which iterating would read item by item.  Raises ValueError."""
+    if type(item) not in (list, tuple):
+        raise ValueError(f"{field} must be a list, got {item!r}")
+    return item
+
+
 def w_inv(word: Word) -> Word:
     return tuple((sym, -exp) for sym, exp in reversed(word))
 
@@ -74,23 +82,19 @@ def w_format(word: Word) -> str:
     return format_word(word) or "1"
 
 
-@dataclass(frozen=True)
-class Less:
+class Less(Record):
     """lhs < rhs in the assumed left-order."""
 
-    lhs: Word
-    rhs: Word
+    __slots__ = ("lhs", "rhs")
 
     def __str__(self):
         return f"{w_format(self.lhs)} < {w_format(self.rhs)}"
 
 
-@dataclass(frozen=True)
-class WordEq:
+class WordEq(Record):
     """Branch hypothesis lhs = rhs (middle case of a trichotomy)."""
 
-    lhs: Word
-    rhs: Word
+    __slots__ = ("lhs", "rhs")
 
     def __str__(self):
         return f"{w_format(self.lhs)} = {w_format(self.rhs)}"

@@ -19,13 +19,12 @@ anything else is honestly reported as unknown.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd
 from typing import Iterable, Optional
 
-from .exactpl import Frozen, PLCocycle, PLMap, rational
+from .exactpl import PLCocycle, PLMap, Record, rational
 from .skew import (
     GENERATOR_NAMES,
     SkewElement,
@@ -41,12 +40,10 @@ PLANE_GENERATOR_NAMES = ("a", "b", "c", "d", "ch", "dh")
 DEFAULT_SEED = 7302016
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(Record):
     """One word letter: kind "V" or "H" plus the underlying skew element."""
 
-    kind: str
-    elem: SkewElement
+    __slots__ = ("kind", "elem")
 
     def apply(self, point: Point) -> Point:
         return _apply_letters((self,), point)
@@ -129,8 +126,9 @@ def _push(stack: list[Letter], letter: Letter) -> None:
             return
 
 
-class PlaneWord(Frozen):
-    """A simplified word of V and H letters; immutable."""
+class PlaneWord(Record):
+    """A simplified word of V and H letters; immutable.  Pickling re-simplifies
+    ``letters``, which leaves a simplified word unchanged."""
 
     __slots__ = ("letters",)
 
@@ -139,18 +137,6 @@ class PlaneWord(Frozen):
         for letter in letters:
             _push(stack, letter)
         object.__setattr__(self, "letters", tuple(stack))
-
-    def __reduce__(self):
-        # re-simplifying an already simplified word leaves it unchanged
-        return (PlaneWord, (self.letters,))
-
-    def __eq__(self, other):
-        if not isinstance(other, PlaneWord):
-            return NotImplemented
-        return self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
 
     def __len__(self):
         return len(self.letters)
@@ -241,22 +227,17 @@ DISTINCT = "distinct"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class EqualityVerdict:
-    status: str
-    witness: Optional[Point] = None
+class EqualityVerdict(Record):
+    __slots__ = ("status", "witness")  # witness: the separating point when DISTINCT
+    _defaults = (None,)
 
 
-@dataclass(frozen=True)
-class WitnessSearchConfig:
+class WitnessSearchConfig(Record):
     """Seeded random points, then a deterministic grid, all tried before
     giving up; exact throughout.  ``equal_or_unknown`` says why in that order."""
 
-    max_denominator: int = 24
-    coord_bound: int = 2
-    random_count: int = 64
-    random_max_denominator: int = 1000
-    seed: Optional[int] = None
+    __slots__ = ("max_denominator", "coord_bound", "random_count", "random_max_denominator", "seed")
+    _defaults = (24, 2, 64, 1000, None)
 
 
 def _grid_points(config: WitnessSearchConfig):

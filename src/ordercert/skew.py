@@ -19,7 +19,7 @@ from functools import reduce
 from fractions import Fraction
 from math import gcd
 
-from .exactpl import Frozen, PLCocycle, PLMap, Rational, rational
+from .exactpl import PLCocycle, PLMap, Rational, Record, rational
 from .wordsyntax import GREEK_ALIASES, WordSyntaxError, word_letters
 
 Point = tuple
@@ -39,7 +39,7 @@ def base_plmap() -> PLMap:
     )
 
 
-class SkewElement(Frozen):
+class SkewElement(Record):
     """An exact pair (x_part, shift) acting as (x, y) -> (x_part(x), y + shift(x)).
 
     Each vertical line x = t is carried onto the vertical line x = x_part(t)
@@ -48,13 +48,6 @@ class SkewElement(Frozen):
     """
 
     __slots__ = ("x_part", "shift", "_inv")
-
-    def __init__(self, x_part: PLMap, shift: PLCocycle):
-        object.__setattr__(self, "x_part", x_part)
-        object.__setattr__(self, "shift", shift)
-
-    def __reduce__(self):
-        return (SkewElement, (self.x_part, self.shift))
 
     @staticmethod
     def identity() -> "SkewElement":
@@ -71,17 +64,6 @@ class SkewElement(Frozen):
 
     def translation_vector(self) -> Point:
         return (self.x_part.translation_amount, self.shift.constant_value)
-
-    def __eq__(self, other):
-        if not isinstance(other, SkewElement):
-            return NotImplemented
-        return self.x_part == other.x_part and self.shift == other.shift
-
-    def __hash__(self):
-        return hash((self.x_part, self.shift))
-
-    def __repr__(self):
-        return f"SkewElement(x_part={self.x_part!r}, shift={self.shift!r})"
 
     def apply(self, point: Point) -> Point:
         x = rational(point[0])

@@ -10,8 +10,6 @@ the verified atom table included, with the original.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from ordercert.orderlogic.derivation import Derivation, Node
 from ordercert.orderlogic.words import Less
 
@@ -32,13 +30,13 @@ def _with_node(node: Node, path, change) -> Node:
     index, rest = path[0], path[1:]
     branches = node.split.branches
     branch = branches[index]
-    branch = replace(branch, node=_with_node(branch.node, rest, change))
+    branch = branch._replace(node=_with_node(branch.node, rest, change))
     branches = branches[:index] + (branch,) + branches[index + 1:]
-    return replace(node, split=replace(node.split, branches=branches))
+    return node._replace(split=node.split._replace(branches=branches))
 
 
 def _mutant(derivation: Derivation, path, change) -> Derivation:
-    return replace(derivation, root=_with_node(derivation.root, path, change))
+    return derivation._replace(root=_with_node(derivation.root, path, change))
 
 
 def _step_sites(derivation: Derivation):
@@ -49,8 +47,8 @@ def _step_sites(derivation: Derivation):
 
 def _replace_step(derivation: Derivation, path, index, **changes) -> Derivation:
     def change(node: Node) -> Node:
-        step = replace(node.steps[index], **changes)
-        return replace(node, steps=node.steps[:index] + (step,) + node.steps[index + 1:])
+        step = node.steps[index]._replace(**changes)
+        return node._replace(steps=node.steps[:index] + (step,) + node.steps[index + 1:])
 
     return _mutant(derivation, path, change)
 
@@ -58,7 +56,7 @@ def _replace_step(derivation: Derivation, path, index, **changes) -> Derivation:
 def _drop_branch(derivation: Derivation, path, drop) -> Derivation:
     def change(node: Node) -> Node:
         branches = node.split.branches[:drop] + node.split.branches[drop + 1:]
-        return replace(node, split=replace(node.split, branches=branches))
+        return node._replace(split=node.split._replace(branches=branches))
 
     return _mutant(derivation, path, change)
 
@@ -67,11 +65,11 @@ def _flip_hypothesis(derivation: Derivation, path, bi, hi) -> Derivation:
     def change(node: Node) -> Node:
         branch = node.split.branches[bi]
         hyp = branch.hypotheses[hi]
-        flipped = replace(hyp, judgment=Less(hyp.judgment.rhs, hyp.judgment.lhs))
+        flipped = hyp._replace(judgment=Less(hyp.judgment.rhs, hyp.judgment.lhs))
         hypotheses = branch.hypotheses[:hi] + (flipped,) + branch.hypotheses[hi + 1:]
         branches = list(node.split.branches)
-        branches[bi] = replace(branch, hypotheses=hypotheses)
-        return replace(node, split=replace(node.split, branches=tuple(branches)))
+        branches[bi] = branch._replace(hypotheses=hypotheses)
+        return node._replace(split=node.split._replace(branches=tuple(branches)))
 
     return _mutant(derivation, path, change)
 

@@ -1,11 +1,15 @@
-import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ordercert
 from ordercert import certs, cli, plane
 from ordercert.cli import main
 from ordercert.orderlogic import AtomTable, check_derivation, script_lemma_gen, script_theorem_main
@@ -431,21 +435,28 @@ def _fact(payload, fid):
     return next(f for f in payload["table"]["facts"] if f["id"] == fid)
 
 
-# Each of these edits used to be read through str(), or not checked at all,
-# and the edited certificate still printed "valid" or reached the checker.
-@pytest.mark.parametrize("edit, field", [
-    (lambda payload: _first_step(payload).update(id=7), "step id"),
-    (lambda payload: payload.update(name=12), "derivation name"),
-    (lambda payload: _first_branch(payload).update(name=None), "branch name"),
-    (lambda payload: _fact(payload, "F1").update(description=["a", "b"]), "fact description"),
+# Each of these edits used to be read through str(), character by character,
+# or not checked at all, and the edited certificate still printed "valid" or
+# reached the checker.
+@pytest.mark.parametrize("edit, message", [
+    (lambda payload: _first_step(payload).update(id=7), "step id must be a string"),
+    (lambda payload: payload.update(name=12), "derivation name must be a string"),
+    (lambda payload: _first_branch(payload).update(name=None), "branch name must be a string"),
+    (lambda payload: _fact(payload, "F1").update(description=["a", "b"]),
+     "fact description must be a string"),
     (lambda payload: next(s for s in _steps(payload["root"]) if s["premises"])["premises"]
-     .__setitem__(0, 7), "premise id"),
+     .__setitem__(0, 7), "premise id must be a string"),
+    (lambda payload: next(s for s in _steps(payload["root"]) if s["facts"]).update(facts="F1"),
+     "fact ids must be a list"),
+    (lambda payload: next(s for s in _steps(payload["root"]) if s["premises"])
+     .update(premises="h0004"), "premise ids must be a list"),
+    (lambda payload: _fact(payload, "F1").update(args="ab"), "fact args must be a list"),
 ], ids=["step-id-integer", "name-integer", "branch-name-null", "description-list",
-        "premise-id-integer"])
-def test_check_cert_string_fields_are_strict(tmp_path, capsys, theorem_cert, edit, field):
+        "premise-id-integer", "facts-string", "premises-string", "args-string"])
+def test_check_cert_string_fields_are_strict(tmp_path, capsys, theorem_cert, edit, message):
     assert _check_edited(tmp_path, theorem_cert, edit) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: malformed derivation payload") and f"{field} must be a string" in err
+    assert err.startswith("error: malformed derivation payload") and message in err
 
 
 _FUZZ_VALUES = [None, True, False, 0, -1, 1.5, "", [], {}, 10**6, [["a", 1]],
@@ -497,7 +508,7 @@ def test_prove_with_a_false_fact_exits_1(tmp_path, capsys, monkeypatch):
     def perturbed():
         derivation = script_theorem_main()
         table = AtomTable({**derivation.table.atoms, "d": "d b"}, derivation.table.facts.values())
-        return dataclasses.replace(derivation, table=table)
+        return derivation._replace(table=table)
 
     monkeypatch.setattr(cli, "script_theorem_main", perturbed)
     out = tmp_path / "thm.cert.json"
@@ -586,3 +597,14 @@ def test_help_exits_zero(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: ordercert")
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    # dataclasses pulls in inspect, ast and dis, which the checker does not
+    # need; this process has them loaded already, so a fresh one is asked
+    src = str(Path(ordercert.__file__).resolve().parents[1])
+    code = ("import sys, ordercert.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.stdout == "[]\n"

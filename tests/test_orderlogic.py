@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import pickle
 
 import pytest
@@ -18,6 +17,7 @@ from ordercert.orderlogic import (
     RuleError,
     Split,
     Step,
+    Verdict,
     WordEq,
     apply_rule,
     check_derivation,
@@ -34,7 +34,9 @@ from ordercert.orderlogic import (
     w_reduce,
 )
 from ordercert.orderlogic.facts import IDENTITY_EQ
+from ordercert.exactpl import Record
 from ordercert.orderlogic.words import EMPTY, atom_pow, t_pow
+from ordercert.plane import WitnessSearchConfig, equal_or_unknown, plane_word
 from ordercert.skew import word_to_element
 from ordercert.wordsyntax import reduce_letters
 
@@ -472,7 +474,7 @@ def test_theorem_script_checks_valid():
 def _without_facts(derivation, *fids):
     table = derivation.table
     kept = [f for fid, f in table.facts.items() if fid not in fids]
-    return dataclasses.replace(derivation, table=AtomTable(table.atoms, kept))
+    return derivation._replace(table=AtomTable(table.atoms, kept))
 
 
 def test_theorem_needs_the_mirrored_facts():
@@ -519,9 +521,9 @@ def test_atom_tables_reject_malformed_input():
     with pytest.raises(ValueError, match="unknown atom"):
         AtomTable(atoms, [identity_eq_fact("X", atom_pow("q", 1), EMPTY)])
     with pytest.raises(ValueError, match="unknown kind"):
-        AtomTable(atoms, [dataclasses.replace(N_C, kind="weird")])
+        AtomTable(atoms, [N_C._replace(kind="weird")])
     with pytest.raises(ValueError, match="wrong arity"):
-        AtomTable(atoms, [dataclasses.replace(F1, args=("a",))])
+        AtomTable(atoms, [F1._replace(args=("a",))])
     with pytest.raises(ValueError, match="at least one atom"):
         AtomTable({}, [])
     with pytest.raises(ValueError):
@@ -565,7 +567,7 @@ def _swap(fact):
         args = tuple(tuple((sigma[s], e) for s, e in side) for side in fact.args)
     else:
         args = tuple(sigma[x] for x in fact.args)
-    return dataclasses.replace(fact, id="M" + fact.id[1:], args=args)
+    return fact._replace(id="M" + fact.id[1:], args=args)
 
 
 def test_theorem_table_mirrors_the_vertical_facts():
@@ -589,20 +591,72 @@ def test_theorem_table_mirrors_the_vertical_facts():
 def test_derivation_tree_is_frozen():
     derivation = script_lemma_gen()
     branch = derivation.root.split.branches[0]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="is immutable"):
         derivation.root = Node()
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="is immutable"):
         branch.node.steps = ()
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="is immutable"):
         branch.node.split.branches = ()
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="is immutable"):
         branch.hypotheses = ()
+    with pytest.raises(AttributeError, match="is immutable"):
+        branch.hypotheses[0].judgment.lhs = ()
+    with pytest.raises(AttributeError, match="is immutable"):
+        del branch.name
+
+
+def test_records_compare_by_class_and_fields():
+    u, v = atom_pow("a", 1), atom_pow("b", 1)
+    # _expect compares judgments, so a strict and an equal judgment on the
+    # same words must differ
+    assert Less(u, v) != WordEq(u, v) and Less(u, v) == Less(lhs=u, rhs=v)
+    assert hash(Less(u, v)) == hash(Less(lhs=u, rhs=v))
+    assert repr(Less(u, v)) == "Less(lhs=(('a', 1),), rhs=(('b', 1),))"
+    assert Less(u, v)._replace(rhs=u) == Less(u, u)
+    for build in (lambda: Less(u), lambda: Less(u, v, u), lambda: Less(u, v, side=u),
+                  lambda: Less(u, lhs=u), lambda: Less(u, v)._replace(side=u), lambda: Node((), None, ())):
+        with pytest.raises(TypeError):
+            build()
+    # trailing fields take their defaults
+    assert Node() == Node((), None) == Node(steps=(), split=None)
+    assert Branch("x", (), Node()).goal is None
+    assert Branch("x", (), Node(), goal=CONTRADICTION_GOAL).goal == CONTRADICTION_GOAL
+    assert Verdict("valid") == Verdict("valid", "", "")
+    assert WitnessSearchConfig(seed=3) == WitnessSearchConfig(24, 2, 64, 1000, 3)
+
+
+def test_every_record_pickles_to_an_equal_value():
+    derivation = script_lemma_gen()
+    branch = derivation.root.split.branches[0]
+    word = plane_word("c ch d")
+    element = word.letters[0].elem
+    element.invert()  # fills the _inv memo, which pickling leaves behind
+    records = [
+        derivation, derivation.root.split, branch, branch.hypotheses[0], branch.node,
+        next(node.steps[0] for node in derivation._nodes() if node.steps), Node(),
+        Verdict("invalid", "s0001", "why"), derivation.table.facts["F1"],
+        Less(EMPTY, atom_pow("b", 1)), WordEq(EMPTY, atom_pow("b", 1)),
+        word, word.letters[0], element, WitnessSearchConfig(seed=3),
+        equal_or_unknown(plane_word("c ch"), plane_word("ch c")),
+    ]
+    assert {type(r) for r in records} == set(Record.__subclasses__())
+    for record in records:
+        clone = pickle.loads(pickle.dumps(record))
+        if type(record) is Derivation:  # the table pickles to a copy, not to itself
+            clone = clone._replace(table=record.table)
+        assert type(clone) is type(record) and clone == record and repr(clone) == repr(record)
+        try:
+            assert hash(clone) == hash(record)
+        except TypeError:  # a dict field, such as Step.params
+            pass
+    assert not hasattr(pickle.loads(pickle.dumps(element)), "_inv")
 
 
 def test_copied_derivations_keep_the_contradiction_marker():
     assert copy.deepcopy(CONTRADICTION) is CONTRADICTION
     assert pickle.loads(pickle.dumps(CONTRADICTION)) is CONTRADICTION
     derivation = script_lemma_gen()
+    assert copy.deepcopy(derivation) is derivation
     assert check_derivation(copy.deepcopy(derivation)).is_valid
     assert check_derivation(pickle.loads(pickle.dumps(derivation))).is_valid
 
