@@ -1,15 +1,14 @@
 """Certificate files: canonical JSON envelopes around checkable payloads.
 
-Two kinds exist: ``relation-report`` (the generator identity checks, whose
-payload ``cli`` builds from the rows of ``skew.verify_relations`` and
-``plane.verify_mirrored_relations``) and ``derivation`` (a full
-inequality-calculus derivation plus its atom table).
-
-Formatting is canonical -- sorted keys, no insignificant whitespace, UTF-8,
-rationals as lowest-term "p/q" strings -- so a certificate round-trips
-byte-identically through parse and serialize, and independent tooling can
-diff or re-check the files.  Timestamps are the one non-reproducible field
-and can be omitted.
+Two kinds exist: ``relation-report`` (the rows of ``skew.verify_relations``
+and ``plane.verify_mirrored_relations`` plus the generators they were
+computed on) and ``derivation`` (an inequality-calculus derivation plus its
+atom table).  The records are the schema: ``_encode`` writes each record as
+an object keyed by its field names.  Formatting is canonical -- sorted keys,
+no insignificant whitespace, UTF-8, rationals as lowest-term "p/q" strings
+-- so a certificate round-trips byte-identically through parse and
+serialize.  Timestamps are the one non-reproducible field and can be
+omitted.  The reader is explicit and strict: a certificate is untrusted.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from __future__ import annotations
 import json
 from datetime import datetime, timezone
 
+from .exactpl import PLCocycle, PLMap, Record
 from .orderlogic.derivation import (
     CONTRADICTION_GOAL,
     Branch,
@@ -26,23 +26,46 @@ from .orderlogic.derivation import (
     Split,
     Step,
 )
-from .orderlogic.facts import AtomTable
-from .orderlogic.words import CONTRADICTION, Less, WordEq, letter_pair, strict_list, strict_str
+from .orderlogic.facts import IDENTITY_EQ, AtomTable, Fact
+from .orderlogic.words import CONTRADICTION, Less, WordEq, letter_pair
 
 CERT_VERSION = "1"
 TOOLCHAIN = "ordercert 0.1.0"
 
 KINDS = ("relation-report", "derivation")
 
+# the algebra tag every atom carries
+PLANE = "plane"
+
 
 class CertificateError(ValueError):
     """Raised when a certificate file cannot be parsed or is malformed."""
 
 
+def _encode(value):
+    """The JSON form of a value ``json`` cannot write itself."""
+    kind = type(value)
+    if kind is Less:
+        return {"less": [value.lhs, value.rhs]}
+    if kind is WordEq:
+        return {"eq": [value.lhs, value.rhs]}
+    if value is CONTRADICTION:
+        return {"contradiction": True}
+    if isinstance(value, Record):
+        return dict(zip(value._fields, value._values()))
+    if kind is AtomTable:
+        return {"atoms": {name: {"algebra": PLANE, "word": word}
+                          for name, word in value.atoms.items()},
+                "facts": list(value.facts.values())}
+    if kind is PLMap or kind is PLCocycle:
+        return value.to_pairs()
+    raise TypeError(f"cannot write {kind.__name__} to a certificate")
+
+
 def canonical_dumps(obj) -> str:
-    # payloads are trees the serializers build, never cyclic: skip the check
+    # records are trees -- a value never contains itself -- so skip the check
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False,
-                      check_circular=False)
+                      check_circular=False, default=_encode)
 
 
 def make_certificate(kind: str, payload: dict, timestamp: bool = True) -> dict:
@@ -75,9 +98,33 @@ def read_certificate(path) -> dict:
     for field in ("version", "kind", "payload"):
         if field not in cert:
             raise CertificateError(f"certificate lacks the {field!r} field")
+    if cert["version"] != CERT_VERSION:
+        raise CertificateError(f"unsupported certificate version {cert['version']!r}")
     if cert["kind"] not in KINDS:
         raise CertificateError(f"unknown certificate kind {cert['kind']!r}")
     return cert
+
+
+# -- strict fields ----------------------------------------------------------
+
+def strict_str(item, field: str) -> str:
+    """A string of untrusted data, strictly typed: not a number, null or
+    list, which str() would coerce.  Raises ValueError naming ``field``."""
+    if type(item) is not str:
+        raise ValueError(f"{field} must be a string, got {item!r}")
+    return item
+
+
+def strict_list(item, field: str) -> list:
+    """A JSON list, not a string or object, which iterating would read item
+    by item.  Raises ValueError naming ``field``."""
+    if type(item) is not list:
+        raise ValueError(f"{field} must be a list, got {item!r}")
+    return item
+
+
+def _ids(raw, field: str) -> tuple[str, ...]:
+    return tuple(strict_str(item, field) for item in strict_list(raw, f"{field}s"))
 
 
 # -- words and judgments ----------------------------------------------------
@@ -89,20 +136,10 @@ def _load_word(raw):
         raise CertificateError(f"malformed word {raw!r}: {exc}") from exc
 
 
-def _dump_judgment(judgment):
-    if judgment is CONTRADICTION:
-        return {"contradiction": True}
-    if isinstance(judgment, Less):
-        return {"less": [judgment.lhs, judgment.rhs]}
-    if isinstance(judgment, WordEq):
-        return {"eq": [judgment.lhs, judgment.rhs]}
-    raise CertificateError(f"unknown judgment {judgment!r}")
-
-
 def _load_judgment(raw):
     if not isinstance(raw, dict):
         raise CertificateError(f"malformed judgment {raw!r}")
-    if raw.get("contradiction"):
+    if raw.get("contradiction") is True:
         return CONTRADICTION
     if "less" in raw:
         lhs, rhs = raw["less"]
@@ -131,14 +168,6 @@ def _load_params(raw: dict):
     return params
 
 
-def _dump_goal(goal):
-    if goal is None:
-        return None
-    if goal == CONTRADICTION_GOAL:
-        return CONTRADICTION_GOAL
-    return [_dump_judgment(j) for j in goal]
-
-
 def _load_goal(raw):
     if raw is None:
         return None
@@ -149,48 +178,29 @@ def _load_goal(raw):
     raise CertificateError(f"malformed goal {raw!r}")
 
 
+# -- atom tables ------------------------------------------------------------
+
+def _load_args(kind, raw):
+    if kind == IDENTITY_EQ:
+        return tuple(tuple(map(letter_pair, strict_list(side, "fact args")))
+                     for side in strict_list(raw, "fact args"))
+    return tuple(strict_list(raw, "fact args"))
+
+
+def _load_table(raw) -> AtomTable:
+    atoms = {}
+    for name, spec in raw["atoms"].items():
+        if spec["algebra"] != PLANE:
+            raise ValueError(f"atom {name!r}: algebra must be {PLANE!r}")
+        atoms[name] = spec["word"]
+    facts = [Fact(strict_str(item["id"], "fact id"), item["kind"],
+                  _load_args(item["kind"], item["args"]),
+                  strict_str(item.get("description", ""), "fact description"))
+             for item in raw["facts"]]
+    return AtomTable(atoms, facts)
+
+
 # -- derivations ------------------------------------------------------------
-
-def _dump_node(node: Node):
-    out = {
-        "steps": [
-            {
-                "id": step.id,
-                "rule": step.rule,
-                "params": dict(step.params),
-                "premises": list(step.premises),
-                "facts": list(step.facts),
-                "conclusion": _dump_judgment(step.conclusion),
-            }
-            for step in node.steps
-        ]
-    }
-    if node.split is None:
-        out["split"] = None
-    else:
-        out["split"] = {
-            "kind": node.split.kind,
-            "params": dict(node.split.params),
-            "premises": list(node.split.premises),
-            "branches": [
-                {
-                    "name": br.name,
-                    "hypotheses": [
-                        {"id": h.id, "judgment": _dump_judgment(h.judgment)}
-                        for h in br.hypotheses
-                    ],
-                    "goal": _dump_goal(br.goal),
-                    "node": _dump_node(br.node),
-                }
-                for br in node.split.branches
-            ],
-        }
-    return out
-
-
-def _ids(raw, field: str) -> tuple[str, ...]:
-    return tuple(strict_str(item, field) for item in strict_list(raw, f"{field}s"))
-
 
 def _load_node(raw) -> Node:
     # an id, name or kind that is not a string raises ValueError, which
@@ -233,17 +243,12 @@ def _load_node(raw) -> Node:
 
 
 def serialize_derivation(derivation: Derivation) -> dict:
-    return {
-        "name": derivation.name,
-        "table": derivation.table.serialize(),
-        "goal": _dump_goal(derivation.goal),
-        "root": _dump_node(derivation.root),
-    }
+    return _encode(derivation)
 
 
 def parse_derivation(payload: dict) -> Derivation:
     try:
-        table = AtomTable.deserialize(payload["table"])
+        table = _load_table(payload["table"])
         name = strict_str(payload.get("name", "derivation"), "derivation name")
         goal = _load_goal(payload.get("goal"))
         root = _load_node(payload["root"])
@@ -252,4 +257,3 @@ def parse_derivation(payload: dict) -> Derivation:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CertificateError(f"malformed derivation payload: {exc!r}") from exc
     return Derivation(name, table, goal, root)
-

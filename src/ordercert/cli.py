@@ -85,7 +85,7 @@ def cmd_verify(args) -> int:
     payload = {
         "facts": [{"id": fid, "description": desc, "holds": holds} for fid, desc, holds in rows],
         "all_hold": code == EXIT_OK,
-        "generators": {name: element.serialize() for name, element in sorted(gens.items())},
+        "generators": gens,
     }
     if args.format == "json":
         print(certs.canonical_dumps(payload))

@@ -15,7 +15,7 @@ from typing import Optional
 from ..exactpl import Frozen, Record
 from ..plane import PLANE_GENERATOR_NAMES, PlaneWord, decide_equal, plane_word
 from ..wordsyntax import parse_word
-from .words import EMPTY, Word, letter_pair, strict_list, strict_str, w_format, w_reduce
+from .words import EMPTY, Word, w_format, w_reduce
 
 COMMUTE = "commute"
 IDENTITY_EQ = "identity_eq"
@@ -23,9 +23,6 @@ NON_IDENTITY = "non_identity"
 NOT_IN_SET = "not_in_set"
 
 ARITY = {COMMUTE: 2, IDENTITY_EQ: 2, NON_IDENTITY: 1, NOT_IN_SET: 2}
-
-# the algebra tag every serialized atom carries
-PLANE = "plane"
 
 
 class UnknownFactError(KeyError):
@@ -169,41 +166,3 @@ class AtomTable(Frozen):
             return self.facts[fid]
         except KeyError:
             raise UnknownFactError(fid) from None
-
-    # -- serialization ----------------------------------------------------
-
-    def serialize(self) -> dict:
-        return {
-            "atoms": {name: {"algebra": PLANE, "word": word} for name, word in self.atoms.items()},
-            "facts": [
-                {
-                    "id": f.id,
-                    "kind": f.kind,
-                    "args": f.args,
-                    "description": f.description,
-                }
-                for f in self.facts.values()
-            ],
-        }
-
-    @classmethod
-    def deserialize(cls, data: dict) -> "AtomTable":
-        atoms = {}
-        for name, spec in data["atoms"].items():
-            if spec["algebra"] != PLANE:
-                raise ValueError(f"atom {name!r}: algebra must be {PLANE!r}")
-            atoms[name] = spec["word"]
-        facts = []
-        for item in data["facts"]:
-            args = _parse_args(item["kind"], item["args"])
-            facts.append(Fact(strict_str(item["id"], "fact id"), item["kind"], args,
-                              strict_str(item.get("description", ""), "fact description")))
-        return cls(atoms, facts)
-
-
-def _parse_args(kind: str, raw):
-    if kind == IDENTITY_EQ:
-        return tuple(tuple(map(letter_pair, strict_list(side, "fact args")))
-                     for side in strict_list(raw, "fact args"))
-    return tuple(strict_list(raw, "fact args"))
-

@@ -47,23 +47,6 @@ def letter_pair(item) -> tuple[str, int]:
     return sym, exp
 
 
-def strict_str(item, field: str) -> str:
-    """A string of untrusted data such as JSON, strictly typed: not a number,
-    null or list, which str() would coerce.  Raises ValueError naming
-    ``field``."""
-    if type(item) is not str:
-        raise ValueError(f"{field} must be a string, got {item!r}")
-    return item
-
-
-def strict_list(item, field: str):
-    """A JSON list (or a tuple, as serialized in process), not a string or
-    object, which iterating would read item by item.  Raises ValueError."""
-    if type(item) not in (list, tuple):
-        raise ValueError(f"{field} must be a list, got {item!r}")
-    return item
-
-
 def w_inv(word: Word) -> Word:
     return tuple((sym, -exp) for sym, exp in reversed(word))
 

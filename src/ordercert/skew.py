@@ -124,9 +124,6 @@ class SkewElement(Record):
         """x-coordinates (mod 1) where the map fails to be differentiable."""
         return self.x_part.breakpoint_xs() | self.shift.breakpoint_xs()
 
-    def serialize(self) -> dict:
-        return {"x_part": self.x_part.to_pairs(), "shift": self.shift.to_pairs()}
-
 
 _IDENTITY = SkewElement(PLMap.identity(), PLCocycle.zero())
 

@@ -9,6 +9,7 @@ from ordercert.orderlogic import (
     script_lemma_gen,
     script_theorem_main,
 )
+from ordercert.skew import word_to_element
 
 
 def test_canonical_formatting():
@@ -77,8 +78,25 @@ def test_parse_errors(tmp_path):
     with pytest.raises(certs.CertificateError):
         certs.read_certificate(bad_kind)
 
+    # each of these used to be read as version 1
+    for version in (b'"2"', b'"99"', b"null", b"1"):
+        bad_version = tmp_path / "version.json"
+        bad_version.write_bytes(b'{"version":' + version + b',"kind":"derivation","payload":{}}')
+        with pytest.raises(certs.CertificateError, match="unsupported certificate version"):
+            certs.read_certificate(bad_version)
+
     with pytest.raises(certs.CertificateError):
         certs.parse_derivation({"root": {"steps": []}})
+
+
+def test_encoder_writes_record_fields_and_refuses_other_values():
+    with pytest.raises(TypeError, match="cannot write object"):
+        certs.canonical_dumps({"x": object()})
+    element = word_to_element("c d")
+    assert element.invert().invert() == element
+    assert element._inv is not None  # a memo slot, never written
+    assert certs.canonical_dumps(element) == certs.canonical_dumps(
+        {"shift": element.shift.to_pairs(), "x_part": element.x_part.to_pairs()})
 
 
 def test_relation_report_payload_uses_lowest_term_strings(tmp_path, capsys):

@@ -459,6 +459,20 @@ def test_check_cert_string_fields_are_strict(tmp_path, capsys, theorem_cert, edi
     assert err.startswith("error: malformed derivation payload") and message in err
 
 
+# Each value is truthy, and a certificate whose closing steps all carried it
+# used to check as "valid".
+@pytest.mark.parametrize("value", [1, "yes", [0]], ids=repr)
+def test_check_cert_contradiction_marker_is_strict(tmp_path, capsys, theorem_cert, value):
+    def edit(payload):
+        closing = [s for s in _steps(payload["root"]) if "contradiction" in s["conclusion"]]
+        assert closing
+        for step in closing:
+            step["conclusion"]["contradiction"] = value
+
+    assert _check_edited(tmp_path, theorem_cert, edit) == 3
+    assert "unknown judgment" in capsys.readouterr().err
+
+
 _FUZZ_VALUES = [None, True, False, 0, -1, 1.5, "", [], {}, 10**6, [["a", 1]],
                 {"less": [[], [["a", 1]]]}]
 
