@@ -7,21 +7,20 @@ Two families cover everything this package needs:
 * ``PLCocycle`` -- continuous PL functions p with p(x+1) = p(x), likewise
   stored on [0, 1).
 
-All coordinates are ``fractions.Fraction``; there is no floating point
-anywhere.  Both classes keep a unique canonical breakpoint list (collinear
-points removed, translations/constants pinned at x = 0), so ``==`` decides
-equality of the represented functions.
+Each is stored as its ``corners``, one ``(xn, xd, yn, yd, sn, sd)`` per
+breakpoint: the point (xn/xd, yn/yd) and the slope sn/sd leaving it, each pair
+reduced with a positive denominator, the xs increasing strictly in [0, 1).  A
+corner is kept only where the slope changes, and a translation or constant is
+one corner at x = 0, so ``==`` on corners decides equality of the functions.
 
 ``compose``, ``pullback`` and ``add`` are one merge walk over the two
-operands' sorted corner lists, in reduced ``int`` pairs: each segment of the
-result carries the product (or sum) of the two slopes over it, a point is kept
-only where that slope changes, and a ``Fraction`` is built only for what is
-kept.  A composite's value at a preimage of an outer corner is that corner's
-stored value; elsewhere a value is read off the current segment.
-
-Point evaluation for callers (``__call__``, ``_eval``) runs on ``int`` pairs
-through an integer affine table built on first use.  ``_at`` evaluates in
-``Fraction`` arithmetic and is kept only as the independent reference.
+operands' corners: each segment of the result carries the product (or sum) of
+the two slopes over it.  A composite's value at a preimage of an outer corner
+is that corner's stored value; elsewhere it is read off the current segment.
+These, ``invert`` and ``negate`` read and write ``int`` pairs only; ``xs`` and
+``ys`` are ``Fraction`` views built on first read for callers.  Point
+evaluation (``__call__``, ``_eval``) runs on an integer affine table built on
+first use; ``_at`` evaluates in ``Fraction`` arithmetic, as the reference.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ from typing import Iterable, Sequence, Tuple
 
 Rational = Fraction
 Pair = Tuple[Rational, Rational]
-# x and slope of a one-corner function by rise; shared, as Fractions are immutable
-_AT_ZERO, _FLAT_SLOPE = (Fraction(0),), {0: (Fraction(0),), 1: (Fraction(1),)}
 
 
 class PLError(ValueError):
@@ -57,9 +54,11 @@ def rational(value) -> Rational:
 
 def format_rational(q: Rational) -> str:
     """Render in lowest terms as "p/q", or "p" when the denominator is 1."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return _format(q.numerator, q.denominator)
+
+
+def _format(num: int, den: int) -> str:  # num/den reduced, den > 0
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _floor(q: Rational) -> int:
@@ -94,24 +93,17 @@ def _prepare(points: Iterable[Pair], wrap_rise: int) -> list[Pair]:
 
 
 def _essential(pairs: Sequence[Pair], wrap_rise: int):
-    """Canonical ``(xs, ys, slopes)`` of ``pairs``, sorted with distinct xs in
-    [0, 1): each point goes to ``_canonical`` in reduced integer pairs, with
-    the slope of the segment to its cyclic successor."""
+    """Canonical corners of ``pairs``, sorted with distinct xs in [0, 1): each
+    point goes to ``_canonical`` in reduced integer pairs, with the slope of
+    the segment to its cyclic successor."""
     points = [(*x.as_integer_ratio(), *y.as_integer_ratio()) for x, y in pairs]
     xn, xd, yn, yd = points[0]
     ends = points[1:] + [(xn + xd, xd, yn + wrap_rise * yd, yd)]
     # each run is positive, so the slope's pair takes the sign of its rise
-    return _canonical([(xn, xd, yn, yd, _reduced((vn * yd - yn * vd) * ud * xd,
-                                                  (un * xd - xn * ud) * vd * yd))
+    return _canonical([(xn, xd, yn, yd, *_reduced((vn * yd - yn * vd) * ud * xd,
+                                                   (un * xd - xn * ud) * vd * yd))
                        for (xn, xd, yn, yd), (un, ud, vn, vd) in zip(points, ends)],
                       wrap_rise)
-
-
-def _corners(f: "_PLBase") -> list[tuple[int, ...]]:
-    """f's corners as ``(xn, xd, yn, yd, sn, sd)``: the point (xn/xd, yn/yd)
-    and the slope sn/sd of the segment leaving it, in reduced integer pairs."""
-    return [(*x.as_integer_ratio(), *y.as_integer_ratio(), *s.as_integer_ratio())
-            for x, y, s in zip(f.xs, f.ys, f._slopes)]
 
 
 def _reduced(num: int, den: int) -> tuple[int, int]:
@@ -132,8 +124,8 @@ def _shift(corner, k: int, rise: int) -> tuple[int, ...]:
 
 
 def _merge(a, b, rise_a: int, rise_b: int):
-    """Walk two corner lists (as from ``_corners``) in step, each sorted over
-    the same window of unit length.
+    """Walk two corner sequences in step, each sorted over the same window of
+    unit length.
 
     Yields ``(xn, xd, a(x), b(x), ca, cb)`` at each corner x of either list,
     where ``ca`` and ``cb`` are the corners of each at or left of x: their
@@ -143,7 +135,7 @@ def _merge(a, b, rise_a: int, rise_b: int):
     ca, cb = _shift(a[-1], -1, rise_a), _shift(b[-1], -1, rise_b)
     m, n = len(a), len(b)
     # each list closes with its first corner one period on, past the window
-    a, b = a + [_shift(a[0], 1, rise_a)], b + [_shift(b[0], 1, rise_b)]
+    a, b = (*a, _shift(a[0], 1, rise_a)), (*b, _shift(b[0], 1, rise_b))
     i = j = 0
     while i < m or j < n:
         order = a[i][0] * b[j][1] - b[j][0] * a[i][1]
@@ -158,27 +150,31 @@ def _merge(a, b, rise_a: int, rise_b: int):
                cb[2:4] if order >= 0 else _on(cb, xn, xd), ca, cb)
 
 
-def _canonical(events, rise: int):
-    """Canonical ``(xs, ys, slopes)`` from one period of merge-walk events.
+def _canonical(events, rise: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical corners from one period of merge-walk events.
 
-    ``events`` are ``(xn, xd, yn, yd, slope)`` in x order over [0, 1): the
-    point (xn/xd, yn/yd) and the reduced pair of the slope leaving it.  A
-    point is kept only where the slope changes, cyclically, and a Fraction is
-    built only for what is kept.
+    ``events`` are corners ``(xn, xd, yn, yd, sn, sd)`` in x order over
+    [0, 1), reduced, where a slope may repeat.  A point is kept only where the
+    slope changes, cyclically.
     """
-    kept = [e for prev, e in zip(events[-1:] + events[:-1], events) if prev[4] != e[4]]
-    if not kept:
-        # one slope throughout: a translation (maps) or a constant (cocycles)
-        xn, xd, yn, yd, _ = events[0]
-        return (Fraction(0),), (Fraction(yn, yd) - Fraction(rise * xn, xd),), (Fraction(rise),)
-    xn, xd, yn, yd, slopes = zip(*kept)
-    distinct = {s: Fraction(*s) for s in set(slopes)}  # few: one Fraction each
-    return (tuple(map(Fraction, xn, xd)), tuple(map(Fraction, yn, yd)),
-            tuple(map(distinct.get, slopes)))
+    kept = tuple(e for prev, e in zip(events[-1:] + events[:-1], events)
+                 if prev[4] != e[4] or prev[5] != e[5])
+    if kept:
+        return kept
+    # one slope throughout: a translation (maps) or a constant (cocycles)
+    xn, xd, yn, yd, _, _ = events[0]
+    return ((0, 1, *_reduced(yn * xd - rise * xn * yd, yd * xd), rise, 1),)
+
+
+def _raised(corners, tn: int, td: int) -> tuple[tuple[int, ...], ...]:
+    """``corners`` with every value raised by tn/td: no corner moves and no
+    slope changes."""
+    return tuple((xn, xd, *_reduced(yn * td + tn * yd, yd * td), sn, sd)
+                 for xn, xd, yn, yd, sn, sd in corners)
 
 
 def _through(outer: "_PLBase", phi: "PLMap"):
-    """Canonical ``(xs, ys, slopes)`` of x -> outer(phi(x)), in one merge walk.
+    """Canonical corners of x -> outer(phi(x)), in one merge walk.
 
     The walk runs over phi's image [phi.ys[0], phi.ys[0] + 1) of one period,
     merging outer's corners with those of phi's inverse, whose values there
@@ -187,53 +183,50 @@ def _through(outer: "_PLBase", phi: "PLMap"):
     sorted.
     """
     rise = outer._wrap_rise
-    inverse = [(yn, yd, xn, xd, sd, sn) for xn, xd, yn, yd, sn, sd in _corners(phi)]
+    inverse = [(yn, yd, xn, xd, sd, sn) for xn, xd, yn, yd, sn, sd in phi.corners]
     p, q = inverse[0][:2]
     n, r = divmod(p, q)
     # outer's corners in the window: those at or right of r/q moved to the
     # period of n, then the rest moved to the next one
-    ws = _corners(outer)
+    ws = outer.corners
     j = sum(un * q < r * ud for un, ud, *_ in ws)
     ws = [_shift(c, n, rise) for c in ws[j:]] + [_shift(c, n + 1, rise) for c in ws[:j]]
     events, head = [], []
     for _, _, (vn, vd), (xn, xd), cw, cp in _merge(ws, inverse, rise, 1):
-        slope = _reduced(cw[4] * cp[5], cw[5] * cp[4])
+        sn, sd = _reduced(cw[4] * cp[5], cw[5] * cp[4])
         if xn < xd:
-            events.append((xn, xd, vn, vd, slope))
+            events.append((xn, xd, vn, vd, sn, sd))
         else:
-            head.append((xn - xd, xd, vn - rise * vd, vd, slope))
+            head.append((xn - xd, xd, vn - rise * vd, vd, sn, sd))
     return _canonical(head + events, rise)
 
 
 def _sum(f: "PLCocycle", g: "PLCocycle"):
-    """Canonical ``(xs, ys, slopes)`` of x -> f(x) + g(x), in one merge walk
-    over the two corner lists; each segment's slope is the sum of the two."""
+    """Canonical corners of x -> f(x) + g(x), in one merge walk over the two
+    corner sequences; each segment's slope is the sum of the two."""
     return _canonical([(xn, xd, *_reduced(yn * vd + vn * yd, yd * vd),
-                        _reduced(cf[4] * cg[5] + cg[4] * cf[5], cf[5] * cg[5]))
+                        *_reduced(cf[4] * cg[5] + cg[4] * cf[5], cf[5] * cg[5]))
                        for xn, xd, (yn, yd), (vn, vd), cf, cg
-                       in _merge(_corners(f), _corners(g), 0, 0)], 0)
+                       in _merge(f.corners, g.corners, 0, 0)], 0)
 
 
-def _integer_table(xs, ys, slopes, rise: int):
+def _integer_table(corners, rise: int):
     """The affine pieces of one period, scaled to integers.
 
-    Row j + 1 is the segment leaving ``xs[j]``, x -> s x + (y - s x); row 0 is
+    Row j + 1 is the segment leaving corner j, x -> s x + (y - s x); row 0 is
     the wrap segment left of ``xs[0]``, which is the last row moved one period
     on: its intercept gains s - rise.  Each row (a, b) stands for
     x -> (a x + b) / c, and the xs are given as integers over their common
     denominator d.  Built from numerators and denominators alone: a common
     multiple of every y's and every s x's denominator serves as c.
     """
-    xq = [(x.numerator, x.denominator) for x in xs]
-    yq = [(y.numerator, y.denominator) for y in ys]
-    sq = [(s.numerator, s.denominator) for s in slopes]
-    c = lcm(*(yd for _, yd in yq), *(sd * xd for (_, xd), (_, sd) in zip(xq, sq)))
+    c = lcm(*(yd for _, _, _, yd, _, _ in corners), *(sd * xd for _, xd, _, _, _, sd in corners))
     rows = [(sn * (c // sd), yn * (c // yd) - sn * xn * (c // (sd * xd)))
-            for (xn, xd), (yn, yd), (sn, sd) in zip(xq, yq, sq)]
+            for xn, xd, yn, yd, sn, sd in corners]
     a, b = rows[-1]
     rows.insert(0, (a, b + a - rise * c))
-    d = lcm(*(xd for _, xd in xq))
-    return tuple(xn * (d // xd) for xn, xd in xq), d, tuple(rows), c, rise * c
+    d = lcm(*(xd for _, xd, *_ in corners))
+    return tuple(xn * (d // xd) for xn, xd, *_ in corners), d, tuple(rows), c, rise * c
 
 
 class Frozen:
@@ -306,27 +299,25 @@ class Record(Frozen):
 class _PLBase(Frozen):
     """Shared storage and evaluation for one-period PL data."""
 
-    __slots__ = ("xs", "ys", "_slopes", "_table")
+    __slots__ = ("corners", "_xs", "_ys", "_table")
 
     _wrap_rise = 0  # vertical rise across one period of the extension
 
     def __new__(cls, pairs: Sequence[Pair]):
         """Canonical form of ``pairs``, sorted with distinct xs in [0, 1)."""
-        return cls._make(*_essential(pairs, cls._wrap_rise))
+        return cls._make(_essential(pairs, cls._wrap_rise))
 
     @classmethod
-    def _make(cls, xs, ys, slopes):
-        """Build from canonical breakpoints whose slopes are already known."""
+    def _make(cls, corners):
+        """Build from canonical corners."""
         self = object.__new__(cls)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "_slopes", slopes)
+        object.__setattr__(self, "corners", corners)
         return self
 
     @classmethod
-    def _one_corner(cls, value):
-        """A translation (maps) or constant (cocycles), canonical as built."""
-        return cls._make(_AT_ZERO, (rational(value),), _FLAT_SLOPE[cls._wrap_rise])
+    def _one_corner(cls, yn: int, yd: int):
+        """The translation (maps) or constant (cocycles) yn/yd, reduced."""
+        return cls._make(((0, 1, yn, yd, cls._wrap_rise, 1),))
 
     def __reduce__(self):
         return (type(self), (self.breakpoints(),))
@@ -334,10 +325,22 @@ class _PLBase(Frozen):
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.xs == other.xs and self.ys == other.ys
+        return self.corners == other.corners
 
     def __hash__(self):
-        return hash((type(self).__name__, self.xs, self.ys))
+        return hash((type(self).__name__, self.corners))
+
+    xs = property(lambda self: self._view("_xs", 0), doc="The corners' xs as Fractions.")
+    ys = property(lambda self: self._view("_ys", 2), doc="The corners' values as Fractions.")
+
+    def _view(self, slot: str, i: int) -> tuple[Rational, ...]:
+        """The Fractions of each corner's pair at ``i``, built on first read."""
+        try:
+            return getattr(self, slot)
+        except AttributeError:
+            view = tuple(Fraction(c[i], c[i + 1]) for c in self.corners)
+            object.__setattr__(self, slot, view)
+            return view
 
     def __call__(self, x) -> Rational:
         x = rational(x)
@@ -353,7 +356,7 @@ class _PLBase(Frozen):
         try:
             corners, d, rows, c, rc = self._table
         except AttributeError:
-            table = _integer_table(self.xs, self.ys, self._slopes, self._wrap_rise)
+            table = _integer_table(self.corners, self._wrap_rise)
             object.__setattr__(self, "_table", table)
             corners, d, rows, c, rc = table
         n = p // q
@@ -374,13 +377,11 @@ class _PLBase(Frozen):
         """
         n = _floor(x)
         r = x - n if n else x
-        xs = self.xs
-        i = bisect_right(xs, r) - 1
-        if i < 0:
-            # wrap segment entering from (xs[-1] - 1, ys[-1] - rise)
-            value = self.ys[-1] - self._wrap_rise + self._slopes[-1] * (r - xs[-1] + 1)
-        else:
-            value = self.ys[i] + self._slopes[i] * (r - xs[i])
+        i = bisect_right(self.xs, r) - 1
+        # i = -1: the wrap segment, entering from the last corner one period down
+        wrap = i < 0
+        slope = Fraction(*self.corners[i][4:])
+        value = self.ys[i] - wrap * self._wrap_rise + slope * (r - self.xs[i] + wrap)
         if n and self._wrap_rise:
             return value + n
         return value
@@ -390,14 +391,14 @@ class _PLBase(Frozen):
 
     def breakpoint_xs(self) -> frozenset[Rational]:
         # a single breakpoint is a translation or a constant: no corner anywhere
-        return frozenset(self.xs) if len(self.xs) > 1 else frozenset()
+        return frozenset(self.xs) if len(self.corners) > 1 else frozenset()
 
     def to_pairs(self) -> list[list[str]]:
         """Serializable form: ordered [x, y] pairs of "p/q" strings."""
-        return [[format_rational(x), format_rational(y)] for x, y in self.breakpoints()]
+        return [[_format(xn, xd), _format(yn, yd)] for xn, xd, yn, yd, _, _ in self.corners]
 
     def __repr__(self):
-        pts = ", ".join(f"({format_rational(x)}, {format_rational(y)})" for x, y in self.breakpoints())
+        pts = ", ".join(f"({x}, {y})" for x, y in self.to_pairs())
         return f"{type(self).__name__}[{pts}]"
 
 
@@ -426,19 +427,19 @@ class PLMap(_PLBase):
 
     @classmethod
     def identity(cls) -> "PLMap":
-        return cls._one_corner(0)
+        return cls._one_corner(0, 1)
 
     @classmethod
     def translation(cls, amount) -> "PLMap":
-        return cls._one_corner(amount)
+        return cls._one_corner(*rational(amount).as_integer_ratio())
 
     @property
     def is_translation(self) -> bool:
-        return len(self.xs) == 1
+        return len(self.corners) == 1
 
     @property
     def is_identity(self) -> bool:
-        return self.is_translation and self.ys[0] == 0
+        return self.is_translation and self.corners[0][2] == 0
 
     @property
     def translation_amount(self) -> Rational:
@@ -448,30 +449,29 @@ class PLMap(_PLBase):
 
     def compose(self, other: "PLMap") -> "PLMap":
         """Left-to-right composite x -> other(self(x))."""
-        if len(other.xs) == 1:  # a translation moves no corner and changes no slope
-            t = other.ys[0]
-            return PLMap._make(self.xs, tuple(y + t for y in self.ys), self._slopes) if t else self
+        if len(other.corners) == 1:  # a translation moves no corner and changes no slope
+            _, _, tn, td, _, _ = other.corners[0]
+            return PLMap._make(_raised(self.corners, tn, td)) if tn else self
         if self.is_identity:
             return other
-        return PLMap._make(*_through(other, self))
+        return PLMap._make(_through(other, self))
 
     def invert(self) -> "PLMap":
         inv = getattr(self, "_inv", None)
         if inv is not None:
             return inv
-        if len(self.xs) == 1:
-            inv = PLMap._make(self.xs, (-self.ys[0],), self._slopes)
+        corners = self.corners
+        if len(corners) == 1:
+            inv = PLMap._one_corner(-corners[0][2], corners[0][3])
         else:
-            # corners map to corners, and each slope to its reciprocal (from
-            # its integer pair, no division); the ys span [ys[0], ys[0] + 1),
-            # so those past the next integer wrap to the front
-            rows, head, top = [], [], _floor(self.ys[0]) + 1
-            for x, y, s in zip(self.xs, self.ys, self._slopes):
-                n = _floor(y)
-                r = Fraction(s.denominator, s.numerator)
-                row = (y - n, x - n, r) if n else (y, x, r)
-                (head if n == top else rows).append(row)
-            inv = PLMap._make(*map(tuple, zip(*head, *rows)))
+            # corners map to corners, x and y swapped, and each slope to its
+            # reciprocal; the ys span [ys[0], ys[0] + 1), so each moves down
+            # by its floor, and those past the next integer wrap to the front
+            rows, head, top = [], [], corners[0][2] // corners[0][3] + 1
+            for xn, xd, yn, yd, sn, sd in corners:
+                n = yn // yd
+                (head if n == top else rows).append((yn - n * yd, yd, xn - n * xd, xd, sd, sn))
+            inv = PLMap._make((*head, *rows))
         object.__setattr__(self, "_inv", inv)
         return inv
 
@@ -492,19 +492,19 @@ class PLCocycle(_PLBase):
 
     @classmethod
     def zero(cls) -> "PLCocycle":
-        return cls._one_corner(0)
+        return cls._one_corner(0, 1)
 
     @classmethod
     def constant(cls, value) -> "PLCocycle":
-        return cls._one_corner(value)
+        return cls._one_corner(*rational(value).as_integer_ratio())
 
     @property
     def is_constant(self) -> bool:
-        return len(self.xs) == 1
+        return len(self.corners) == 1
 
     @property
     def is_zero(self) -> bool:
-        return self.is_constant and self.ys[0] == 0
+        return self.is_constant and self.corners[0][2] == 0
 
     @property
     def constant_value(self) -> Rational:
@@ -513,19 +513,20 @@ class PLCocycle(_PLBase):
         return self.ys[0]
 
     def add(self, other: "PLCocycle") -> "PLCocycle":
-        if len(self.xs) == 1:
+        if len(self.corners) == 1:
             self, other = other, self
-        if len(other.xs) == 1:  # a constant moves no corner and changes no slope
-            c = other.ys[0]
-            return PLCocycle._make(self.xs, tuple(y + c for y in self.ys), self._slopes) if c else self
-        return PLCocycle._make(*_sum(self, other))
+        if len(other.corners) == 1:  # a constant moves no corner and changes no slope
+            _, _, cn, cd, _, _ = other.corners[0]
+            return PLCocycle._make(_raised(self.corners, cn, cd)) if cn else self
+        return PLCocycle._make(_sum(self, other))
 
     def negate(self) -> "PLCocycle":
-        return PLCocycle._make(self.xs, tuple(-y for y in self.ys), tuple(-s for s in self._slopes))
+        return PLCocycle._make(tuple((xn, xd, -yn, yd, -sn, sd)
+                                     for xn, xd, yn, yd, sn, sd in self.corners))
 
     def pullback(self, phi: PLMap) -> "PLCocycle":
         """The cocycle x -> self(phi(x)); exact, with breakpoints at phi's
         corners and at phi-preimages of self's corners."""
-        if len(self.xs) == 1 or phi.is_identity:
+        if len(self.corners) == 1 or phi.is_identity:
             return self  # a constant, or any cocycle through the identity
-        return PLCocycle._make(*_through(self, phi))
+        return PLCocycle._make(_through(self, phi))

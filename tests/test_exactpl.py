@@ -3,11 +3,13 @@ import gc
 import pickle
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ordercert import exactpl
 from ordercert.exactpl import (
     PLCocycle,
     PLError,
@@ -15,7 +17,13 @@ from ordercert.exactpl import (
     format_rational,
     rational,
 )
-from ordercert.skew import SkewElement, base_cocycle, base_plmap, word_to_element
+from ordercert.skew import (
+    SkewElement,
+    base_cocycle,
+    base_plmap,
+    standard_generators,
+    word_to_element,
+)
 
 from util import random_cocycle, random_plmap, random_rational, random_skew_word
 
@@ -260,9 +268,9 @@ def oracle_negate(p):
 
 def assert_same(result, expected):
     assert type(result) is type(expected)
-    assert result.xs == expected.xs and result.ys == expected.ys
-    # ``==`` ignores slopes; a wrong carried slope would only show in evaluation
-    assert result._slopes == type(result)(result.breakpoints())._slopes
+    # the expected corners carry the slopes that ``from_points`` derives from
+    # the points, so a wrong carried slope shows here, not only in evaluation
+    assert result.corners == expected.corners
 
 
 def d_power(n):
@@ -376,6 +384,79 @@ def test_wide_operands_match_oracle():
     assert_same(wide, oracle_pullback(c0(), d256))
     assert_same(wide.add(CORNER_AT_ZERO), oracle_add(wide, CORNER_AT_ZERO))
     assert_same(wide.negate(), oracle_negate(wide))
+
+
+# -- canonical corners ------------------------------------------------------------
+#
+# The kernel keeps each function as reduced integer corners; ``==`` compares
+# them, so it decides equality of functions only while every result is in the
+# one canonical form checked here.
+
+def assert_canonical(f):
+    corners = f.corners
+    assert type(corners) is tuple and all(type(c) is tuple and len(c) == 6 for c in corners)
+    for xn, xd, yn, yd, sn, sd in corners:
+        assert xd > 0 and yd > 0 and sd > 0
+        assert gcd(xn, xd) == gcd(yn, yd) == gcd(sn, sd) == 1
+    xs = [F(xn, xd) for xn, xd, *_ in corners]
+    assert 0 <= xs[0] and xs[-1] < 1 and all(u < v for u, v in zip(xs, xs[1:]))
+    if len(corners) > 1:
+        # a corner with the slope of its cyclic predecessor would be collinear
+        assert all(prev[4:] != c[4:] for prev, c in zip(corners[-1:] + corners[:-1], corners))
+    assert f.xs == tuple(xs)
+    assert f.ys == tuple(F(yn, yd) for _, _, yn, yd, _, _ in corners)
+    assert type(f).from_points(f.breakpoints()).corners == corners
+
+
+@st.composite
+def kernel_results(draw):
+    op = draw(st.sampled_from(("compose", "pullback", "add", "invert", "negate")))
+    if op == "compose":
+        return draw(plmaps()).compose(draw(plmaps()))
+    if op == "pullback":
+        return draw(cocycles()).pullback(draw(plmaps()))
+    if op == "add":
+        return draw(cocycles()).add(draw(cocycles()))
+    if op == "invert":
+        return draw(plmaps()).invert()
+    return draw(cocycles()).negate()
+
+
+@KERNEL
+@given(kernel_results())
+@example(CROSSING.compose(UNDOES_CROSSING))  # a translation
+@example(CROSSING.compose(TRANSLATION))
+@example(CORNER_AT_ZERO.add(COMPLEMENT))  # a constant
+@example(CORNER_AT_ZERO.add(CONSTANT))
+@example(CONSTANT.negate())
+@example(TRANSLATION.invert())
+@example(ABOVE_TWO.invert())
+@example(CORNER_AT_ZERO.pullback(NEGATIVE))
+@example(WIDE_TENT.add(CORNER_AT_ZERO))
+def test_kernel_results_are_canonical_corners(f):
+    assert_canonical(f)
+
+
+class _NoFraction:
+    def __new__(cls, *args, **kwargs):
+        raise AssertionError("the kernel built a Fraction")
+
+
+def test_kernel_operations_build_no_fraction(monkeypatch):
+    gens = standard_generators()
+    c, d = gens["c"], gens["d"]
+    phi, p, q = base_plmap(), base_cocycle(), CORNER_AT_ZERO
+    monkeypatch.setattr(exactpl, "Fraction", _NoFraction)
+    d256 = d.power(256)
+    wide = c.conjugate(d256)
+    pulled = p.pullback(d256.x_part)
+    pulled.add(q).negate()
+    phi.invert()
+    assert d256.x_part.invert().compose(d256.x_part) == PLMap.identity()
+    assert wide.shift.add(wide.shift.negate()) == PLCocycle.zero()
+    monkeypatch.undo()
+    assert len(d256.x_part.corners) == 512
+    assert_same(pulled, oracle_pullback(p, d256.x_part))
 
 
 # -- integer point evaluation against the Fraction route ------------------------
@@ -503,8 +584,8 @@ def test_one_corner_constructors_match_from_points(v):
         assert_same(PLCocycle.constant(literal), PLCocycle.from_points([(0, v)]))
     assert_same(PLMap.identity(), PLMap.from_points([(0, 0)]))
     assert_same(PLCocycle.zero(), PLCocycle.from_points([(0, 0)]))
-    assert PLMap.translation(v)._slopes == PLMap.from_points([(0, v)])._slopes == (1,)
-    assert PLCocycle.constant(v)._slopes == PLCocycle.from_points([(0, v)])._slopes == (0,)
+    assert PLMap.translation(v).corners[0][4:] == (1, 1)
+    assert PLCocycle.constant(v).corners[0][4:] == (0, 1)
 
 
 # -- pickling --------------------------------------------------------------------
