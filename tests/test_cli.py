@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -611,6 +612,83 @@ def test_help_exits_zero(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: ordercert")
+
+
+def test_commands_pause_the_cyclic_collector(monkeypatch):
+    seen = []
+
+    def spy(args):
+        seen.append(gc.isenabled())
+        if args.word == "raise":
+            raise RuntimeError("spy")
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_eval", spy)
+    assert gc.isenabled()
+    assert main(["eval", "a", "0,0"]) == 0
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="spy"):
+        main(["eval", "raise", "0,0"])
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        assert main(["eval", "a", "0,0"]) == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert seen == [False, False, False]
+
+
+def _cyclic_garbage(argv):
+    """Run ``main(argv)`` and return its exit code and the objects the
+    cyclic collector then finds unreachable."""
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        code = main(argv)
+        gc.collect()
+        return code, list(gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+
+
+def _swap_first_inequality(payload):
+    step = next(s for s in _steps(payload["root"]) if "less" in s["conclusion"])
+    step["conclusion"]["less"].reverse()
+
+
+def _fractional_exponent(payload):
+    _first_conclusion_letter(payload)[1] = 1.5
+
+
+# Commands run with the collector paused (cli.main), which is sound only while
+# no ordercert object is ever part of a reference cycle: the one cycle a
+# command may leave is argparse's parser, which `eval` leaves too.
+@pytest.mark.parametrize("argv, edit, expected", [
+    (["check-cert", "{cert}"], None, 0),
+    (["check-cert", "{cert}"], _swap_first_inequality, 1),
+    (["check-cert", "{cert}"], _fractional_exponent, 3),
+    (["prove", "--no-timestamp", "--out", "{out}"], None, 0),
+    (["verify", "--no-timestamp", "--out", "{out}"], None, 0),
+    (["verify", "--perturb", "d:=d b", "--no-timestamp", "--out", "{out}"], None, 1),
+], ids=["check-cert", "check-cert-mutant", "check-cert-fractional-exponent", "prove", "verify",
+        "verify-perturbed"])
+def test_commands_leave_no_cyclic_garbage(tmp_path, capsys, theorem_cert, argv, edit, expected):
+    cert = tmp_path / "in.cert.json"
+    if edit is None:
+        cert.write_bytes(theorem_cert)
+    else:
+        data = json.loads(theorem_cert)
+        edit(data["payload"])
+        cert.write_text(json.dumps(data))
+    argv = [arg.format(cert=cert, out=tmp_path / "out.cert.json") for arg in argv]
+    baseline = len(_cyclic_garbage(["eval", "c^d", "0,0"])[1])
+    code, garbage = _cyclic_garbage(argv)
+    assert code == expected
+    assert not [obj for obj in garbage if type(obj).__module__.startswith("ordercert")]
+    assert abs(len(garbage) - baseline) <= 10, (len(garbage), baseline)
 
 
 def test_cli_import_loads_no_dataclass_machinery():
