@@ -14,16 +14,17 @@ undecided facts, 3 usage, input, syntax, or I/O errors.  Stdout carries
 human-readable text; certificates go only to files.
 
 Commands run with the cyclic garbage collector paused: records are immutable
-and acyclic, and argparse's parser, the one cycle a command leaves, is
-collected once it resumes (``test_cli::test_commands_leave_no_cyclic_garbage``).
+and acyclic, and no command leaves a reference cycle
+(``test_cli::test_commands_leave_no_cyclic_garbage``).  ``-h`` prints the list
+above as the usage text.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import certs
 from .exactpl import format_rational
@@ -192,54 +193,93 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ordercert",
-        description="Exact verification and certificates for a plane homeomorphism "
-                    "group that admits no left-invariant order.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command's positional names and options.  An option whose default is
+# False is a flag, and a tuple default lists its choices, the first the default.
+COMMANDS = {
+    "verify": ((), {"format": ("text", "json"), "perturb": None,
+                    "out": "relations.cert.json", "no_timestamp": False}),
+    "epsilon": ((), {}),
+    "prove": ((), {"out": "theorem.cert.json", "no_timestamp": False}),
+    "check-cert": (("path",), {}),
+    "eval": (("word", "point"), {}),
+}
 
-    p = sub.add_parser("verify", help="check all generator identities")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--perturb", metavar="SPEC", default=None,
-                   help="test hook: replace a generator, e.g. 'd:=d b'")
-    p.add_argument("--out", default="relations.cert.json")
-    p.add_argument("--no-timestamp", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("epsilon", help="compute the six-factor product exactly")
-    p.set_defaults(func=cmd_epsilon)
+class UsageError(ValueError):
+    """An argument list that fits no entry of ``COMMANDS``: (command, message)."""
 
-    p = sub.add_parser("prove", help="check the no-left-order derivation and write it")
-    p.add_argument("--out", default="theorem.cert.json")
-    p.add_argument("--no-timestamp", action="store_true")
-    p.set_defaults(func=cmd_prove)
 
-    p = sub.add_parser("check-cert", help="re-check a no-left-order certificate from disk")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_check_cert)
+def _usage(command) -> str:
+    """The usage line of ``command``, or of the program when it is None."""
+    if command is None:
+        return "usage: ordercert {" + ",".join(COMMANDS) + "} ..."
+    positional, options = COMMANDS[command]
+    words = ["usage: ordercert", command, *map(str.upper, positional)]
+    for key, default in options.items():
+        option = "--" + key.replace("_", "-")
+        if type(default) is tuple:
+            option += " {" + ",".join(default) + "}"
+        elif default is not False:
+            option += " " + key.upper()
+        words.append(f"[{option}]")
+    return " ".join(words)
 
-    p = sub.add_parser("eval", help="apply a word to a point, e.g. eval 'c^d' 0,0")
-    p.add_argument("word")
-    p.add_argument("point")
-    p.set_defaults(func=cmd_eval)
 
-    return parser
+def parse_args(argv) -> SimpleNamespace:
+    """Read ``argv`` as a command of ``COMMANDS``, its positionals and its
+    options, each named in full or by a unique prefix.  Only ``-h`` and words
+    that start ``--`` are options, and every word after ``--`` is positional.
+    ``-h`` or ``--help`` prints the usage and exits 0; any other misfit raises
+    ``UsageError``."""
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    positional, options = COMMANDS.get(command, (("command",), {}))
+    values = {key: default[0] if type(default) is tuple else default
+              for key, default in options.items()}
+    words, rest = [], iter(argv[command is not None:])
+    for arg in rest:
+        if arg == "--":
+            words += rest
+        elif arg == "-h" or arg.startswith("--"):
+            name, given, value = arg[2:].partition("=")
+            keys = [key for key in (*options, "help") if key.replace("_", "-").startswith(name)]
+            if arg == "-h" or keys == ["help"]:
+                subcommands = __doc__.split("::\n\n", 1)[1].split("\n\n", 1)[0].splitlines()
+                print(_usage(command), "", *(line for line in subcommands
+                                             if command in (None, line.split()[0])), sep="\n")
+                raise SystemExit(0)
+            if len(keys) != 1:
+                raise UsageError(command, f"unrecognized option {arg!r}")
+            default = options[keys[0]]
+            if default is False:
+                if given:
+                    raise UsageError(command, f"{arg!r} takes no value")
+                value = True
+            elif not given:  # the value is the next word
+                value = next(rest, "--")
+                if value == "-h" or value.startswith("--"):
+                    raise UsageError(command, f"{arg!r} needs a value")
+            if type(default) is tuple and value not in default:
+                raise UsageError(command, f"invalid choice {value!r} for {arg!r}")
+            values[keys[0]] = value
+        else:
+            words.append(arg)
+    if command is None or len(words) != len(positional):
+        wanted = " ".join(map(str.upper, positional)) or "no arguments"
+        raise UsageError(command, f"expected {wanted}, got {words}")
+    return SimpleNamespace(command=command, **dict(zip(positional, words)), **values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if exc.code:  # argparse has already printed the usage error
-            return EXIT_ERROR
-        raise
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        command, message = exc.args
+        print(_usage(command), f"ordercert: error: {message}", sep="\n", file=sys.stderr)
+        return EXIT_ERROR
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     finally:
         if collecting:
             gc.enable()

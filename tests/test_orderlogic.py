@@ -197,6 +197,37 @@ def test_flip_bound_rule():
         apply_rule("flip_bound", dict(params, part="lower"), premises, [F2, F1])
 
 
+def test_flip_bound_refuses_an_identity_fact_that_is_not_the_flip():
+    premises = [
+        j([("b", -3)], [("a", 3)]),
+        j([("a", 3)], [("b", 3)]),
+        Less(EMPTY, atom_pow("b", 1)),
+    ]
+    params = {"u": atom_pow("c", 1), "v": atom_pow("a", 3), "t": B, "n1": -3, "n2": 3,
+              "part": "lower"}
+    # true identities, but neither states c^(a^3) == c^-1 in either order
+    conj = w_mul(atom_pow("a", -3), atom_pow("c", 1), atom_pow("a", 3))
+    for lhs, rhs in [(w_mul(atom_pow("a", -3), atom_pow("d", 1), atom_pow("a", 3)),
+                      atom_pow("d", -1)),
+                     (conj, conj)]:
+        with pytest.raises(RuleError, match="no cited fact"):
+            apply_rule("flip_bound", params, premises,
+                       [identity_eq_fact("E", lhs, rhs), F2, F1])
+
+
+# x = y^2 and x = z are each consistent with x not in {y, y^-1} and with y not
+# in {x, x^-1} (in Z: x = 2, y = 1, z = 3), so neither closes a branch.
+@pytest.mark.parametrize("eq", [
+    WordEq(atom_pow("a", 1), atom_pow("b", 2)),
+    WordEq(atom_pow("b", 2), atom_pow("a", 1)),
+    WordEq(atom_pow("a", 1), atom_pow("c", 1)),
+], ids=["x=y^2", "y^2=x", "x=z"])
+@pytest.mark.parametrize("fact", [NS, not_in_set_fact("NS'", "b", "a")], ids=["x,y", "y,x"])
+def test_eq_contra_refuses_an_equation_the_fact_does_not_exclude(eq, fact):
+    with pytest.raises(RuleError, match="not refuted"):
+        apply_rule("eq_contra", {}, [eq], [fact])
+
+
 # -- structural rules ------------------------------------------------------------
 
 def test_transitivity_and_left_multiplication():
