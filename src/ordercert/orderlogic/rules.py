@@ -11,19 +11,32 @@ own successful outputs, never a stated conclusion, keyed by the rule, the
 parameters with each top-level value's type (``True`` and ``1.0`` equal ``1``
 but are not integers), the premises and the cited ``Fact`` values.
 
-Core rules (u, v words commuting with the signed base t = (atom, sign)):
+Each rule takes exactly the premises shown, in order, and accepts only these
+forms, the ones the shipped derivations use.  t = (atom, sign) is a signed
+base, and u, v commute with it: each of their letters is t's atom or is tied
+to it by a cited commute fact.
 
-  invert            u < t^m              ==>  t^-m < u^-1        (and the > form)
-  product           u < t^m, v < t^n     ==>  u v < t^(m+n)      (and the > form)
-  conjugate_window  t^(m-1) < u < t^m,
-                    t^n1 < v < t^n2      ==>  t^(m-2) < u^v < t^(m+1)
-  flip_bound        u^v = u^-1 (fact),
-                    t^n1 < v < t^n2, 1 < t ==> t^-1 < u < t
+  invert            direction lt:  u < t^m  ==>  t^-m < u^-1
+  product           direction lt:  u < t^m, v < t^n  ==>  u v < t^(m+n)
+                    direction gt:  t^m < u, t^n < v  ==>  t^(m+n) < u v
+  conjugate_window  t^(m-1) < u, u < t^m, t^n1 < v, v < t^n2, n1 < n2  ==>
+                    part lower: t^(m-2) < u^v;  part upper: u^v < t^(m+1)
+  flip_bound        t^n1 < v, v < t^n2, 1 < t, n1 < n2, a cited identity
+                    u^v = u^-1  ==>  part lower: t^-1 < u;  part upper: u < t
 
-Structural rules: transitivity, left multiplication, substitution of a
-verified word equality, and the two contradiction closers (crossing
-inequalities; an equality hypothesis against a non-identity / distinctness
-fact).  Case splitting lives in the derivation tree, not here.
+Structural rules, with why each holds in any left-ordered group:
+
+  trans      x < y, y < z  ==>  x < z: an order is transitive.
+  lmul       x < y  ==>  w x < w y: the order is left-invariant.
+  subst      dir lr, x < y  ==>  x < y with a cited identity p = q applied:
+             p at ``pos`` of ``side`` (lhs or rhs) replaced by q, which names
+             the same element.
+  absurd     x < y, y < x  ==>  contradiction: together they give x < x.
+  eq_contra  an equation with sides x^±1 and 1 citing x != 1, or x^±1 and
+             y^±1 citing x not in {y, y^-1}, in either order  ==>  contradiction:
+             x^s = 1 gives x = 1, and x^s = y^e with s, e = ±1 gives x = y^(se).
+
+Case splitting lives in the derivation tree, not here.
 """
 
 from __future__ import annotations
@@ -63,13 +76,10 @@ def read_int(params, key) -> int:
     return value
 
 
-def _expect(premises, index, expected: Judgment, label: str):
-    if index >= len(premises):
-        raise RuleError(f"missing premise #{index + 1} ({label})")
-    if premises[index] != expected:
-        raise RuleError(
-            f"premise #{index + 1} must be '{expected}' (got '{premises[index]}')"
-        )
+def _expect(premises, *expected: Judgment):
+    if tuple(premises) != expected:
+        i = next(i for i, (got, want) in enumerate(zip(premises, expected)) if got != want)
+        raise RuleError(f"premise #{i + 1} must be '{expected[i]}' (got '{premises[i]}')")
 
 
 def _need_commute(word: Word, t: tuple[str, int], cited: list[Fact], label: str):
@@ -102,10 +112,13 @@ def apply_rule(rule: str, params: dict, premises: list[Judgment], cited: list[Fa
 
 
 def _apply(rule, params, premises, cited) -> Judgment:
-    """Run the rule's checker from ``_RULES``, at the end of this module."""
-    check = _RULES.get(rule) if isinstance(rule, str) else None
-    if check is None:
+    """Run the rule's checker from ``_RULES``, at the end of this module, on
+    exactly as many premises as the rule takes."""
+    if not isinstance(rule, str) or rule not in _RULES:
         raise RuleError(f"unknown rule {rule!r}")
+    count, check = _RULES[rule]
+    if len(premises) != count:
+        raise RuleError(f"rule {rule!r} takes {count} premise(s), got {len(premises)}")
     return check(params, premises, cited)
 
 
@@ -113,14 +126,21 @@ def _rule_invert(params, premises, cited):
     u = read_word(params, "u")
     t = read_base(params)
     m = read_int(params, "m")
-    direction = params.get("direction", "lt")
+    if params.get("direction") != "lt":
+        raise RuleError("direction must be 'lt'")
     _need_commute(u, t, cited, "u")
+    _expect(premises, Less(u, t_pow(t, m)))
+    return Less(t_pow(t, -m), w_inv(u))
+
+
+def _oriented(params):
+    """The inequality of a word and a power of t that ``direction`` selects:
+    the word below the power for 'lt', above it for 'gt'."""
+    direction = params.get("direction")
     if direction == "lt":
-        _expect(premises, 0, Less(u, t_pow(t, m)), "u < t^m")
-        return Less(t_pow(t, -m), w_inv(u))
+        return Less
     if direction == "gt":
-        _expect(premises, 0, Less(t_pow(t, m), u), "t^m < u")
-        return Less(w_inv(u), t_pow(t, -m))
+        return lambda word, power: Less(power, word)
     raise RuleError("direction must be 'lt' or 'gt'")
 
 
@@ -130,182 +150,125 @@ def _rule_product(params, premises, cited):
     t = read_base(params)
     m = read_int(params, "m")
     n = read_int(params, "n")
-    direction = params.get("direction", "lt")
+    bound = _oriented(params)
     _need_commute(u, t, cited, "u")
     _need_commute(v, t, cited, "v")
-    if direction == "lt":
-        _expect(premises, 0, Less(u, t_pow(t, m)), "u < t^m")
-        _expect(premises, 1, Less(v, t_pow(t, n)), "v < t^n")
-        return Less(w_mul(u, v), t_pow(t, m + n))
-    if direction == "gt":
-        _expect(premises, 0, Less(t_pow(t, m), u), "t^m < u")
-        _expect(premises, 1, Less(t_pow(t, n), v), "t^n < v")
-        return Less(t_pow(t, m + n), w_mul(u, v))
-    raise RuleError("direction must be 'lt' or 'gt'")
+    _expect(premises, bound(u, t_pow(t, m)), bound(v, t_pow(t, n)))
+    return bound(w_mul(u, v), t_pow(t, m + n))
+
+
+def _window(params, cited):
+    """u, v, t and v's bounds t^n1 < v < t^n2 of a conjugator window, with
+    n1 < n2 and u and v commuting with t."""
+    u = read_word(params, "u")
+    v = read_word(params, "v")
+    t = read_base(params)
+    n1 = read_int(params, "n1")
+    n2 = read_int(params, "n2")
+    if n1 >= n2:
+        raise RuleError("conjugator window needs n1 < n2")
+    _need_commute(u, t, cited, "u")
+    _need_commute(v, t, cited, "v")
+    return u, v, t, (Less(t_pow(t, n1), v), Less(v, t_pow(t, n2)))
+
+
+def _lower(params) -> bool:
+    """Whether ``part`` selects the lower bound; else it selects the upper."""
+    part = params.get("part")
+    if part not in ("lower", "upper"):
+        raise RuleError("part must be 'lower' or 'upper'")
+    return part == "lower"
 
 
 def _rule_conjugate_window(params, premises, cited):
-    u = read_word(params, "u")
-    v = read_word(params, "v")
-    t = read_base(params)
+    u, v, t, v_bounds = _window(params, cited)
     m = read_int(params, "m")
-    n1 = read_int(params, "n1")
-    n2 = read_int(params, "n2")
-    part = params.get("part")
-    if n1 >= n2:
-        raise RuleError("conjugator window needs n1 < n2")
-    _need_commute(u, t, cited, "u")
-    _need_commute(v, t, cited, "v")
-    _expect(premises, 0, Less(t_pow(t, m - 1), u), "t^(m-1) < u")
-    _expect(premises, 1, Less(u, t_pow(t, m)), "u < t^m")
-    _expect(premises, 2, Less(t_pow(t, n1), v), "t^n1 < v")
-    _expect(premises, 3, Less(v, t_pow(t, n2)), "v < t^n2")
+    _expect(premises, Less(t_pow(t, m - 1), u), Less(u, t_pow(t, m)), *v_bounds)
     conj = w_mul(w_inv(v), u, v)
-    if part == "lower":
-        return Less(t_pow(t, m - 2), conj)
-    if part == "upper":
-        return Less(conj, t_pow(t, m + 1))
-    raise RuleError("part must be 'lower' or 'upper'")
+    return Less(t_pow(t, m - 2), conj) if _lower(params) else Less(conj, t_pow(t, m + 1))
 
 
 def _rule_flip_bound(params, premises, cited):
-    u = read_word(params, "u")
-    v = read_word(params, "v")
-    t = read_base(params)
-    n1 = read_int(params, "n1")
-    n2 = read_int(params, "n2")
-    part = params.get("part")
-    if n1 >= n2:
-        raise RuleError("conjugator window needs n1 < n2")
-    _need_commute(u, t, cited, "u")
-    _need_commute(v, t, cited, "v")
-    _expect(premises, 0, Less(t_pow(t, n1), v), "t^n1 < v")
-    _expect(premises, 1, Less(v, t_pow(t, n2)), "v < t^n2")
-    _expect(premises, 2, Less(EMPTY, t_pow(t, 1)), "1 < t")
+    u, v, t, v_bounds = _window(params, cited)
+    _expect(premises, *v_bounds, Less(EMPTY, t_pow(t, 1)))
     conj = w_mul(w_inv(v), u, v)
     flipped = w_inv(u)
-    for f in cited:
-        if f.kind == IDENTITY_EQ and (
-            f.args == (conj, flipped) or f.args == (flipped, conj)
-        ):
-            break
-    else:
-        raise RuleError(
-            f"no cited fact states {w_format(conj)} == {w_format(flipped)}"
-        )
-    if part == "lower":
-        return Less(t_pow(t, -1), u)
-    if part == "upper":
-        return Less(u, t_pow(t, 1))
-    raise RuleError("part must be 'lower' or 'upper'")
+    if not any(f.kind == IDENTITY_EQ and f.args == (conj, flipped) for f in cited):
+        raise RuleError(f"no cited fact states {w_format(conj)} == {w_format(flipped)}")
+    return Less(t_pow(t, -1), u) if _lower(params) else Less(u, t_pow(t, 1))
 
 
 def _rule_trans(_params, premises, _cited):
-    if len(premises) < 2:
-        raise RuleError("transitivity needs two premises")
-    p1, p2 = premises[0], premises[1]
+    p1, p2 = premises
     if not isinstance(p1, Less) or not isinstance(p2, Less):
         raise RuleError("transitivity premises must be inequalities")
     if p1.rhs != p2.lhs:
-        raise RuleError(
-            f"middle words differ: '{w_format(p1.rhs)}' vs '{w_format(p2.lhs)}'"
-        )
+        raise RuleError(f"middle words differ: '{w_format(p1.rhs)}' vs '{w_format(p2.lhs)}'")
     return Less(p1.lhs, p2.rhs)
 
 
 def _rule_lmul(params, premises, _cited):
     w = read_word(params, "w")
-    if len(premises) < 1 or not isinstance(premises[0], Less):
+    (p,) = premises
+    if not isinstance(p, Less):
         raise RuleError("left multiplication needs one inequality premise")
-    p = premises[0]
     return Less(w_mul(w, p.lhs), w_mul(w, p.rhs))
 
 
 def _rule_subst(params, premises, cited):
     side = params.get("side")
     pos = read_int(params, "pos")
-    direction = params.get("dir", "lr")
     if side not in ("lhs", "rhs"):
         raise RuleError("side must be 'lhs' or 'rhs'")
-    if len(premises) < 1 or not isinstance(premises[0], Less):
+    if params.get("dir") != "lr":
+        raise RuleError("dir must be 'lr'")
+    (p,) = premises
+    if not isinstance(p, Less):
         raise RuleError("substitution needs one inequality premise")
-    eq = None
-    for f in cited:
-        if f.kind == IDENTITY_EQ:
-            eq = f
-            break
+    eq = next((f for f in cited if f.kind == IDENTITY_EQ), None)
     if eq is None:
         raise RuleError("substitution needs a cited word-equality fact")
-    pattern, replacement = eq.args if direction == "lr" else (eq.args[1], eq.args[0])
-    p = premises[0]
-    target = p.lhs if side == "lhs" else p.rhs
+    pattern, replacement = eq.args
+    target = getattr(p, side)
     if pos < 0 or pos + len(pattern) > len(target):
         raise RuleError("substitution slice out of range")
     if target[pos: pos + len(pattern)] != pattern:
-        raise RuleError(
-            f"premise {side} does not contain '{w_format(pattern)}' at position {pos}"
-        )
-    new_word = w_mul(target[:pos], replacement, target[pos + len(pattern):])
-    if side == "lhs":
-        return Less(new_word, p.rhs)
-    return Less(p.lhs, new_word)
+        raise RuleError(f"premise {side} does not contain '{w_format(pattern)}' at position {pos}")
+    return p._replace(**{side: w_mul(target[:pos], replacement, target[pos + len(pattern):])})
 
 
 def _rule_absurd(_params, premises, _cited):
-    if len(premises) == 1:
-        p = premises[0]
-        if isinstance(p, Less) and p.lhs == p.rhs:
-            return CONTRADICTION
-        raise RuleError("single-premise absurdity needs w < w")
-    if len(premises) >= 2:
-        p1, p2 = premises[0], premises[1]
-        if (
-            isinstance(p1, Less)
-            and isinstance(p2, Less)
-            and p1.lhs == p2.rhs
-            and p1.rhs == p2.lhs
-        ):
-            return CONTRADICTION
-        raise RuleError("absurdity needs crossing inequalities x < y and y < x")
-    raise RuleError("absurdity needs premises")
+    p1, p2 = premises
+    if isinstance(p1, Less) and isinstance(p2, Less) and (p1.lhs, p1.rhs) == (p2.rhs, p2.lhs):
+        return CONTRADICTION
+    raise RuleError("absurdity needs crossing inequalities x < y and y < x")
 
 
-def _equation_forms(eq: WordEq):
-    w1, w2 = eq.lhs, eq.rhs
-    return {
-        w_mul(w1, w_inv(w2)),
-        w_mul(w_inv(w2), w1),
-        w_mul(w2, w_inv(w1)),
-        w_mul(w_inv(w1), w2),
-    }
+def _unit_powers(name) -> tuple[Word, Word]:
+    return atom_pow(name, 1), atom_pow(name, -1)
 
 
 def _rule_eq_contra(_params, premises, cited):
-    if len(premises) < 1 or not isinstance(premises[0], WordEq):
+    (eq,) = premises
+    if not isinstance(eq, WordEq):
         raise RuleError("needs an equality hypothesis premise")
-    forms = _equation_forms(premises[0])
+    sides = {(eq.lhs, eq.rhs), (eq.rhs, eq.lhs)}
     for f in cited:
         if f.kind == NON_IDENTITY:
-            x = f.args[0]
-            if atom_pow(x, 1) in forms or atom_pow(x, -1) in forms:
-                return CONTRADICTION
-        if f.kind == NOT_IN_SET:
-            x, y = f.args
-            for e in (1, -1):
-                patterns = (
-                    w_mul(atom_pow(x, 1), atom_pow(y, e)),
-                    w_mul(atom_pow(y, e), atom_pow(x, 1)),
-                    w_mul(atom_pow(x, -1), atom_pow(y, e)),
-                    w_mul(atom_pow(y, e), atom_pow(x, -1)),
-                )
-                if any(p in forms for p in patterns):
-                    return CONTRADICTION
+            others = (EMPTY,)
+        elif f.kind == NOT_IN_SET:
+            others = _unit_powers(f.args[1])
+        else:
+            continue
+        if any((x, y) in sides for x in _unit_powers(f.args[0]) for y in others):
+            return CONTRADICTION
     raise RuleError("equality hypothesis is not refuted by any cited fact")
 
 
+# each rule's premise count and checker
 _RULES = {
-    "invert": _rule_invert, "product": _rule_product,
-    "conjugate_window": _rule_conjugate_window, "flip_bound": _rule_flip_bound,
-    "trans": _rule_trans, "lmul": _rule_lmul, "subst": _rule_subst,
-    "absurd": _rule_absurd, "eq_contra": _rule_eq_contra,
+    "invert": (1, _rule_invert), "product": (2, _rule_product),
+    "conjugate_window": (4, _rule_conjugate_window), "flip_bound": (3, _rule_flip_bound),
+    "trans": (2, _rule_trans), "lmul": (1, _rule_lmul), "subst": (1, _rule_subst),
+    "absurd": (2, _rule_absurd), "eq_contra": (1, _rule_eq_contra),
 }

@@ -56,15 +56,14 @@ def _take_letter(text, pos, alphabet):
     raise WordSyntaxError(f"unknown letter at {text[pos:]!r}")
 
 
-def _take_int(text, pos):
-    start = pos
-    if pos < len(text) and text[pos] in "+-":
-        pos += 1
-    while pos < len(text) and text[pos].isdigit():
-        pos += 1
-    if pos == start or not text[start:pos].lstrip("+-"):
-        raise WordSyntaxError(f"expected integer at {text[start:]!r}")
-    return int(text[start:pos]), pos
+def _int_end(text, pos):
+    """Where the integer [+-]?[0-9]+ starting at ``pos`` ends, or ``pos`` if
+    none starts there.  Only ASCII digits count: str.isdigit() and int() also
+    take digits such as '²' or '٣'."""
+    end = digits = pos + (text[pos:pos + 1] in ("+", "-"))
+    while end < len(text) and text[end] in "0123456789":
+        end += 1
+    return end if end > digits else pos
 
 
 def _parse_conjugator(text, alphabet):
@@ -74,7 +73,10 @@ def _parse_conjugator(text, alphabet):
         sym, pos = _take_letter(text, pos, alphabet)
         exp = 1
         if pos < len(text) and (text[pos].isdigit() or text[pos] in "+-"):
-            exp, pos = _take_int(text, pos)
+            end = _int_end(text, pos)
+            if end == pos:
+                raise WordSyntaxError(f"expected integer at {text[pos:]!r}")
+            exp, pos = int(text[pos:end]), end
         letters.append((sym, exp))
     if not letters:
         raise WordSyntaxError("empty conjugator")
@@ -95,7 +97,9 @@ def parse_word(text: str, alphabet) -> list[tuple[str, int]]:
         suffix = token[pos + 1:]
         if not suffix:
             raise WordSyntaxError(f"dangling '^' in token {token!r}")
-        if suffix.lstrip("+-").isdigit():
+        if suffix[0] in "+-" or suffix[0].isdigit():
+            if _int_end(suffix, 0) != len(suffix):
+                raise WordSyntaxError(f"exponent is not an integer in token {token!r}")
             letters.append((sym, int(suffix)))
         else:
             conj = _parse_conjugator(suffix, alphabet)

@@ -110,6 +110,21 @@ def test_verify_bad_perturbation(tmp_path, capsys):
     assert main(["verify", "--perturb", "q:=a"]) == 3
 
 
+# each of these crashed with int()'s ValueError, exit 1, or read d^٣ as d^3
+@pytest.mark.parametrize("argv", [
+    ["verify", "--perturb", "d:=d^²"],
+    ["verify", "--perturb", "d:=d^--3"],
+    ["verify", "--perturb", "d:=d^+-1"],
+    ["verify", "--perturb", "d:=d^٣"],
+    ["eval", "d^²", "0,0"],
+], ids=["superscript", "double-sign", "mixed-signs", "arabic-indic", "eval-superscript"])
+def test_malformed_exponents_are_usage_errors(capsys, argv):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: exponent is not an integer in token 'd^")
+    assert "Traceback" not in err
+
+
 def test_verify_json_format_is_deterministic(tmp_path, capsys):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
@@ -362,8 +377,8 @@ def _forge_empty_goal(payload):
 
 
 def _forge_given_root(payload):
-    """One assumed case, a < a, closed by absurdity."""
-    close = {"id": "s1", "rule": "absurd", "params": {}, "premises": ["h1"], "facts": [],
+    """One assumed case, a < a, closed by absurdity against itself."""
+    close = {"id": "s1", "rule": "absurd", "params": {}, "premises": ["h1", "h1"], "facts": [],
              "conclusion": {"contradiction": True}}
     branch = {"name": "only", "goal": None,
               "hypotheses": [{"id": "h1", "judgment": {"less": [A1, A1]}}],

@@ -228,6 +228,82 @@ def test_eq_contra_refuses_an_equation_the_fact_does_not_exclude(eq, fact):
         apply_rule("eq_contra", {}, [eq], [fact])
 
 
+C1, CINV = atom_pow("c", 1), atom_pow("c", -1)
+ONE_LT_B, BINV_LT_ONE = Less(EMPTY, atom_pow("b", 1)), Less(atom_pow("b", -1), EMPTY)
+
+
+# each equation shape eq_contra accepts, once: x^s against 1 citing x != 1,
+# and x^s against y^e citing x not in {y, y^-1}, for both signs and orders
+@pytest.mark.parametrize("eq, fact", [
+    (WordEq(C1, EMPTY), N_C),
+    (WordEq(EMPTY, C1), N_C),
+    (WordEq(CINV, EMPTY), N_C),
+    (WordEq(EMPTY, CINV), N_C),
+] + [
+    (WordEq(*sides), NS)
+    for s in (1, -1) for e in (1, -1)
+    for sides in ((atom_pow("a", s), atom_pow("b", e)), (atom_pow("b", e), atom_pow("a", s)))
+])
+def test_eq_contra_accepts_each_shape(eq, fact):
+    assert apply_rule("eq_contra", {}, [eq], [fact]) is CONTRADICTION
+
+
+def _valid_instances():
+    """One accepted instance (rule, params, premises, facts) of each rule."""
+    b1, c_lt_b = atom_pow("b", 1), j([("c", 1)], [("b", 1)])
+    eps = identity_eq_fact("E", C1, b1)
+    window = {"u": C1, "v": EMPTY, "t": B, "n1": -1, "n2": 1, "part": "lower"}
+    return [
+        ("invert", {"u": EMPTY, "t": B, "m": 1, "direction": "lt"}, [ONE_LT_B], []),
+        ("product", {"u": EMPTY, "v": EMPTY, "t": B, "m": 1, "n": 1, "direction": "lt"},
+         [ONE_LT_B, ONE_LT_B], []),
+        ("conjugate_window", dict(window, m=1),
+         [Less(EMPTY, C1), c_lt_b, BINV_LT_ONE, ONE_LT_B], [F2]),
+        ("flip_bound", dict(window, u=EMPTY), [BINV_LT_ONE, ONE_LT_B, ONE_LT_B],
+         [identity_eq_fact("I", EMPTY, EMPTY)]),
+        ("trans", {}, [Less(EMPTY, C1), c_lt_b], []),
+        ("lmul", {"w": b1}, [c_lt_b], []),
+        ("subst", {"side": "lhs", "pos": 0, "dir": "lr"}, [c_lt_b], [eps]),
+        ("absurd", {}, [c_lt_b, Less(b1, C1)], []),
+        ("eq_contra", {}, [WordEq(C1, EMPTY)], [N_C]),
+    ]
+
+
+@pytest.mark.parametrize("rule, params, premises, facts", _valid_instances(),
+                         ids=[instance[0] for instance in _valid_instances()])
+def test_rules_take_exactly_their_premises(rule, params, premises, facts):
+    apply_rule(rule, params, premises, facts)
+    for wrong in (premises + premises[:1], premises[:-1]):
+        with pytest.raises(RuleError, match=f"takes {len(premises)} premise"):
+            apply_rule(rule, params, wrong, facts)
+
+
+# Sound forms that no shipped derivation uses: the checker refuses them.
+@pytest.mark.parametrize("rule, params, premises, facts, message", [
+    ("invert", {"u": EMPTY, "t": B, "m": 1, "direction": "gt"},
+     [Less(atom_pow("b", 1), EMPTY)], [], "direction must be 'lt'"),
+    ("invert", {"u": EMPTY, "t": B, "m": 1}, [ONE_LT_B], [], "direction must be 'lt'"),
+    ("product", {"u": EMPTY, "v": EMPTY, "t": B, "m": 1, "n": 1},
+     [ONE_LT_B, ONE_LT_B], [], "direction must be 'lt' or 'gt'"),
+    ("subst", {"side": "lhs", "pos": 0, "dir": "rl"}, [j([("b", 1)], [("c", 1)])],
+     [identity_eq_fact("E", C1, atom_pow("b", 1))], "dir must be 'lr'"),
+    ("subst", {"side": "lhs", "pos": 0}, [j([("c", 1)], [("b", 1)])],
+     [identity_eq_fact("E", C1, atom_pow("b", 1))], "dir must be 'lr'"),
+    ("absurd", {}, [j([("a", 1)], [("a", 1)])], [], "takes 2 premise"),
+    ("flip_bound", {"u": C1, "v": EMPTY, "t": B, "n1": -1, "n2": 1, "part": "lower"},
+     [BINV_LT_ONE, ONE_LT_B, ONE_LT_B], [identity_eq_fact("I", CINV, C1), F2], "no cited fact"),
+    ("eq_contra", {}, [WordEq(w_mul(atom_pow("a", 1), atom_pow("b", 1)), EMPTY)], [NS],
+     "not refuted"),
+    ("eq_contra", {}, [WordEq(w_mul(C1, atom_pow("d", 1)), atom_pow("d", 1))], [N_C],
+     "not refuted"),
+], ids=["invert-gt", "invert-no-direction", "product-no-direction", "subst-rl",
+        "subst-no-dir", "absurd-one-premise", "flip_bound-fact-reversed", "eq_contra-ab=1",
+        "eq_contra-cd=d"])
+def test_rules_refuse_unused_forms(rule, params, premises, facts, message):
+    with pytest.raises(RuleError, match=message):
+        apply_rule(rule, params, premises, facts)
+
+
 # -- structural rules ------------------------------------------------------------
 
 def test_transitivity_and_left_multiplication():
@@ -245,10 +321,13 @@ def test_substitution():
     premise = j([("b", -12)], [("c", 1), ("d", 1)])
     concl = apply_rule("subst", {"side": "rhs", "pos": 0, "dir": "lr"}, [premise], [eps])
     assert concl == j([("b", -12)], [("b", -36)])
-    # the reverse direction rewrites the other way
-    premise2 = j([("b", -36)], [("a", 1)])
-    concl2 = apply_rule("subst", {"side": "lhs", "pos": 0, "dir": "rl"}, [premise2], [eps])
-    assert concl2 == j([("c", 1), ("d", 1)], [("a", 1)])
+    # the left side rewrites the same way
+    premise2 = j([("c", 1), ("d", 1)], [("a", 1)])
+    concl2 = apply_rule("subst", {"side": "lhs", "pos": 0, "dir": "lr"}, [premise2], [eps])
+    assert concl2 == j([("b", -36)], [("a", 1)])
+    # rewriting right to left is sound, but no derivation does it
+    with pytest.raises(RuleError, match="dir must be 'lr'"):
+        apply_rule("subst", {"side": "lhs", "pos": 0, "dir": "rl"}, [concl2], [eps])
     with pytest.raises(RuleError, match="does not contain"):
         apply_rule("subst", {"side": "rhs", "pos": 0, "dir": "lr"},
                    [j([("b", -12)], [("d", 1), ("c", 1)])], [eps])
@@ -260,24 +339,23 @@ def test_contradiction_rules():
     p1 = j([("a", 1)], [("b", 1)])
     p2 = j([("b", 1)], [("a", 1)])
     assert apply_rule("absurd", {}, [p1, p2], []) is CONTRADICTION
-    assert apply_rule("absurd", {}, [j([("a", 1)], [("a", 1)])], []) is CONTRADICTION
     with pytest.raises(RuleError):
         apply_rule("absurd", {}, [p1, p1], [])
+    # a < a alone is refused: the crossing form closes it with a < a twice
+    a_lt_a = j([("a", 1)], [("a", 1)])
+    with pytest.raises(RuleError, match="takes 2 premise"):
+        apply_rule("absurd", {}, [a_lt_a], [])
+    assert apply_rule("absurd", {}, [a_lt_a, a_lt_a], []) is CONTRADICTION
 
-    eq = WordEq(atom_pow("c", 1), EMPTY)
-    assert apply_rule("eq_contra", {}, [eq], [N_C]) is CONTRADICTION
-    # all four sign arrangements of an excluded pair close
-    for e1 in (1, -1):
-        for e2 in (1, -1):
-            eq = WordEq(atom_pow("a", e1), atom_pow("b", e2))
-            assert apply_rule("eq_contra", {}, [eq], [NS]) is CONTRADICTION
+    # each accepted equation shape is pinned by test_eq_contra_accepts_each_shape
     with pytest.raises(RuleError, match="not refuted"):
         apply_rule("eq_contra", {}, [WordEq(atom_pow("d", 1), EMPTY)], [N_C])
 
 
 def test_commute_closure_needs_every_letter_covered():
     def invert(u, cited):
-        return apply_rule("invert", {"u": u, "t": B, "m": 1}, [Less(u, atom_pow("b", 1))], cited)
+        return apply_rule("invert", {"u": u, "t": B, "m": 1, "direction": "lt"},
+                          [Less(u, atom_pow("b", 1))], cited)
 
     word = w_mul(atom_pow("d", 1), atom_pow("a", 2), atom_pow("d", -1))
     assert invert(word, [F1, F2, F3]) == Less(atom_pow("b", -1), w_inv(word))
@@ -286,6 +364,9 @@ def test_commute_closure_needs_every_letter_covered():
     # the empty word and powers of t itself need no fact
     assert invert(EMPTY, []) == Less(atom_pow("b", -1), EMPTY)
     assert invert(atom_pow("b", 5), []) == Less(atom_pow("b", -1), atom_pow("b", -5))
+    # the direction is part of the instance, never a default
+    with pytest.raises(RuleError, match="direction"):
+        apply_rule("invert", {"u": EMPTY, "t": B, "m": 1}, [Less(EMPTY, atom_pow("b", 1))], [])
 
 
 # -- the rule-instance memo ---------------------------------------------------------

@@ -9,13 +9,18 @@ never blocks an instance.
 
 import random
 
+import pytest
+
 from ordercert.orderlogic import (
     CONTRADICTION,
     Less,
+    RuleError,
     WordEq,
     apply_rule,
     commute_fact,
     identity_eq_fact,
+    non_identity_fact,
+    not_in_set_fact,
 )
 from ordercert.orderlogic.derivation import _window_branches
 from ordercert.orderlogic.words import EMPTY, atom_pow, t_pow, w_inv, w_mul
@@ -30,10 +35,10 @@ COMMUTES = [
 ]
 
 
-def value(word, t_vec):
+def value(word, t_vec, atoms=ATOMS):
     total = (0, 0)
     for sym, exp in word:
-        vec = t_vec if sym == "t" else ATOMS[sym]
+        vec = t_vec if sym == "t" else atoms[sym]
         total = (total[0] + exp * vec[0], total[1] + exp * vec[1])
     return total
 
@@ -78,17 +83,16 @@ def test_invert_sound(n=700):
         t_vec = random_t(rng)
         u = random_word(rng)
         m = rng.randint(-4, 4)
-        sign = rng.choice((1, -1))
-        direction = rng.choice(("lt", "gt"))
-        t = ("t", sign)
-        if direction == "lt":
-            premises = [Less(u, t_pow(t, m))]
-        else:
-            premises = [Less(t_pow(t, m), u)]
-        return ("invert", {"u": u, "t": t, "m": m, "direction": direction},
-                premises, COMMUTES, t_vec)
+        t = ("t", rng.choice((1, -1)))
+        return ("invert", {"u": u, "t": t, "m": m, "direction": "lt"},
+                [Less(u, t_pow(t, m))], COMMUTES, t_vec)
 
     check_instances(n, make, seed=61)
+    # the > form is sound too, but no derivation uses it, so it is refused
+    t = ("t", 1)
+    with pytest.raises(RuleError, match="direction must be 'lt'"):
+        apply_rule("invert", {"u": EMPTY, "t": t, "m": 1, "direction": "gt"},
+                   [Less(t_pow(t, 1), EMPTY)], [])
 
 
 def test_product_sound(n=700):
@@ -194,6 +198,37 @@ def test_contradiction_rules_unreachable_on_true_premises(n=900):
             # equality branches are only closable when a distinctness fact
             # genuinely holds, which it does not for equal realizations
             assert not true_less(p1, t_vec) and not true_less(p2, t_vec)
+
+
+def test_eq_contra_sound(n=6000):
+    # Equations of a power of x with 1 or a power of y, in either order, where
+    # x and y are drawn small so that many hold.  Only the facts that hold are
+    # cited, and then every equation eq_contra closes must be false.  Squares
+    # reach x = y^2, which x not in {y, y^-1} does not exclude.
+    rng = random.Random(68)
+    x_powers = [atom_pow("x", e) for e in (-2, -1, 1, 2)]
+    others = [EMPTY] + [atom_pow("y", e) for e in (-2, -1, 1, 2)]
+    closed = refused_true = 0
+    for _ in range(n):
+        vecs = {s: (rng.randint(-2, 2), rng.choice((0, 0, 1))) for s in ("x", "y")}
+        x, y = vecs["x"], vecs["y"]
+        facts = []
+        if x != (0, 0):
+            facts.append(non_identity_fact("N", "x"))
+        if x not in (y, (-y[0], -y[1])):
+            facts += [not_in_set_fact("S", "x", "y"), not_in_set_fact("S'", "y", "x")]
+        rng.shuffle(facts)
+        sides = [rng.choice(x_powers), rng.choice(others)]
+        rng.shuffle(sides)
+        holds = value(sides[0], None, vecs) == value(sides[1], None, vecs)
+        try:
+            apply_rule("eq_contra", {}, [WordEq(*sides)], facts)
+        except RuleError:
+            refused_true += holds
+            continue
+        assert not holds, (sides, vecs, facts)
+        closed += 1
+    assert closed > n // 10 and refused_true > n // 100, (closed, refused_true)
 
 
 def test_case_splits_cover_exactly_one_branch(n=900):

@@ -49,6 +49,20 @@ def test_errors():
         parse_word("a!", ABCD)
 
 
+# str.isdigit() passes '²' and '٣', int() refuses '²' and '--3' but reads
+# '٣' as 3: an exponent is ASCII [+-]?[0-9]+, anything else a syntax error
+@pytest.mark.parametrize("text", ["d^²", "d^٣", "d^--3", "d^+-1", "d^-", "d^3x",
+                                  "c^d²", "c^d٣", "c^d+-1", "c^d-"])
+def test_exponents_are_ascii_integers(text):
+    with pytest.raises(WordSyntaxError, match="token 'd\\^|expected integer"):
+        parse_word(text, ABCD)
+
+
+def test_signed_exponents():
+    assert parse_word("d^+2 c^-1 a^007", ABCD) == [("d", 2), ("c", -1), ("a", 7)]
+    assert parse_word("c^d+2", ABCD) == [("d", -2), ("c", 1), ("d", 2)]
+
+
 def test_format_round_trip():
     text = "a^2 d^-1 c d ch^3"
     assert format_word(parse_word(text, FULL)) == text
