@@ -6,7 +6,7 @@ Subcommands::
     epsilon      compute the six-factor product and compare it to b^-36
     prove        build, check, and write the no-left-order derivation
     check-cert   re-check a no-left-order certificate from disk
-    eval         apply a word to an exact rational point
+    eval         apply a word to a point x,y, each coordinate p or p/q in ASCII digits
 
 Exit codes: 0 success / verified, 1 a checked statement or cited fact is
 false, a derivation is invalid or does not state the theorem, 2 unknown or
@@ -39,7 +39,7 @@ from .skew import (
     standard_generators,
     verify_relations,
 )
-from .wordsyntax import WordSyntaxError
+from .wordsyntax import WordSyntaxError, _int_end
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -48,11 +48,17 @@ EXIT_ERROR = 3
 
 
 def _parse_point(text: str):
-    parts = text.split(",")
+    parts = [part.strip().partition("/") for part in text.split(",")]
     if len(parts) != 2:
         raise WordSyntaxError(f"point must be 'x,y', got {text!r}")
+    # each coordinate is ASCII [+-]?[0-9]+(/[0-9]+)?: Fraction(text) also reads
+    # '٣', '0.5', '1_000' and '1e5', and would expand 1e999999999 in full
+    if not all(0 < _int_end(num, 0) == len(num)
+               and (not slash or den[:1].isdigit() and _int_end(den, 0) == len(den))
+               for num, slash, den in parts):
+        raise WordSyntaxError(f"bad rational in point {text!r}")
     try:
-        return (Fraction(parts[0].strip()), Fraction(parts[1].strip()))
+        return tuple(Fraction(int(num), int(den or 1)) for num, _, den in parts)
     except (ValueError, ZeroDivisionError) as exc:
         raise WordSyntaxError(f"bad rational in point {text!r}") from exc
 

@@ -20,7 +20,8 @@ is that corner's stored value; elsewhere it is read off the current segment.
 These, ``invert`` and ``negate`` read and write ``int`` pairs only; ``xs`` and
 ``ys`` are ``Fraction`` views built on first read for callers.  Point
 evaluation (``__call__``, ``_eval``) runs on an integer affine table built on
-first use; ``_at`` evaluates in ``Fraction`` arithmetic, as the reference.
+first use, and its result skips re-normalisation (``_fraction``); ``_at``
+evaluates in ``Fraction`` arithmetic, as the reference.
 """
 
 from __future__ import annotations
@@ -55,6 +56,15 @@ def rational(value) -> Rational:
 def format_rational(q: Rational) -> str:
     """Render in lowest terms as "p/q", or "p" when the denominator is 1."""
     return _format(q.numerator, q.denominator)
+
+
+def _fraction(num: int, den: int) -> Rational:
+    """The Fraction num/den, built as Python 3.12's ``Fraction._from_coprime_ints``
+    builds it: no type checks, no gcd.  num/den must be reduced with den > 0."""
+    q = object.__new__(Fraction)
+    q._numerator = num
+    q._denominator = den
+    return q
 
 
 def _format(num: int, den: int) -> str:  # num/den reduced, den > 0
@@ -344,7 +354,7 @@ class _PLBase(Frozen):
 
     def __call__(self, x) -> Rational:
         x = rational(x)
-        return Fraction(*self._eval(x.numerator, x.denominator))
+        return _fraction(*self._eval(x.numerator, x.denominator))
 
     def _eval(self, p: int, q: int) -> tuple[int, int]:
         """Value at p/q (q > 0) as a reduced (numerator, denominator) pair.

@@ -24,7 +24,7 @@ from itertools import chain
 from math import gcd
 from typing import Iterable, Optional
 
-from .exactpl import PLCocycle, PLMap, Record, rational
+from .exactpl import PLCocycle, PLMap, Record, _fraction, rational
 from .skew import (
     GENERATOR_NAMES,
     SkewElement,
@@ -87,7 +87,7 @@ def _walk(letters: Iterable[Letter], xn: int, xd: int, yn: int, yd: int) -> tupl
 def _apply_letters(letters: Iterable[Letter], point: Point) -> Point:
     x, y = rational(point[0]), rational(point[1])
     xn, xd, yn, yd = _walk(letters, x.numerator, x.denominator, y.numerator, y.denominator)
-    return (Fraction(xn, xd), Fraction(yn, yd))
+    return (_fraction(xn, xd), _fraction(yn, yd))
 
 
 def _merge(left: Letter, right: Letter) -> Letter:
@@ -317,7 +317,7 @@ def equal_or_unknown(w1: PlaneWord, w2: PlaneWord,
         xn, xd, yn, yd = _walk(prefix, *point)
         if _walk(mid1, xn, xd, yn, yd) != _walk(mid2, xn, xd, yn, yd):
             xn, xd, yn, yd = point
-            return EqualityVerdict(DISTINCT, (Fraction(xn, xd), Fraction(yn, yd)))
+            return EqualityVerdict(DISTINCT, (_fraction(xn, xd), _fraction(yn, yd)))
     return EqualityVerdict(UNKNOWN)
 
 

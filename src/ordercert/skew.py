@@ -19,7 +19,7 @@ from functools import reduce
 from fractions import Fraction
 from math import gcd
 
-from .exactpl import PLCocycle, PLMap, Rational, Record, rational
+from .exactpl import PLCocycle, PLMap, Rational, Record, _fraction, rational
 from .wordsyntax import GREEK_ALIASES, WordSyntaxError, word_letters
 
 Point = tuple
@@ -69,7 +69,7 @@ class SkewElement(Record):
         x = rational(point[0])
         y = rational(point[1])
         fx, fxd, fy, fyd = self._apply_ints(x.numerator, x.denominator, y.numerator, y.denominator)
-        return (Fraction(fx, fxd), Fraction(fy, fyd))
+        return (_fraction(fx, fxd), _fraction(fy, fyd))
 
     def _apply_ints(self, x: int, xd: int, y: int, yd: int) -> tuple[int, int, int, int]:
         """``apply`` on the point (x/xd, y/yd), denominators positive, giving

@@ -607,6 +607,16 @@ def test_eval_syntax_errors(capsys):
     assert main(["eval", "a", "x,y"]) == 3
 
 
+# Fraction(text) read the first four as numbers: a coordinate is ASCII p or p/q
+@pytest.mark.parametrize(
+    "point", ["٣,0", "1e5,0", "0.5,0", "1_000,0", "1/٣,0", "1/-2,0", "1/0,0"],
+    ids=["arabic-indic", "exponent", "decimal", "underscore",
+         "arabic-indic-denominator", "signed-denominator", "zero-denominator"])
+def test_eval_reads_only_ascii_rationals(capsys, point):
+    assert main(["eval", "a", point]) == 3
+    assert capsys.readouterr().err == f"error: bad rational in point {point!r}\n"
+
+
 def test_eval_takes_a_point_with_a_negative_coordinate(capsys):
     # only "-h" and words starting "--" are options, so a point such as
     # -1/2,0 is a positional (argparse read it as an option: exit 3)

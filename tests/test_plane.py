@@ -23,7 +23,14 @@ from ordercert.plane import (
     stepwise_apply_plane,
     verify_mirrored_relations,
 )
-from ordercert.skew import SkewElement, perturb_generators, standard_generators
+from ordercert.skew import (
+    SkewElement,
+    perturb_generators,
+    reference_apply,
+    standard_generators,
+    stepwise_apply,
+    word_to_element,
+)
 
 from util import random_point
 
@@ -434,6 +441,71 @@ def test_search_over_differing_letters_matches_whole_words(prefix, x, y, suffix,
         assert stepwise_apply_plane(u, verdict.witness) != stepwise_apply_plane(v, verdict.witness)
     for letters, word in ((u, w1), (v, w2)):
         assert word.apply((px, py)) == stepwise_apply_plane(letters, (px, py))
+
+
+# -- results built straight from reduced pairs -------------------------------------
+#
+# Every evaluation hands back its reduced integer pairs through
+# ``exactpl._fraction``, which skips Fraction's checks and gcd.  A pair it was
+# handed unreduced would make a value unequal to its own Fraction, so each
+# result is checked against a freshly normalised one and against the
+# Fraction-arithmetic references.
+
+def test_results_are_built_without_fraction_normalisation(monkeypatch):
+    e = word_to_element("c^d d^5")
+    letter, word = Letter("H", e), plane_word("c^d dh^-2 a")
+    swaps = plane_word("c ch"), plane_word("ch c")
+    x, y = F(1, 7), F(-2, 3)
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a result went through Fraction.__new__")
+
+    monkeypatch.setattr(F, "__new__", refuse)
+    results = (e.x_part(x), e.shift(x), e.apply((x, y)), letter.apply((x, y)),
+               word.apply((x, y)), equal_or_unknown(*swaps))
+    monkeypatch.undo()
+    ry, rx = reference_apply(e, y, x)
+    assert results[:5] == (e.x_part._at(x), e.shift._at(x), stepwise_apply("c^d d^5", (x, y)),
+                           (rx, ry), stepwise_apply_plane("c^d dh^-2 a", (x, y)))
+    verdict = results[5]
+    assert verdict.status == DISTINCT
+    image1, image2 = (stepwise_apply_plane(u, verdict.witness) for u in ("c ch", "ch c"))
+    assert image1 != image2
+
+
+SKEW_WORDS = ("c^d", "b^-36", "c^d d^5", "a^-7 c d^-3", "d^256")
+PLANE_WORDS = ("c ch", "c^d dh^-2 a", "dh^-3 b c^-1", "dh^256 c")
+ELEMENTS = {w: word_to_element(w) for w in SKEW_WORDS}
+WIDE_X = max(ELEMENTS["d^256"].x_part.xs, key=lambda x: x.denominator)  # 258 bits
+CORNERS = sorted({x for e in ELEMENTS.values() for x in (*e.x_part.xs, *e.shift.xs)})
+coordinates = st.one_of(
+    st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**6)),  # far points
+    st.builds(lambda x, n: x + n, st.sampled_from(CORNERS), st.integers(-10**6, 10**6)),
+)
+
+
+def assert_canonical_result(q, expected):
+    assert q.denominator > 0 and gcd(q.numerator, q.denominator) == 1
+    rebuilt = F(q.numerator, q.denominator)
+    assert q == rebuilt and hash(q) == hash(rebuilt) and str(q) == str(rebuilt)
+    assert q == expected
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.sampled_from(SKEW_WORDS), st.sampled_from(PLANE_WORDS), coordinates, coordinates)
+@example("c^d", "c ch", F(0), F(0))  # integer results: (0, 3) and (3, 3)
+@example("b^-36", "dh^-3 b c^-1", F(2, 3), F(1, 7))  # a negative one: 2/3, -41/7
+@example("d^256", "dh^256 c", WIDE_X, 5 - WIDE_X)
+def test_evaluation_results_are_canonical_fractions(skew, plane, x, y):
+    assert WIDE_X.denominator.bit_length() == 258
+    e = ELEMENTS[skew]
+    ry, rx = reference_apply(e, y, x)
+    w = plane_word(plane)
+    for q, expected in ((e.x_part(x), e.x_part._at(x)), (e.shift(x), e.shift._at(x)),
+                        *zip(e.apply((x, y)), stepwise_apply(skew, (x, y))),
+                        *zip(Letter("H", e).apply((x, y)), (rx, ry)),
+                        *zip(w.apply((x, y)), stepwise_apply_plane(plane, (x, y)))):
+        assert_canonical_result(q, expected)
 
 
 # -- word building ---------------------------------------------------------------
