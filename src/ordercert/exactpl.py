@@ -26,6 +26,7 @@ evaluates in ``Fraction`` arithmetic, as the reference.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
@@ -39,16 +40,23 @@ class PLError(ValueError):
     """Raised for inputs that do not describe a valid PL function."""
 
 
+# ASCII p or p/q: Fraction(text) also reads '٣', '0.5', '1_000' and '1e5'
+_RATIONAL_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def rational(value) -> Rational:
-    """Coerce ints, Fractions and "p/q" strings to an exact Fraction."""
+    """Coerce ints, Fractions and ASCII "p" or "p/q" strings to an exact Fraction."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        match = _RATIONAL_LITERAL.fullmatch(value)
+        if match is None:
+            raise PLError(f"bad rational literal {value!r}")
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
+            return Fraction(int(match[1]), int(match[2] or 1))
+        except (ValueError, ZeroDivisionError) as exc:  # past int's digit limit, or q = 0
             raise PLError(f"bad rational literal {value!r}") from exc
     raise PLError(f"cannot interpret {value!r} as a rational (floats are rejected)")
 
@@ -449,7 +457,7 @@ class PLMap(_PLBase):
 
     @property
     def is_identity(self) -> bool:
-        return self.is_translation and self.corners[0][2] == 0
+        return len(self.corners) == 1 and self.corners[0][2] == 0
 
     @property
     def translation_amount(self) -> Rational:
@@ -514,7 +522,7 @@ class PLCocycle(_PLBase):
 
     @property
     def is_zero(self) -> bool:
-        return self.is_constant and self.corners[0][2] == 0
+        return len(self.corners) == 1 and self.corners[0][2] == 0
 
     @property
     def constant_value(self) -> Rational:

@@ -119,12 +119,10 @@ class AtomTable(Frozen):
     # -- realization ------------------------------------------------------
 
     def realize_plane(self, word: Word) -> PlaneWord:
-        result = PlaneWord.identity()
-        for name, exp in word:
+        for name, _ in word:
             if name not in self._plane_cache:
                 self._plane_cache[name] = plane_word(self.atoms[name])
-            result = result.concat(self._plane_cache[name].power(exp))
-        return result
+        return plane_word(word, self._plane_cache)
 
     # -- verification -----------------------------------------------------
 

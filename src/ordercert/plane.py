@@ -54,19 +54,11 @@ class Letter(Record):
     def swapped(self) -> "Letter":
         return Letter("H" if self.kind == "V" else "V", self.elem)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.elem.is_identity
-
-    @property
-    def is_translation(self) -> bool:
-        return self.elem.is_translation
-
     def as_kind(self, kind: str) -> "Letter":
         """Re-express a pure translation in the other copy."""
         if kind == self.kind:
             return self
-        if not self.is_translation:
+        if not self.elem.is_translation:
             raise ValueError("only pure translations live in both copies")
         u, v = self.elem.translation_vector()
         swapped = SkewElement(PLMap.translation(v), PLCocycle.constant(u))
@@ -96,9 +88,10 @@ def _merge(left: Letter, right: Letter) -> Letter:
 
 def _push(stack: list[Letter], letter: Letter) -> None:
     while True:
-        if letter.is_identity:
+        translation = letter.elem.is_translation
+        if translation and letter.elem.is_identity:
             return
-        if letter.is_translation and letter.kind != "V":
+        if translation and letter.kind != "V":
             letter = letter.as_kind("V")
         if not stack:
             stack.append(letter)
@@ -107,10 +100,10 @@ def _push(stack: list[Letter], letter: Letter) -> None:
         if top.kind == letter.kind:
             stack.pop()
             letter = _merge(top, letter)
-        elif letter.is_translation:
+        elif translation:
             stack.pop()
             letter = _merge(top, letter.as_kind(top.kind))
-        elif top.is_translation:
+        elif top.elem.is_translation:
             stack.pop()
             letter = _merge(top.as_kind(letter.kind), letter)
         elif (letter.elem.shift.is_zero and top.elem.shift.is_zero
@@ -126,6 +119,25 @@ def _push(stack: list[Letter], letter: Letter) -> None:
             return
 
 
+def _pushed(stack: list[Letter], letters: Iterable[Letter]) -> "PlaneWord":
+    """Push ``letters`` onto ``stack`` and wrap the finished stack as a word."""
+    for letter in letters:
+        _push(stack, letter)
+    word = object.__new__(PlaneWord)
+    object.__setattr__(word, "letters", tuple(stack))
+    return word
+
+
+def _power_letters(word: "PlaneWord", n: int) -> Iterable[Letter]:
+    """The letters of ``word.power(n)``.  One letter's is its element's power;
+    a longer word's power is a word of its own, since the stack walk's result
+    depends on what lies below on the stack."""
+    if len(word.letters) != 1:
+        return word.power(n).letters
+    (letter,) = word.letters
+    return (letter if n == 1 else Letter(letter.kind, letter.elem.power(n)),)
+
+
 class PlaneWord(Record):
     """A simplified word of V and H letters; immutable.  Pickling re-simplifies
     ``letters``, which leaves a simplified word unchanged."""
@@ -133,10 +145,7 @@ class PlaneWord(Record):
     __slots__ = ("letters",)
 
     def __init__(self, letters: Iterable[Letter] = ()):
-        stack: list[Letter] = []
-        for letter in letters:
-            _push(stack, letter)
-        object.__setattr__(self, "letters", tuple(stack))
+        object.__setattr__(self, "letters", _pushed([], letters).letters)
 
     def __len__(self):
         return len(self.letters)
@@ -155,27 +164,17 @@ class PlaneWord(Record):
 
     def concat(self, other: "PlaneWord") -> "PlaneWord":
         # self.letters is a finished stack: push only other's letters onto it
-        stack = list(self.letters)
-        for letter in other.letters:
-            _push(stack, letter)
-        word = object.__new__(PlaneWord)
-        object.__setattr__(word, "letters", tuple(stack))
-        return word
+        return _pushed(list(self.letters), other.letters)
 
     def invert(self) -> "PlaneWord":
         return PlaneWord(tuple(l.invert() for l in reversed(self.letters)))
 
     def power(self, n: int) -> "PlaneWord":
         if len(self.letters) == 1:
-            # one letter: square and multiply its element, not n re-simplifications
-            (letter,) = self.letters
-            return PlaneWord((Letter(letter.kind, letter.elem.power(n)),))
+            return _pushed([], _power_letters(self, n))
         if n < 0:
             return self.invert().power(-n)
-        result = PlaneWord.identity()
-        for _ in range(n):
-            result = result.concat(self)
-        return result
+        return _pushed([], self.letters * n)
 
     def apply(self, point: Point) -> Point:
         return _apply_letters(self.letters, point)
@@ -199,10 +198,9 @@ _PLANE_GENERATORS = _plane_generators(standard_generators())
 def plane_word(text_or_letters, gens: dict[str, PlaneWord] | None = None) -> PlaneWord:
     """Build a word from a string ("a c^-1 ch^2") or (letter, exp) pairs."""
     gens = gens or _PLANE_GENERATORS
-    result = PlaneWord.identity()
-    for sym, exp in word_letters(text_or_letters, PLANE_GENERATOR_NAMES):
-        result = result.concat(gens[sym].power(exp))
-    return result
+    return _pushed([], chain.from_iterable(
+        _power_letters(gens[sym], exp)
+        for sym, exp in word_letters(text_or_letters, PLANE_GENERATOR_NAMES)))
 
 
 def stepwise_apply_plane(text_or_letters, point: Point,

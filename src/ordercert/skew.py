@@ -55,12 +55,13 @@ class SkewElement(Record):
 
     @property
     def is_identity(self) -> bool:
-        return self.x_part.is_identity and self.shift.is_zero
+        x, s = self.x_part.corners, self.shift.corners
+        return len(x) == 1 == len(s) and x[0][2] == 0 == s[0][2]
 
     @property
     def is_translation(self) -> bool:
         """True when the plane map is (x, y) -> (x + u, y + v)."""
-        return self.x_part.is_translation and self.shift.is_constant
+        return len(self.x_part.corners) == 1 == len(self.shift.corners)
 
     def translation_vector(self) -> Point:
         return (self.x_part.translation_amount, self.shift.constant_value)
@@ -103,6 +104,8 @@ class SkewElement(Record):
     def power(self, n: int) -> "SkewElement":
         if n < 0:
             return self.invert().power(-n)
+        if n == 1:
+            return self
         result = SkewElement.identity()
         square = self
         while n:

@@ -44,15 +44,10 @@ def reduce_letters(letters) -> list[tuple[str, int]]:
     return [(sym, exp) for sym, exp in out]
 
 
-def _take_letter(text, pos, alphabet):
-    # longest match first so "ch"/"dh" win over "c"/"d"
-    for name in sorted(alphabet, key=len, reverse=True):
-        if text.startswith(name, pos):
-            return name, pos + len(name)
-    for greek in sorted(GREEK_ALIASES, key=len, reverse=True):
-        ascii_name = GREEK_ALIASES[greek]
-        if ascii_name in alphabet and text.startswith(greek, pos):
-            return ascii_name, pos + len(greek)
+def _take_letter(text, pos, spellings):
+    for spelling, name in spellings:
+        if text.startswith(spelling, pos):
+            return name, pos + len(spelling)
     raise WordSyntaxError(f"unknown letter at {text[pos:]!r}")
 
 
@@ -66,11 +61,11 @@ def _int_end(text, pos):
     return end if end > digits else pos
 
 
-def _parse_conjugator(text, alphabet):
+def _parse_conjugator(text, spellings):
     pos = 0
     letters = []
     while pos < len(text):
-        sym, pos = _take_letter(text, pos, alphabet)
+        sym, pos = _take_letter(text, pos, spellings)
         exp = 1
         if pos < len(text) and (text[pos].isdigit() or text[pos] in "+-"):
             end = _int_end(text, pos)
@@ -85,10 +80,14 @@ def _parse_conjugator(text, alphabet):
 
 def parse_word(text: str, alphabet) -> list[tuple[str, int]]:
     """Parse a word string into a reduced list of (letter, exponent) pairs."""
-    alphabet = set(alphabet)
+    # each letter's spellings, its name and its Greek aliases, sorted once:
+    # longest first so "ch"/"dh" win over "c"/"d"
+    names = {name: name for name in alphabet}
+    names.update({greek: name for greek, name in GREEK_ALIASES.items() if name in names})
+    spellings = [(spelling, names[spelling]) for spelling in sorted(names, key=len, reverse=True)]
     letters: list[tuple[str, int]] = []
     for token in text.split():
-        sym, pos = _take_letter(token, 0, alphabet)
+        sym, pos = _take_letter(token, 0, spellings)
         if pos == len(token):
             letters.append((sym, 1))
             continue
@@ -102,7 +101,7 @@ def parse_word(text: str, alphabet) -> list[tuple[str, int]]:
                 raise WordSyntaxError(f"exponent is not an integer in token {token!r}")
             letters.append((sym, int(suffix)))
         else:
-            conj = _parse_conjugator(suffix, alphabet)
+            conj = _parse_conjugator(suffix, spellings)
             letters.extend((s, -e) for s, e in reversed(conj))
             letters.append((sym, 1))
             letters.extend(conj)

@@ -104,6 +104,20 @@ def test_bad_inputs_rejected():
     assert PLMap.from_points([(F(1, 3), F(1, 6)), (F(4, 3), F(7, 6)), (F(2, 3), F(5, 6))]) == d0()
 
 
+
+# Fraction(text) reads all of these as numbers: a literal is ASCII p or p/q
+@pytest.mark.parametrize("text", ["٣", "1e5", "0.5", "1_000", "1/-2", "1/0", " 3", "3/", ""])
+def test_rational_reads_only_ascii_literals(text):
+    with pytest.raises(PLError, match="bad rational literal"):
+        rational(text)
+
+
+def test_rational_literals():
+    assert rational("-3/4") == F(-3, 4)
+    assert rational("+6/8") == F(3, 4) and rational("007") == 7
+    with pytest.raises(PLError):
+        PLMap.translation("2e3")
+
 def test_compose_invert_values():
     assert d0().compose(d0())(F(1, 3)) == F(1, 12)
     assert d0().compose(d0().invert()) == PLMap.identity()

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ordercert.exactpl import PLCocycle, PLMap
+from ordercert.orderlogic.facts import AtomTable
 from ordercert.plane import (
     DEFAULT_SEED,
     DISTINCT,
@@ -136,9 +137,9 @@ def test_simplified_form_invariants():
         for k1, k2 in zip(kinds, kinds[1:]):
             assert k1 != k2
         for letter in word.letters:
-            assert not letter.is_identity
+            assert not letter.elem.is_identity
             # inner translations may only survive as single canonical V letters
-            if letter.is_translation:
+            if letter.elem.is_translation:
                 assert len(word) == 1 and letter.kind == "V"
 
 
@@ -554,3 +555,83 @@ def test_pushing_a_simplified_word_again_changes_nothing(u):
         prefix = PlaneWord(word.letters[:k])
         assert prefix.letters == word.letters[:k]
         assert prefix.concat(PlaneWord(word.letters[k:])).letters == word.letters
+
+
+# -- one-stack building against the concat fold -----------------------------------
+
+def _reference_power(word, n):
+    """word^n as |n| concatenations of the word or of its inverse."""
+    factor = word if n >= 0 else word.invert()
+    result = PlaneWord.identity()
+    for _ in range(abs(n)):
+        result = result.concat(factor)
+    return result
+
+
+def _reference_word(letters, gens):
+    result = PlaneWord.identity()
+    for sym, exp in letters:
+        result = result.concat(_reference_power(gens[sym], exp))
+    return result
+
+
+generator_powers = st.lists(
+    st.tuples(st.sampled_from(PLANE_LETTERS), st.integers(-4, 4)), max_size=10)
+# a table over the six names whose words have zero to three letters
+custom_gens = st.lists(
+    st.lists(st.tuples(st.sampled_from(PLANE_LETTERS), st.sampled_from((-2, -1, 1, 2))), max_size=3),
+    min_size=6, max_size=6,
+).map(lambda words: {sym: plane_word(w) for sym, w in zip(PLANE_LETTERS, words)})
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(generator_powers)
+def test_plane_word_matches_the_concat_fold(letters):
+    assert plane_word(letters).letters == _reference_word(letters, GENS).letters
+
+
+ATOM_WORDS = {"x": "c ch", "y": "d ch^-1 c", "z": "d dh", "w": "a", "v": "dh^b d^-1 c"}
+MULTI_LETTER_GENS = dict(zip(PLANE_LETTERS, map(plane_word, ("a", *ATOM_WORDS.values()))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(custom_gens, generator_powers)
+@example(MULTI_LETTER_GENS, [("b", 2), ("a", 1), ("c", -3), ("dh", -1), ("b", -1), ("ch", 4)])
+# pushing three raw copies of d dh after (b d dh)^-1, instead of the word
+# (d dh)^3, would leave other letters
+@example(dict(GENS, c=plane_word("d dh"), ch=plane_word("b d dh")), [("ch", -1), ("c", 3)])
+def test_plane_word_over_multi_letter_generators_matches_the_concat_fold(gens, letters):
+    assert plane_word(letters, gens).letters == _reference_word(letters, gens).letters
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(custom_gens)
+@example(MULTI_LETTER_GENS)
+def test_multi_letter_power_matches_the_concat_fold(gens):
+    for word in gens.values():
+        for n in range(-3, 4):
+            assert word.power(n).letters == _reference_power(word, n).letters
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.lists(st.tuples(st.sampled_from(sorted(ATOM_WORDS)), st.integers(-3, 3)), max_size=8))
+def test_realize_plane_matches_the_concat_fold(word):
+    table = AtomTable(ATOM_WORDS, [])
+    gens = {name: plane_word(text) for name, text in ATOM_WORDS.items()}
+    assert table.realize_plane(tuple(word)).letters == _reference_word(word, gens).letters
+
+
+def test_words_are_built_on_one_stack(monkeypatch):
+    # plane_word builds no one-letter word per letter, and a generator's
+    # first power is the generator, its minus first the memoized inverse
+    expected = plane_word("a^-3 c a^3 c d dh")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built through PlaneWord.__init__ or SkewElement.compose")
+
+    monkeypatch.setattr(PlaneWord, "__init__", refuse)
+    assert plane_word("a^-3 c a^3 c d dh").letters == expected.letters
+    d = standard_generators()["d"]
+    monkeypatch.setattr(SkewElement, "compose", refuse)
+    assert d.power(1) is d
+    assert d.power(-1) is d.invert()

@@ -1,5 +1,6 @@
 import pytest
 
+from ordercert import wordsyntax
 from ordercert.wordsyntax import WordSyntaxError, format_word, parse_word
 
 ABCD = ("a", "b", "c", "d")
@@ -34,6 +35,20 @@ def test_two_character_letters_win():
 def test_greek_aliases():
     assert parse_word("α β^-1", ABCD) == [("a", 1), ("b", -1)]
     assert parse_word("γη", FULL) == [("ch", 1)]
+
+
+def test_alphabet_is_sorted_once_per_word(monkeypatch):
+    calls = []
+
+    def counting_sorted(*args, **kwargs):
+        calls.append(args)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(wordsyntax, "sorted", counting_sorted, raising=False)
+    # Greek aliases inside a conjugator, and the longest match: γη before γ
+    assert parse_word("γ^δα2", ABCD) == [("a", -2), ("d", -1), ("c", 1), ("d", 1), ("a", 2)]
+    assert parse_word("γη γ^γηδ", FULL) == [("ch", 1), ("d", -1), ("ch", -1), ("c", 1), ("ch", 1), ("d", 1)]
+    assert len(calls) == 2
 
 
 def test_errors():
