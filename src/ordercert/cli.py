@@ -240,8 +240,12 @@ def parse_args(argv) -> SimpleNamespace:
             words += rest
         elif arg == "-h" or arg.startswith("--"):
             name, given, value = arg[2:].partition("=")
-            keys = [key for key in (*options, "help") if key.replace("_", "-").startswith(name)]
+            # an empty name would be a prefix of every option
+            keys = [key for key in (*options, "help")
+                    if name and key.replace("_", "-").startswith(name)]
             if arg == "-h" or keys == ["help"]:
+                if given:
+                    raise UsageError(command, f"{arg!r} takes no value")
                 subcommands = __doc__.split("::\n\n", 1)[1].split("\n\n", 1)[0].splitlines()
                 print(_usage(command), "", *(line for line in subcommands
                                              if command in (None, line.split()[0])), sep="\n")

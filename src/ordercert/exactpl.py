@@ -321,13 +321,9 @@ class _PLBase(Frozen):
 
     _wrap_rise = 0  # vertical rise across one period of the extension
 
-    def __new__(cls, pairs: Sequence[Pair]):
-        """Canonical form of ``pairs``, sorted with distinct xs in [0, 1)."""
-        return cls._make(_essential(pairs, cls._wrap_rise))
-
     @classmethod
     def _make(cls, corners):
-        """Build from canonical corners."""
+        """Build from canonical corners; ``from_points`` validates points."""
         self = object.__new__(cls)
         object.__setattr__(self, "corners", corners)
         return self
@@ -338,7 +334,7 @@ class _PLBase(Frozen):
         return cls._make(((0, 1, yn, yd, cls._wrap_rise, 1),))
 
     def __reduce__(self):
-        return (type(self), (self.breakpoints(),))
+        return (type(self).from_points, (self.breakpoints(),))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -441,7 +437,7 @@ class PLMap(_PLBase):
                 raise PLError("y-values must increase strictly; not a bijection")
         if len(pairs) > 1 and not ys[-1] < ys[0] + 1:
             raise PLError("wrap segment must rise: need last y < first y + 1")
-        return cls(pairs)
+        return cls._make(_essential(pairs, 1))
 
     @classmethod
     def identity(cls) -> "PLMap":
@@ -452,18 +448,8 @@ class PLMap(_PLBase):
         return cls._one_corner(*rational(amount).as_integer_ratio())
 
     @property
-    def is_translation(self) -> bool:
-        return len(self.corners) == 1
-
-    @property
     def is_identity(self) -> bool:
         return len(self.corners) == 1 and self.corners[0][2] == 0
-
-    @property
-    def translation_amount(self) -> Rational:
-        if not self.is_translation:
-            raise PLError("not a translation")
-        return self.ys[0]
 
     def compose(self, other: "PLMap") -> "PLMap":
         """Left-to-right composite x -> other(self(x))."""
@@ -506,7 +492,7 @@ class PLCocycle(_PLBase):
 
     @classmethod
     def from_points(cls, points: Iterable[Pair]) -> "PLCocycle":
-        return cls(_prepare(points, wrap_rise=0))
+        return cls._make(_essential(_prepare(points, wrap_rise=0), 0))
 
     @classmethod
     def zero(cls) -> "PLCocycle":
@@ -517,18 +503,8 @@ class PLCocycle(_PLBase):
         return cls._one_corner(*rational(value).as_integer_ratio())
 
     @property
-    def is_constant(self) -> bool:
-        return len(self.corners) == 1
-
-    @property
     def is_zero(self) -> bool:
         return len(self.corners) == 1 and self.corners[0][2] == 0
-
-    @property
-    def constant_value(self) -> Rational:
-        if not self.is_constant:
-            raise PLError("not constant")
-        return self.ys[0]
 
     def add(self, other: "PLCocycle") -> "PLCocycle":
         if len(self.corners) == 1:

@@ -7,13 +7,13 @@ never a letter; it only appears as the bijection between the two kinds.
 
 Words are kept in a simplified form: adjacent letters of the same kind merge
 by exact composition, identity letters vanish, and pure translations -- which
-live in both copies -- are absorbed into either neighbour and stored V-first
-when they stand alone.  Letters with zero shift, (f(x), y) and (x, g(y)),
-commute, so such a pair is reordered until each merges with a same-kind
-neighbour; a lone pair of them is stored V-first.  Structural equality of
-simplified words therefore decides every equality this package needs,
-``d dh == dh d`` included; a bounded witness search handles inequality, and
-anything else is honestly reported as unknown.
+live in both copies -- are absorbed into either neighbour, in its copy, and
+stored V-first when they stand alone.  Letters with zero shift, (f(x), y) and
+(x, g(y)), commute, so such a pair is reordered until each merges with a
+same-kind neighbour; a lone pair of them is stored V-first.  Structural
+equality of simplified words therefore decides every equality this package
+needs, ``d dh == dh d`` included; a bounded witness search handles inequality,
+and anything else is honestly reported as unknown.
 """
 
 from __future__ import annotations
@@ -55,14 +55,15 @@ class Letter(Record):
         return Letter("H" if self.kind == "V" else "V", self.elem)
 
     def as_kind(self, kind: str) -> "Letter":
-        """Re-express a pure translation in the other copy."""
+        """Re-express a pure translation in the other copy: (x + u, y + v)
+        there is (x + v, y + u), so the two one-corner pairs swap."""
         if kind == self.kind:
             return self
         if not self.elem.is_translation:
             raise ValueError("only pure translations live in both copies")
-        u, v = self.elem.translation_vector()
-        swapped = SkewElement(PLMap.translation(v), PLCocycle.constant(u))
-        return Letter(kind, swapped)
+        _, _, un, ud, _, _ = self.elem.x_part.corners[0]
+        _, _, vn, vd, _, _ = self.elem.shift.corners[0]
+        return Letter(kind, SkewElement(PLMap._one_corner(vn, vd), PLCocycle._one_corner(un, ud)))
 
 
 def _walk(letters: Iterable[Letter], xn: int, xd: int, yn: int, yd: int) -> tuple:
@@ -91,16 +92,12 @@ def _push(stack: list[Letter], letter: Letter) -> None:
         translation = letter.elem.is_translation
         if translation and letter.elem.is_identity:
             return
-        if translation and letter.kind != "V":
-            letter = letter.as_kind("V")
         if not stack:
-            stack.append(letter)
+            # a translation lives in both copies: one alone is stored V
+            stack.append(letter.as_kind("V") if translation else letter)
             return
         top = stack[-1]
-        if top.kind == letter.kind:
-            stack.pop()
-            letter = _merge(top, letter)
-        elif translation:
+        if top.kind == letter.kind or translation:
             stack.pop()
             letter = _merge(top, letter.as_kind(top.kind))
         elif top.elem.is_translation:

@@ -63,9 +63,6 @@ class SkewElement(Record):
         """True when the plane map is (x, y) -> (x + u, y + v)."""
         return len(self.x_part.corners) == 1 == len(self.shift.corners)
 
-    def translation_vector(self) -> Point:
-        return (self.x_part.translation_amount, self.shift.constant_value)
-
     def apply(self, point: Point) -> Point:
         x = rational(point[0])
         y = rational(point[1])

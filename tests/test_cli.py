@@ -636,6 +636,10 @@ USAGE_ERRORS = {
     "extra-positional": ["check-cert", "a", "b"],
     "missing-positional": ["eval", "a"],
     "unknown-option": ["prove", "--bogus"],
+    # an empty option name is a prefix of no option, not of every one (help)
+    "empty-option-name": ["check-cert", "--=1", "foo"],
+    "empty-option-name-no-options": ["epsilon", "--=x"],
+    "help-with-value": ["verify", "--help=x"],
 }
 
 

@@ -61,7 +61,7 @@ def test_identity_and_translation():
     assert ident.is_identity
     # a single breakpoint anywhere means a translation, pinned at x = 0
     assert PLMap.from_points([(F(1, 2), F(3, 4))]) == PLMap.from_points([(0, F(1, 4))])
-    assert PLMap.from_points([(F(1, 2), F(3, 4))]).translation_amount == F(1, 4)
+    assert PLMap.from_points([(F(1, 2), F(3, 4))]).ys == (F(1, 4),)
 
 
 def test_extension_rules():
@@ -100,6 +100,14 @@ def test_bad_inputs_rejected():
         PLCocycle.from_points([(0, 1), (1, 2)])  # duplicate x mod 1 with different values
     with pytest.raises(PLError):
         rational(0.5)
+    with pytest.raises(PLError):
+        PLMap.from_points([(0.5, 0.1)])  # floats
+    # from_points is the one constructor from points: PLMap(pairs) would skip
+    # its checks and build these silently
+    for cls, pairs in ((PLMap, [(0, 0)]), (PLMap, [(0.5, 0.1)]),
+                       (PLMap, [(0, 0), (F(1, 2), F(-1, 4))]), (PLCocycle, [(0, 1), (F(1, 2), 2)])):
+        with pytest.raises(TypeError):
+            cls(pairs)
     # consistent duplicates are fine
     assert PLMap.from_points([(F(1, 3), F(1, 6)), (F(4, 3), F(7, 6)), (F(2, 3), F(5, 6))]) == d0()
 
@@ -607,10 +615,12 @@ def test_one_corner_constructors_match_from_points(v):
 def test_pickle_round_trip():
     rng = random.Random(110)
     points = [random_rational(rng) for _ in range(20)]
-    for value in (d0(), c0(), TRANSLATION, CONSTANT, d_power(8), c0().pullback(d_power(8))):
+    for value in (d0(), c0(), TRANSLATION, CONSTANT, PLMap.identity(), PLCocycle.zero(),
+                  d_power(8), c0().pullback(d_power(8)), d_power(256)):
         copy = pickle.loads(pickle.dumps(value))
-        assert copy == value
+        assert copy == value and copy.corners == value.corners
         assert [copy(x) for x in points] == [value(x) for x in points]
+    assert len(d_power(256).corners) == 512
 
 
 def test_pickle_leaves_the_inverse_memo_behind():

@@ -19,6 +19,7 @@ from ordercert.plane import (
     Letter,
     PlaneWord,
     WitnessSearchConfig,
+    _push,
     equal_or_unknown,
     plane_word,
     stepwise_apply_plane,
@@ -555,6 +556,75 @@ def test_pushing_a_simplified_word_again_changes_nothing(u):
         prefix = PlaneWord(word.letters[:k])
         assert prefix.letters == word.letters[:k]
         assert prefix.concat(PlaneWord(word.letters[k:])).letters == word.letters
+
+
+# -- translations in either copy ---------------------------------------------------
+
+# zero, small of either sign, and wide: numerator and denominator up to 10^30
+translation_amounts = st.one_of(
+    st.just(F(0)),
+    small_coordinates,
+    st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**30)),
+)
+# words whose simplified form ends in an H letter that is not a translation
+H_TOPPED = ("ch", "dh^-2", "c dh", "a d ch^3", "c^d dh^-1", "d dh b^2 ch")
+
+
+def _translation(kind, u, v):
+    return Letter(kind, SkewElement(PLMap.translation(u), PLCocycle.constant(v)))
+
+
+def _reference_letter(letter, x, y):
+    """``letter.apply((x, y))`` through ``skew.reference_apply``."""
+    if letter.kind == "V":
+        return reference_apply(letter.elem, x, y)
+    y, x = reference_apply(letter.elem, y, x)
+    return x, y
+
+
+def _refuse_fraction(cls, *args, **kwargs):
+    raise AssertionError("built through Fraction.__new__")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.sampled_from("VH"), translation_amounts, translation_amounts,
+       translation_amounts, translation_amounts)
+@example("H", F(-7, 4), F(0), F(1, 3), F(-2))
+@example("V", F(0), F(0), F(0), F(0))
+def test_as_kind_swaps_a_translation_between_the_copies(kind, u, v, x, y):
+    letter = _translation(kind, u, v)
+    other_kind = "H" if kind == "V" else "V"
+    # the two one-corner pairs swap as integers: no Fraction is built
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(F, "__new__", _refuse_fraction)
+        other = letter.as_kind(other_kind)
+        back = other.as_kind(kind)
+    assert other.kind == other_kind and other.elem.is_translation
+    assert back == letter and letter.as_kind(kind) is letter
+    image = (x + u, y + v) if kind == "V" else (x + v, y + u)
+    assert letter.apply((x, y)) == other.apply((x, y)) == image
+    assert _reference_letter(letter, x, y) == _reference_letter(other, x, y) == image
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.sampled_from(H_TOPPED), translation_amounts, translation_amounts, small_coordinates,
+       small_coordinates)
+def test_an_h_translation_merges_into_an_h_top_as_its_v_form_does(word, u, v, x, y):
+    below = plane_word(word).letters
+    assert below[-1].kind == "H" and not below[-1].elem.is_translation
+    h = _translation("H", u, v)
+    via_h, via_v = list(below), list(below)
+    _push(via_h, h)
+    _push(via_v, h.as_kind("V"))
+    assert via_h == via_v
+    assert PlaneWord(via_h).apply((x, y)) == h.apply(plane_word(word).apply((x, y)))
+
+
+def test_as_kind_refuses_a_letter_that_is_not_a_translation():
+    for word in ("c", "dh", "a c"):
+        (letter, *_) = plane_word(word).letters
+        with pytest.raises(ValueError):
+            letter.as_kind("H" if letter.kind == "V" else "V")
 
 
 # -- one-stack building against the concat fold -----------------------------------
