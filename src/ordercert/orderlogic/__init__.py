@@ -3,7 +3,8 @@
 Submodules: ``words`` (formal atom words and judgments), ``facts`` (atom
 tables binding each atom to a plane word, and the facts verified on them),
 ``rules`` (the rule engine), ``derivation`` (trees, the checker and the
-theorem's statement check), and ``scripts`` (the two shipped derivations).
+theorem's statement check), and ``scripts`` (the shipped derivation of the
+theorem and its atom table).
 """
 
 from .derivation import (
@@ -26,12 +27,7 @@ from .facts import (
     not_in_set_fact,
 )
 from .rules import RuleError, apply_rule
-from .scripts import (
-    lemma_atom_table,
-    script_lemma_gen,
-    script_theorem_main,
-    theorem_atom_table,
-)
+from .scripts import script_theorem_main, theorem_atom_table
 from .words import CONTRADICTION, EMPTY, Less, Word, WordEq, atom_pow, t_pow, w_inv, w_mul, w_reduce
 
 __all__ = [
@@ -39,6 +35,6 @@ __all__ = [
     "EMPTY", "Fact", "Hypothesis", "Less", "Node", "RuleError",
     "Split", "Step", "Verdict", "Word", "WordEq", "apply_rule", "atom_pow",
     "check_derivation", "commute_fact", "identity_eq_fact",
-    "lemma_atom_table", "non_identity_fact", "not_in_set_fact", "script_lemma_gen",
+    "non_identity_fact", "not_in_set_fact",
     "script_theorem_main", "t_pow", "theorem_atom_table", "w_inv", "w_mul", "w_reduce",
 ]

@@ -3,8 +3,9 @@
 A derivation is a tree of nodes.  Each node carries a list of steps (rule
 applications whose premises are earlier steps or enclosing hypotheses) and
 optionally ends in a case split whose branches are sub-nodes.  A branch
-introduces hypothesis judgments; a leaf is valid when it has derived the
-goal judgments in scope, or a contradiction (which closes any goal).
+introduces the hypotheses of one case of its split; a leaf is valid exactly
+when a contradiction is in scope.  Every split is exhaustive and no split
+assumes anything, so a valid tree refutes the order outright.
 
 Split kinds:
 
@@ -13,11 +14,6 @@ Split kinds:
                               t^n0 < v < t^(n0+1) for n0 in [n1, n2-1] and
                               v = t^n0 for n0 in (n1, n2); the premise ids
                               must be cited on the split
-  given(...)               -- root-level assumption cases: each branch
-                              declares its own hypotheses and goal, so the
-                              derivation certifies the conjunction of
-                              per-branch conditionals; no other branch may
-                              declare a goal
 
 Checking is deterministic and reports the first failing step in tree order.
 Facts are consulted through the derivation's :class:`AtomTable`, which
@@ -46,11 +42,11 @@ class Hypothesis(Record):
 
 class Branch(Record):
     __slots__ = ("name", "hypotheses", "node", "goal")
-    _defaults = (None,)  # None inherits the enclosing goal
+    _defaults = (None,)  # a version-1 certificate writes null; any other goal is refused
 
 
 class Split(Record):
-    __slots__ = ("kind", "params", "premises", "branches")  # kind: trichotomy | window | given
+    __slots__ = ("kind", "params", "premises", "branches")  # kind: trichotomy | window
 
 
 class Node(Record):
@@ -59,7 +55,7 @@ class Node(Record):
 
 
 class Derivation(Record):
-    __slots__ = ("name", "table", "goal", "root")  # goal: CONTRADICTION_GOAL or judgments
+    __slots__ = ("name", "table", "goal", "root")  # goal: CONTRADICTION_GOAL in a valid statement
 
     def _nodes(self):
         """Every node of the tree, each before its branches' nodes."""
@@ -119,7 +115,7 @@ def _window_branches(v: Word, t, n1: int, n2: int):
 def check_derivation(derivation: Derivation) -> Verdict:
     """Validate every step, split, and leaf; deterministic first failure."""
     try:
-        _check_node(derivation.root, {}, derivation.goal, derivation.table, at_root=True)
+        _check_node(derivation.root, {}, derivation.table)
     except _Failure as failure:
         return failure.verdict
     return Verdict(VALID)
@@ -132,9 +128,6 @@ def statement_mismatch(derivation: Derivation) -> str:
     assumption refutes it."""
     if derivation.goal != CONTRADICTION_GOAL:
         return "the goal is not 'contradiction'"
-    split = derivation.root.split
-    if split is not None and split.kind == "given":
-        return "the root assumes cases by a 'given' split"
     return ""
 
 
@@ -155,7 +148,7 @@ def _lookup_facts(step: Step, table: AtomTable):
     return cited
 
 
-def _check_node(node: Node, env: dict, goal, table: AtomTable, at_root: bool = False):
+def _check_node(node: Node, env: dict, table: AtomTable):
     env = dict(env)
     for step in node.steps:
         if step.id in env:
@@ -175,13 +168,12 @@ def _check_node(node: Node, env: dict, goal, table: AtomTable, at_root: bool = F
         env[step.id] = conclusion
 
     if node.split is None:
-        _check_leaf(node, env, goal)
+        if not any(j is CONTRADICTION for j in env.values()):
+            _fail("<leaf>", "branch does not derive a contradiction")
         return
 
     split = node.split
     split_id = f"split:{split.kind}"
-    if split.kind == "given" and not at_root:
-        _fail(split_id, "assumption cases are only allowed at the root")
     if not split.branches:
         _fail(split_id, "case split with no branches")
 
@@ -189,19 +181,18 @@ def _check_node(node: Node, env: dict, goal, table: AtomTable, at_root: bool = F
         _check_cases(split, *_trichotomy_cases(split))
     elif split.kind == "window":
         _check_cases(split, *_window_cases(split, env))
-    elif split.kind != "given":
+    else:
         _fail(split_id, f"unknown split kind {split.kind!r}")
 
     for branch in split.branches:
-        if branch.goal is not None and split.kind != "given":
-            _fail(split_id, f"branch {branch.name!r} declares a goal; only 'given' branches may")
+        if branch.goal is not None:
+            _fail(split_id, f"branch {branch.name!r} declares a goal")
         branch_env = dict(env)
         for hyp in branch.hypotheses:
             if hyp.id in branch_env:
                 _fail(hyp.id, "duplicate judgment id")
             branch_env[hyp.id] = hyp.judgment
-        branch_goal = goal if branch.goal is None else branch.goal
-        _check_node(branch.node, branch_env, branch_goal, table)
+        _check_node(branch.node, branch_env, table)
 
 
 def _check_cases(split: Split, what: str, count: int, cases):
@@ -250,19 +241,3 @@ def _window_cases(split: Split, env: dict):
         if env[pid] != expected:
             _fail(split_id, f"premise {pid!r} must be '{expected}' (got '{env[pid]}')")
     return f"window over [{n1}, {n2}]", 2 * (n2 - n1) - 1, _window_branches(v, t, n1, n2)
-
-
-def _check_leaf(node: Node, env: dict, goal):
-    has_contradiction = any(j is CONTRADICTION for j in env.values())
-    if goal == CONTRADICTION_GOAL:
-        if not has_contradiction:
-            _fail("<leaf>", "branch does not derive a contradiction")
-        return
-    if has_contradiction:
-        return
-    judgments = set(env.values())
-    if goal is None:
-        _fail("<leaf>", "no goal declared for this branch")
-    for wanted in goal:
-        if wanted not in judgments:
-            _fail("<leaf>", f"goal judgment '{wanted}' was not derived")

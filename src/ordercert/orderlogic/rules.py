@@ -12,7 +12,7 @@ parameters with each top-level value's type (``True`` and ``1.0`` equal ``1``
 but are not integers), the premises and the cited ``Fact`` values.
 
 Each rule takes exactly the premises shown, in order, and accepts only these
-forms, the ones the shipped derivations use.  t = (atom, sign) is a signed
+forms, the ones the shipped derivation uses.  t = (atom, sign) is a signed
 base, and u, v commute with it: each of their letters is t's atom or is tied
 to it by a cited commute fact.
 

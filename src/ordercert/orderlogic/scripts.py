@@ -1,10 +1,4 @@
-"""The two shipped derivations.
-
-``script_lemma_gen`` certifies the conditional product bound: for atoms
-a, b, c, d with the commutation and flipping facts, on each sign case for b,
-with |a| < |b| unpacked into explicit hypotheses, the six-factor conjugate
-product lands strictly between the -12th and 12th powers of the positive
-base.
+"""The shipped derivation.
 
 ``script_theorem_main`` certifies an outright contradiction from any
 assumed left-invariant order on the six-generator plane group: nested sign
@@ -14,8 +8,8 @@ the exact product identities (the epsilon element and its mirror image)
 substitute in, and every branch closes.
 
 Builders construct conclusions through the same ``apply_rule`` engine the
-checker uses, so the emitted scripts are correct by construction and any
-later mutation is caught on re-checking.
+checker uses, so the emitted derivation is correct by construction and
+any later mutation is caught on re-checking.
 
 Each proof shape has one builder, shared by both signs and both sides of
 the swap: ``_sign_split`` (1 ? x), ``_quadrant`` (|a| ? |b|),
@@ -101,12 +95,6 @@ VSIDE = _LemmaLetters("F", "a", "b", "c", "d")
 HSIDE = _LemmaLetters("M", "b", "a", "ch", "dh")
 
 
-def lemma_atom_table() -> AtomTable:
-    atoms = {name: name for name in ("a", "b", "c", "d")}
-    cited = {*VSIDE.commute_map.values(), VSIDE.eq_c, VSIDE.eq_d, VSIDE.nonid_c}
-    return AtomTable(atoms, [f for f in VSIDE.facts() if f.id in cited])
-
-
 def theorem_atom_table() -> AtomTable:
     atoms = {name: name for name in PLANE_GENERATOR_NAMES}
     v_facts = VSIDE.facts()
@@ -180,14 +168,13 @@ def _refuted_branch(ctx: _Ctx, name: str, hyp: Hypothesis, fact_id: str) -> Bran
     return Branch(name, (hyp,), sub.node())
 
 
-def _product_bound_block(ctx: _Ctx, L: _LemmaLetters, t, j_pos, j_a_lt, j_ainv_lt,
-                         close: bool = False) -> Node:
+def _product_bound_block(ctx: _Ctx, L: _LemmaLetters, t, j_pos, j_a_lt, j_ainv_lt) -> Node:
     """Emit the product-bound argument onto ``ctx``; return the finished node.
 
     Requires in scope: ``j_pos``  1 < t,  ``j_a_lt``  A < t,  ``j_ainv_lt``
-    A^-1 < t, where t is the signed base over the atom named ``L.b``.  With
-    ``close`` every branch is closed by the epsilon identity ``L.epsilon``;
-    without it the branches stop at the two product-bound judgments.
+    A^-1 < t, where t is the signed base over the atom named ``L.b``.  The
+    strict window branches close by the epsilon identity ``L.epsilon``, the
+    equal one by ``L.nonid_c``.
     """
     A = L.a
     wa = atom_pow(A, 1)
@@ -266,8 +253,6 @@ def _product_bound_block(ctx: _Ctx, L: _LemmaLetters, t, j_pos, j_a_lt, j_ainv_l
                 )
                 product_word = w_mul(product_word, g_word)
         assert product_word == L.product
-        if not close:
-            return bctx.node()
         # substitute the epsilon identity into the failing bound, then cross
         # it with a power of the positive base
         side, j_bound = ("rhs", j_p_lo) if t[1] == 1 else ("lhs", j_p_up)
@@ -303,38 +288,6 @@ def _product_bound_block(ctx: _Ctx, L: _LemmaLetters, t, j_pos, j_a_lt, j_ainv_l
     return ctx.node(split)
 
 
-def script_lemma_gen() -> Derivation:
-    """The conditional product-bound derivation over abstract atoms a, b, c, d."""
-    table = lemma_atom_table()
-    builder = _Builder(table)
-    product = VSIDE.product
-    wb = atom_pow("b", 1)
-    branches = []
-    for sign, name in ((1, "b_positive"), (-1, "b_negative")):
-        t = ("b", sign)
-        hyps = (
-            builder.hyp(Less(EMPTY, wb) if sign == 1 else Less(wb, EMPTY)),
-            builder.hyp(Less(atom_pow("a", 1), t_pow(t, 1))),
-            builder.hyp(Less(atom_pow("a", -1), t_pow(t, 1))),
-        )
-        ctx = _Ctx(builder, {h.id: h.judgment for h in hyps})
-        j_pos = _base_positive(ctx, "b", sign, hyps[0].id)
-        node = _product_bound_block(ctx, VSIDE, t, j_pos, hyps[1].id, hyps[2].id)
-        goal = (Less(t_pow(t, -12), product), Less(product, t_pow(t, 12)))
-        branches.append(Branch(name, hyps, node, goal=goal))
-
-    root = Node(
-        steps=(),
-        split=Split(
-            "given",
-            {"description": "sign of b, with |a| < |b| unpacked per case"},
-            (),
-            tuple(branches),
-        ),
-    )
-    return Derivation("product-bound", table, None, root)
-
-
 def _dominated_branch(ctx: _Ctx, L: _LemmaLetters, sides: dict) -> Branch:
     """Case |x| < |y| for x = ``L.a``, y = ``L.b``, closed by the product
     bound over the base y^sign.  ``sides`` maps each of a, b to its sign, the
@@ -353,7 +306,7 @@ def _dominated_branch(ctx: _Ctx, L: _LemmaLetters, sides: dict) -> Branch:
     else:
         j_inv_lt = hyp.id
         j_lt = sub.step("trans", {}, [h_x, j_pos_y])
-    node = _product_bound_block(sub, L, (y, s_y), j_pos_y, j_lt, j_inv_lt, close=True)
+    node = _product_bound_block(sub, L, (y, s_y), j_pos_y, j_lt, j_inv_lt)
     return Branch(f"mag_{x}_below_mag_{y}", (hyp,), node)
 
 

@@ -16,6 +16,12 @@ from ordercert.orderlogic.words import Less
 INT_PARAMS = ("m", "n", "n1", "n2", "pos")
 
 
+def _node_at(node: Node, path) -> Node:
+    for index in path:
+        node = node.split.branches[index].node
+    return node
+
+
 def _walk(node: Node, path=()):
     yield path, node
     if node.split:
@@ -39,8 +45,8 @@ def _mutant(derivation: Derivation, path, change) -> Derivation:
     return derivation._replace(root=_with_node(derivation.root, path, change))
 
 
-def _step_sites(derivation: Derivation):
-    for path, node in _walk(derivation.root):
+def _step_sites(derivation: Derivation, at=()):
+    for path, node in _walk(_node_at(derivation.root, at), at):
         for index, step in enumerate(node.steps):
             yield path, index, step
 
@@ -74,9 +80,10 @@ def _flip_hypothesis(derivation: Derivation, path, bi, hi) -> Derivation:
     return _mutant(derivation, path, change)
 
 
-def generate_mutations(derivation: Derivation, per_kind: int = 8):
-    """Yield (label, mutant) pairs; deterministic order and content."""
-    sites = list(_step_sites(derivation))
+def generate_mutations(derivation: Derivation, per_kind: int = 8, at=()):
+    """Yield (label, mutant) pairs; deterministic order and content.  Only
+    the subtree under the branch path ``at`` is mutated."""
+    sites = list(_step_sites(derivation, at))
 
     flippable = [(p, i, s) for p, i, s in sites if isinstance(s.conclusion, Less)]
     stride = max(1, len(flippable) // per_kind)
@@ -117,15 +124,15 @@ def generate_mutations(derivation: Derivation, per_kind: int = 8):
         yield (f"drop-fact:{step.id}",
                _replace_step(derivation, path, index, facts=step.facts[1:]))
 
-    for path, node in _walk(derivation.root):
-        if node.split and node.split.kind in ("trichotomy", "window"):
+    for path, node in _walk(_node_at(derivation.root, at), at):
+        if node.split:
             for drop in range(len(node.split.branches)):
                 yield (f"drop-branch:{'.'.join(map(str, path))}:{drop}",
                        _drop_branch(derivation, path, drop))
 
     hyp_sites = []
-    for path, node in _walk(derivation.root):
-        if node.split and node.split.kind in ("trichotomy", "window"):
+    for path, node in _walk(_node_at(derivation.root, at), at):
+        if node.split:
             for bi, branch in enumerate(node.split.branches):
                 for hi, hyp in enumerate(branch.hypotheses):
                     if isinstance(hyp.judgment, Less):

