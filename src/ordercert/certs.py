@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from datetime import datetime, timezone
 
+from . import __version__
 from .exactpl import PLCocycle, PLMap, Record
 from .orderlogic.derivation import (
     CONTRADICTION_GOAL,
@@ -30,7 +31,7 @@ from .orderlogic.facts import IDENTITY_EQ, AtomTable, Fact
 from .orderlogic.words import CONTRADICTION, Less, WordEq, letter_pair
 
 CERT_VERSION = "1"
-TOOLCHAIN = "ordercert 0.1.0"
+TOOLCHAIN = f"ordercert {__version__}"
 
 KINDS = ("relation-report", "derivation")
 

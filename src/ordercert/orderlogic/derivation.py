@@ -149,7 +149,7 @@ def _lookup_facts(step: Step, table: AtomTable):
 
 
 def _check_node(node: Node, env: dict, table: AtomTable):
-    env = dict(env)
+    """Check ``node`` in scope ``env``: a fresh dict this call owns and extends."""
     for step in node.steps:
         if step.id in env:
             _fail(step.id, "duplicate judgment id")

@@ -232,7 +232,7 @@ class WitnessSearchConfig(Record):
     giving up; exact throughout.  ``equal_or_unknown`` says why in that order."""
 
     __slots__ = ("max_denominator", "coord_bound", "random_count", "random_max_denominator", "seed")
-    _defaults = (24, 2, 64, 1000, None)
+    _defaults = (24, 2, 64, 1000, DEFAULT_SEED)
 
 
 def _grid_points(config: WitnessSearchConfig):
@@ -247,7 +247,7 @@ def _grid_points(config: WitnessSearchConfig):
 
 
 def _random_points(config: WitnessSearchConfig):
-    rng = random.Random(config.seed if config.seed is not None else DEFAULT_SEED)
+    rng = random.Random(config.seed)
     qmax = config.random_max_denominator
     for _ in range(config.random_count):
         q = rng.randint(1, qmax)

@@ -11,7 +11,8 @@ from fractions import Fraction as F
 
 from ordercert.cli import main
 from ordercert.exactpl import PLCocycle, PLMap
-from ordercert.orderlogic import check_derivation, script_theorem_main
+from ordercert.orderlogic.derivation import check_derivation
+from ordercert.orderlogic.scripts import script_theorem_main
 from ordercert.plane import verify_mirrored_relations
 from ordercert.skew import (
     compute_epsilon,

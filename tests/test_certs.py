@@ -4,7 +4,8 @@ import pytest
 
 from ordercert import certs
 from ordercert.cli import main
-from ordercert.orderlogic import check_derivation, script_theorem_main
+from ordercert.orderlogic.derivation import check_derivation
+from ordercert.orderlogic.scripts import script_theorem_main
 from ordercert.skew import word_to_element
 
 

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 import ordercert
 from ordercert import certs, cli, plane
 from ordercert.cli import main
-from ordercert.orderlogic import AtomTable, check_derivation, script_theorem_main
+from ordercert.orderlogic.derivation import check_derivation
+from ordercert.orderlogic.facts import AtomTable
+from ordercert.orderlogic.scripts import script_theorem_main
 
 
 # SHA-256 of the `--no-timestamp` certificates written by `prove` and
@@ -770,23 +772,58 @@ def test_commands_leave_no_cyclic_garbage(tmp_path, capsys, theorem_cert, argv, 
     assert not garbage, sorted({type(obj).__qualname__ for obj in garbage})
 
 
+def _fresh_python(code, *args):
+    """A new interpreter running ``code`` on this checkout's ``ordercert``,
+    started and not waited for."""
+    src = str(Path(ordercert.__file__).resolve().parents[1])
+    return subprocess.Popen([sys.executable, "-c", code, *args], stdout=subprocess.PIPE, text=True,
+                            env={**os.environ, "PYTHONPATH": src})
+
+
+def _output(run):
+    stdout, _ = run.communicate(timeout=60)
+    assert run.returncode == 0
+    return stdout
+
+
 def test_commands_load_no_argument_parser():
     # argparse's first message lookup imports gettext and locale; this
     # process may have them loaded already, so a fresh one is asked
-    src = str(Path(ordercert.__file__).resolve().parents[1])
     code = ("import sys, ordercert.cli; ordercert.cli.main(['eval', 'c^d', '0,0']); "
             "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert run.stdout == "0,3\n[]\n"
+    assert _output(_fresh_python(code)) == "0,3\n[]\n"
 
 
 def test_cli_import_loads_no_dataclass_machinery():
     # dataclasses pulls in inspect, ast and dis, which the checker does not
-    # need; this process has them loaded already, so a fresh one is asked
-    src = str(Path(ordercert.__file__).resolve().parents[1])
+    # need, and the command line is read from cli.COMMANDS, not by argparse;
+    # this process has them loaded already, so a fresh one is asked
     code = ("import sys, ordercert.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))")
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert run.stdout == "[]\n"
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'argparse'} & set(sys.modules)))")
+    assert _output(_fresh_python(code)) == "[]\n"
+
+
+_CORE = {"ordercert.exactpl", "ordercert.wordsyntax", "ordercert.skew"}
+_CHECKER = _CORE | {"ordercert.plane", "ordercert.orderlogic", "ordercert.orderlogic.words",
+                    "ordercert.orderlogic.facts", "ordercert.orderlogic.rules",
+                    "ordercert.orderlogic.derivation"}
+# the ordercert modules each module may load: its own layer and those below
+LAYERS = {
+    "ordercert.exactpl": {"ordercert.exactpl"},
+    "ordercert.wordsyntax": {"ordercert.wordsyntax"},
+    "ordercert.skew": _CORE,
+    "ordercert.orderlogic.derivation": _CHECKER,
+    "ordercert.certs": _CHECKER | {"ordercert.certs"},
+}
+
+
+def test_modules_load_only_their_layer():
+    # the package files define no names, so a module loads only what it
+    # imports: skew loads no plane, and the reader and the checker load no
+    # prover (orderlogic.scripts); each import gets a fresh interpreter
+    code = ("import importlib, sys; importlib.import_module(sys.argv[1]); "
+            "print(*(name for name in sys.modules if name.startswith('ordercert.')))")
+    runs = {name: _fresh_python(code, name) for name in LAYERS}
+    loaded = {name: set(_output(run).split()) for name, run in runs.items()}
+    for name, modules in loaded.items():
+        assert name in modules and modules <= LAYERS[name], (name, sorted(modules - LAYERS[name]))

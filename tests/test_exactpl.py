@@ -535,6 +535,7 @@ def test_integer_evaluation_on_wide_and_flat_operands():
             assert_integer_route(f, F(rng.randint(-10**6 * q, 10**6 * q), q))
         assert_integer_route(f, f.xs[0] - F(1, 10**6))
     assert len(WIDE.xs) == 512 and max(x.denominator for x in WIDE.xs).bit_length() == 258
+    assert_canonical(WIDE)  # its breakpoints rebuild the same corners
 
 
 def test_integer_table_is_built_once():

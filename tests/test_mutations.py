@@ -1,6 +1,7 @@
 """Every single-token mutation of the shipped derivation must be rejected."""
 
-from ordercert.orderlogic import check_derivation, script_theorem_main
+from ordercert.orderlogic.derivation import check_derivation
+from ordercert.orderlogic.scripts import script_theorem_main
 
 from mutation_tools import generate_mutations
 

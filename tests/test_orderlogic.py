@@ -6,37 +6,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordercert.orderlogic import (
-    AtomTable,
-    Branch,
-    CONTRADICTION,
+from ordercert import certs
+from ordercert.exactpl import Record
+from ordercert.orderlogic import derivation as checker
+from ordercert.orderlogic.derivation import (
     CONTRADICTION_GOAL,
+    Branch,
     Derivation,
     Hypothesis,
-    Less,
     Node,
-    RuleError,
     Split,
     Step,
     Verdict,
-    WordEq,
-    apply_rule,
     check_derivation,
+)
+from ordercert.orderlogic.facts import (
+    IDENTITY_EQ,
+    AtomTable,
     commute_fact,
     identity_eq_fact,
     non_identity_fact,
     not_in_set_fact,
-    script_theorem_main,
-    theorem_atom_table,
-    w_inv,
-    w_mul,
-    w_reduce,
 )
-from ordercert import certs
-from ordercert.orderlogic import derivation as checker
-from ordercert.orderlogic.facts import IDENTITY_EQ
-from ordercert.exactpl import Record
-from ordercert.orderlogic.words import EMPTY, atom_pow, t_pow
+from ordercert.orderlogic.rules import RuleError, apply_rule
+from ordercert.orderlogic.scripts import script_theorem_main, theorem_atom_table
+from ordercert.orderlogic.words import (
+    CONTRADICTION, EMPTY, Less, WordEq, atom_pow, t_pow, w_inv, w_mul, w_reduce,
+)
 from ordercert.plane import WitnessSearchConfig, equal_or_unknown, plane_word
 from ordercert.skew import word_to_element
 from ordercert.wordsyntax import reduce_letters

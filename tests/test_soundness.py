@@ -11,19 +11,17 @@ import random
 
 import pytest
 
-from ordercert.orderlogic import (
-    CONTRADICTION,
-    Less,
-    RuleError,
-    WordEq,
-    apply_rule,
+from ordercert.orderlogic.derivation import _window_branches
+from ordercert.orderlogic.facts import (
     commute_fact,
     identity_eq_fact,
     non_identity_fact,
     not_in_set_fact,
 )
-from ordercert.orderlogic.derivation import _window_branches
-from ordercert.orderlogic.words import EMPTY, atom_pow, t_pow, w_inv, w_mul
+from ordercert.orderlogic.rules import RuleError, apply_rule
+from ordercert.orderlogic.words import (
+    CONTRADICTION, EMPTY, Less, WordEq, atom_pow, t_pow, w_inv, w_mul,
+)
 
 ATOMS = {"x": (1, 0), "y": (0, 1), "z": (2, -3), "t": None}
 
