@@ -28,7 +28,7 @@ from types import SimpleNamespace
 from . import certs
 from .exactpl import PLError, format_rational, rational
 from .orderlogic import derivation as derivation_mod
-from .orderlogic.derivation import check_derivation, statement_mismatch
+from .orderlogic.derivation import check_derivation
 from .orderlogic.scripts import script_theorem_main
 from .plane import plane_word, verify_mirrored_relations
 from .skew import (
@@ -172,10 +172,6 @@ def cmd_check_cert(args) -> int:
     except certs.CertificateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    mismatch = statement_mismatch(derivation)
-    if mismatch:
-        print(f"derivation '{derivation.name}': statement mismatch: {mismatch}")
-        return EXIT_FALSE
     verdict = check_derivation(derivation)
     print(f"derivation '{derivation.name}': {verdict}")
     return _verdict_exit_code(verdict)

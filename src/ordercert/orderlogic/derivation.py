@@ -15,7 +15,8 @@ Split kinds:
                               v = t^n0 for n0 in (n1, n2); the premise ids
                               must be cited on the split
 
-Checking is deterministic and reports the first failing step in tree order.
+Checking is deterministic: it checks the goal, then reports the first failing
+step in tree order with the path of branch names from the root to its node.
 Facts are consulted through the derivation's :class:`AtomTable`, which
 decides each fact in the exact algebra when a step first cites it: a cited
 fact that is refuted makes the derivation ``invalid``, one that is undecided
@@ -80,8 +81,8 @@ UNKNOWN_FACTS = "unknown_facts"
 
 
 class Verdict(Record):
-    __slots__ = ("status", "step_id", "reason")
-    _defaults = ("", "")
+    __slots__ = ("status", "step_id", "reason", "path")  # path: branch names from the root, "/"-joined
+    _defaults = ("", "", "")
 
     @property
     def is_valid(self) -> bool:
@@ -90,13 +91,14 @@ class Verdict(Record):
     def __str__(self):
         if self.is_valid:
             return "valid"
-        return f"{self.status} at {self.step_id or '<structure>'}: {self.reason}"
+        where = f"{self.step_id} in {self.path}" if self.path else self.step_id
+        return f"{self.status} at {where}: {self.reason}"
 
 
 class _Failure(Exception):
     def __init__(self, status, step_id, reason):
-        super().__init__(reason)
-        self.verdict = Verdict(status, step_id, reason)
+        super().__init__(status, step_id, reason)
+        self.names = []  # each branch it unwinds through, innermost first
 
 
 def _fail(step_id, reason):
@@ -113,22 +115,15 @@ def _window_branches(v: Word, t, n1: int, n2: int):
 
 
 def check_derivation(derivation: Derivation) -> Verdict:
-    """Validate every step, split, and leaf; deterministic first failure."""
+    """Validate the goal, then every step, split, and leaf; deterministic first failure.
+    Atoms are plane words, so a contradiction under no assumption refutes any left order."""
     try:
+        if derivation.goal != CONTRADICTION_GOAL:
+            _fail("<goal>", "statement mismatch: the goal is not 'contradiction'")
         _check_node(derivation.root, {}, derivation.table)
     except _Failure as failure:
-        return failure.verdict
+        return Verdict(*failure.args, "/".join(reversed(failure.names)))
     return Verdict(VALID)
-
-
-def statement_mismatch(derivation: Derivation) -> str:
-    """Why ``derivation`` does not state that the plane group has no left
-    order, or "".  Atoms are plane words, and a left order on the group would
-    restrict to the subgroup they generate: a contradiction derived under no
-    assumption refutes it."""
-    if derivation.goal != CONTRADICTION_GOAL:
-        return "the goal is not 'contradiction'"
-    return ""
 
 
 def _lookup_facts(step: Step, table: AtomTable):
@@ -192,7 +187,11 @@ def _check_node(node: Node, env: dict, table: AtomTable):
             if hyp.id in branch_env:
                 _fail(hyp.id, "duplicate judgment id")
             branch_env[hyp.id] = hyp.judgment
-        _check_node(branch.node, branch_env, table)
+        try:
+            _check_node(branch.node, branch_env, table)
+        except _Failure as failure:
+            failure.names.append(branch.name)
+            raise
 
 
 def _check_cases(split: Split, what: str, count: int, cases):

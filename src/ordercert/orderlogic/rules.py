@@ -42,8 +42,8 @@ Case splitting lives in the derivation tree, not here.
 from __future__ import annotations
 
 from .facts import COMMUTE, IDENTITY_EQ, NON_IDENTITY, NOT_IN_SET, Fact
-from .words import (CONTRADICTION, EMPTY, Judgment, Less, Word, WordEq, atom_pow, letter_pair,
-                    t_pow, w_format, w_inv, w_mul, w_reduce)
+from .words import (CONTRADICTION, EMPTY, INT_BITS, Judgment, Less, Word, WordEq, atom_pow,
+                    letter_pair, t_pow, w_format, w_inv, w_mul, w_reduce)
 
 
 class RuleError(ValueError):
@@ -73,6 +73,8 @@ def read_int(params, key) -> int:
     value = params.get(key)
     if not isinstance(value, int) or isinstance(value, bool):
         raise RuleError(f"parameter {key!r} must be an integer")
+    if value.bit_length() > INT_BITS:
+        raise RuleError(f"parameter {key!r} is 2**{INT_BITS} or more in magnitude")
     return value
 
 

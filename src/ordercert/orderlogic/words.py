@@ -16,6 +16,7 @@ from ..wordsyntax import format_word, reduce_letters
 Word = Tuple[Tuple[str, int], ...]
 
 EMPTY: Word = ()
+INT_BITS = 63  # untrusted integers stay below 2**INT_BITS in magnitude, so sums of them print
 
 
 def w_reduce(pairs) -> Word:
@@ -36,14 +37,16 @@ def w_mul(*words: Word) -> Word:
 
 def letter_pair(item) -> tuple[str, int]:
     """One [letter, exponent] pair of untrusted data such as JSON, strictly
-    typed: a string and an integer -- not a bool, float or numeric string,
-    which int() would coerce.  Raises ValueError."""
+    typed: a string and an integer below 2**INT_BITS in magnitude -- not a
+    bool, float or numeric string, which int() would coerce.  Raises ValueError."""
     try:
         sym, exp = item
     except (TypeError, ValueError):
         raise ValueError(f"malformed letter {item!r}") from None
     if type(sym) is not str or type(exp) is not int:
         raise ValueError(f"letter {item!r} needs a string and an integer")
+    if exp.bit_length() > INT_BITS:
+        raise ValueError(f"letter {sym!r}: exponent of 2**{INT_BITS} or more in magnitude")
     return sym, exp
 
 

@@ -3,14 +3,14 @@
 Four families, mirroring the ways a hand-edited certificate can go wrong:
 flip one inequality's sides, nudge one integer exponent, drop one cited
 side-condition fact, drop one case-split branch.  Every generated mutant
-must be rejected by the checker.  The trees are immutable, so each mutant
-copies only the nodes on the path to its mutation and shares the rest,
-the verified atom table included, with the original.
+must be rejected by the checker, at the site it mutated.  The trees are
+immutable, so each mutant copies only the nodes on the path to its mutation
+and shares the rest, the verified atom table included, with the original.
 """
 
 from __future__ import annotations
 
-from ordercert.orderlogic.derivation import Derivation, Node
+from ordercert.orderlogic.derivation import Derivation, Node, check_derivation
 from ordercert.orderlogic.words import Less
 
 INT_PARAMS = ("m", "n", "n1", "n2", "pos")
@@ -140,3 +140,47 @@ def generate_mutations(derivation: Derivation, per_kind: int = 8, at=()):
     stride = max(1, len(hyp_sites) // per_kind)
     for path, bi, hi, hyp in hyp_sites[::stride][:per_kind]:
         yield (f"flip-hypothesis:{hyp.id}", _flip_hypothesis(derivation, path, bi, hi))
+
+
+def _branch_names(derivation: Derivation, path) -> str:
+    """The names of the branches on the index ``path``, joined as a verdict's path."""
+    names, node = [], derivation.root
+    for index in path:
+        branch = node.split.branches[index]
+        names.append(branch.name)
+        node = branch.node
+    return "/".join(names)
+
+
+def rejection_site(derivation: Derivation, label: str):
+    """The (step id, branch path) at which the mutant ``label`` of ``derivation``
+    must be rejected: its mutated step, or the split whose branches it mutated."""
+    family, site = label.split(":", 1)
+    if family == "drop-branch":
+        path = tuple(int(i) for i in site.rsplit(":", 1)[0].split(".") if i)
+        return f"split:{_node_at(derivation.root, path).split.kind}", _branch_names(derivation, path)
+    for path, node in _walk(derivation.root):
+        if family == "flip-hypothesis":
+            branches = node.split.branches if node.split else ()
+            if any(hyp.id == site for branch in branches for hyp in branch.hypotheses):
+                return f"split:{node.split.kind}", _branch_names(derivation, path)
+        elif any(step.id == site for step in node.steps):
+            return site, _branch_names(derivation, path)
+    raise ValueError(f"no site for {label}")
+
+
+def run_suite(derivation: Derivation, per_kind: int, at=()):
+    """(label, verdict, verdict of a second check) for each mutant of a valid ``derivation``."""
+    assert check_derivation(derivation).is_valid
+    return [(label, check_derivation(mutant), check_derivation(mutant))
+            for label, mutant in generate_mutations(derivation, per_kind=per_kind, at=at)]
+
+
+def assert_all_rejected(derivation: Derivation, results):
+    for label, first, second in results:
+        assert not first.is_valid, f"mutation survived: {label}"
+        assert first == second, f"nondeterministic report: {label}"
+        # a mutant rejected elsewhere in the tree would not show that the
+        # mutation itself is caught
+        site = (first.step_id, first.path)
+        assert site == rejection_site(derivation, label), f"{label} rejected at {site}"

@@ -410,11 +410,12 @@ def _forge_trichotomy_goals(payload):
 
 # Each of the first three forged statements once printed "valid" and exited 0.
 @pytest.mark.parametrize("forge, message", [
-    (_forge_empty_goal, "statement mismatch: the goal is not 'contradiction'"),
+    (_forge_empty_goal, "invalid at <goal>: statement mismatch: the goal is not 'contradiction'"),
     (_forge_given_root, "invalid at split:given: unknown split kind 'given'"),
     (_forge_trichotomy_goals, "invalid at split:trichotomy: branch 'case0' declares a goal"),
-    (_forge_nested_given, "invalid at split:given: unknown split kind 'given'"),
-    (_forge_unknown_rule, "invalid at s0032: unknown rule 'transx'"),
+    (_forge_nested_given, "invalid at split:given in x0: unknown split kind 'given'"),
+    (_forge_unknown_rule, "invalid at s0032 in b_positive/a_positive/mag_a_below_mag_b/c_below_1: "
+                          "unknown rule 'transx'"),
 ], ids=["empty-goal", "given-root", "trichotomy-branch-goals", "nested-given", "unknown-rule"])
 def test_check_cert_rejects_forged_statements(tmp_path, capsys, theorem_cert, forge, message):
     assert _check_edited(tmp_path, theorem_cert, forge) == 1
@@ -433,10 +434,9 @@ def _trichotomy(w1, w2, tag, first):
                                    "params": {"w1": w1, "w2": w2}, "branches": branches}}
 
 
-def test_check_cert_window_is_bounded_by_its_branches(tmp_path, capsys, theorem_cert):
-    # three trichotomies put b^-N < c, c < b^N and 1 < b in scope; a window
-    # over [-N, N] with one branch is then refused before its cases are built
-    n = 10**9
+def _huge_window(n):
+    """Three trichotomies that put b^-n < c, c < b^n and 1 < b in scope, then
+    a window over [-n, n] with one branch."""
     leaf = {"steps": [], "split": None}
     window = {"steps": [], "split": {
         "kind": "window", "premises": ["x0", "y0", "z0"],
@@ -444,11 +444,45 @@ def test_check_cert_window_is_bounded_by_its_branches(tmp_path, capsys, theorem_
         "branches": [{"name": "only", "hypotheses": [], "node": leaf}]}}
     root = _trichotomy([["b", -n]], [["c", 1]], "x", _trichotomy(
         [["c", 1]], [["b", n]], "y", _trichotomy([], [["b", 1]], "z", window)))
+    return lambda payload: payload.update(root=root)
 
-    assert _check_edited(tmp_path, theorem_cert, lambda payload: payload.update(root=root)) == 1
+
+def test_check_cert_window_is_bounded_by_its_branches(tmp_path, capsys, theorem_cert):
+    # the window is refused before its cases are built
+    assert _check_edited(tmp_path, theorem_cert, _huge_window(10**9)) == 1
     assert capsys.readouterr().out == (
-        "derivation 'no-left-order': invalid at split:window: "
+        "derivation 'no-left-order': invalid at split:window in x0/y0/z0: "
         "window over [-1000000000, 1000000000] needs 3999999999 branches, got 1\n")
+
+
+def test_check_cert_huge_window_bound_is_an_input_error(tmp_path, capsys, theorem_cert):
+    # n = 10^4300 - 1 is a legal JSON literal, but 2(n2 - n1) - 1 would not
+    # print as a str(): exponents stay below 2^63 in magnitude
+    assert _check_edited(tmp_path, theorem_cert, _huge_window(10**4300 - 1)) == 3
+    assert "exponent of 2**63 or more" in capsys.readouterr().err
+
+
+def test_check_cert_huge_integer_literal_is_an_input_error(tmp_path, capsys, theorem_cert):
+    # a literal of 5,001 digits is beyond what json reads as an int
+    text = theorem_cert.decode()
+    assert '"m":0' in text
+    edited = tmp_path / "huge-literal.cert.json"
+    edited.write_text(text.replace('"m":0', '"m":1' + "0" * 5000, 1))
+    assert main(["check-cert", str(edited)]) == 3
+    assert capsys.readouterr().err.startswith("error: not a certificate: ")
+
+
+@pytest.mark.parametrize("goal", [[], None], ids=["empty", "null"])
+def test_check_derivation_owns_the_statement_check(tmp_path, capsys, theorem_cert, goal):
+    payload = json.loads(theorem_cert)["payload"]
+    payload["goal"] = goal
+    verdict = check_derivation(certs.parse_derivation(payload))
+    assert not verdict.is_valid
+    assert "statement mismatch: the goal is not 'contradiction'" in verdict.reason
+    assert _check_edited(tmp_path, theorem_cert, lambda payload: payload.update(goal=goal)) == 1
+    assert capsys.readouterr().out == (
+        "derivation 'no-left-order': invalid at <goal>: "
+        "statement mismatch: the goal is not 'contradiction'\n")
 
 
 def _first_step(payload):
@@ -543,7 +577,8 @@ def test_check_cert_false_fact_is_invalid(tmp_path, capsys, theorem_cert):
         payload["table"]["atoms"]["d"]["word"] = "d b"
 
     assert _check_edited(tmp_path, theorem_cert, realize_d_as_d_b) == 1
-    assert "invalid at s0021: fact 'F5': statement is false" in capsys.readouterr().out
+    assert ("invalid at s0021 in b_positive/a_positive/mag_a_below_mag_b: fact 'F5': "
+            "statement is false") in capsys.readouterr().out
 
 
 def test_prove_with_a_false_fact_exits_1(tmp_path, capsys, monkeypatch):

@@ -28,10 +28,10 @@ from ordercert.orderlogic.facts import (
     non_identity_fact,
     not_in_set_fact,
 )
-from ordercert.orderlogic.rules import RuleError, apply_rule
+from ordercert.orderlogic.rules import RuleError, apply_rule, read_int
 from ordercert.orderlogic.scripts import script_theorem_main, theorem_atom_table
 from ordercert.orderlogic.words import (
-    CONTRADICTION, EMPTY, Less, WordEq, atom_pow, t_pow, w_inv, w_mul, w_reduce,
+    CONTRADICTION, EMPTY, Less, WordEq, atom_pow, letter_pair, t_pow, w_inv, w_mul, w_reduce,
 )
 from ordercert.plane import WitnessSearchConfig, equal_or_unknown, plane_word
 from ordercert.skew import word_to_element
@@ -463,7 +463,7 @@ def _check_in_scope(hypotheses, node, table):
     try:
         checker._check_node(node, {h.id: h.judgment for h in hypotheses}, table)
     except checker._Failure as failure:
-        return failure.verdict
+        return Verdict(*failure.args)
     return Verdict("valid")
 
 
@@ -576,6 +576,27 @@ def test_window_split_structure_is_enforced():
                  Branch("eq", (Hypothesis("w5", WordEq(v, atom_pow("b", 1))),), Node()))
     verdict = check_derivation(window(wrong_hyp))
     assert "canonical" in verdict.reason
+    # the failure is located at the window, under the three trichotomy cases
+    assert (verdict.step_id, verdict.path) == ("split:window", "h1_case0/h2_case0/h3_case0")
+    assert str(verdict).startswith("invalid at split:window in h1_case0/h2_case0/h3_case0: ")
+
+
+def test_integers_read_stay_below_2_to_the_63():
+    # 2(n2 - n1) - 1 for bounds this large would print as a str() beyond
+    # Python's 4300-digit limit
+    v, t = atom_pow("c", 1), B
+    for n1 in (-2**63, -10**4299):
+        split = Split("window", {"v": v, "t": t, "n1": n1, "n2": 1}, (), (Branch("only", (), Node()),))
+        verdict = check_derivation(_under((), Node(split=split)))
+        assert (verdict.step_id, verdict.path) == ("split:window", "")
+        assert verdict.reason == "parameter 'n1' is 2**63 or more in magnitude"
+    assert read_int({"n": 2**63 - 1}, "n") == 2**63 - 1
+    assert read_int({"n": 1 - 2**63}, "n") == 1 - 2**63
+    for exp in (2**63, -2**63, 10**4299):
+        with pytest.raises(ValueError, match=r"exponent of 2\*\*63 or more"):
+            letter_pair(["a", exp])
+    assert letter_pair(["a", 2**63 - 1]) == ("a", 2**63 - 1)
+    assert letter_pair(["a", 1 - 2**63]) == ("a", 1 - 2**63)
 
 
 # -- the shipped scripts -------------------------------------------------------------
