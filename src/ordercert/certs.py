@@ -4,30 +4,28 @@ Two kinds exist: ``relation-report`` (the rows of ``skew.verify_relations``
 and ``plane.verify_mirrored_relations`` plus the generators they were
 computed on) and ``derivation`` (an inequality-calculus derivation plus its
 atom table).  The records are the schema: ``_encode`` writes each record as
-an object keyed by its field names.  Formatting is canonical -- sorted keys,
-no insignificant whitespace, UTF-8, rationals as lowest-term "p/q" strings
--- so a certificate round-trips byte-identically through parse and
-serialize.  Timestamps are the one non-reproducible field and can be
-omitted.  The reader is explicit and strict: a certificate is untrusted.
+an object keyed by its field names, and the reader builds each record from
+exactly those keys, each read by the reader of its field.  Formatting is
+canonical -- sorted keys, no insignificant whitespace, UTF-8, rationals as
+lowest-term "p/q" strings -- so a certificate round-trips byte-identically
+through parse and serialize.  Timestamps are the one non-reproducible field
+and can be omitted.  A certificate is untrusted, so the reader is strict: a
+key that is not a field, a key left out where its record has no default, and
+a value of another JSON type are malformed input, reported by the field and
+the JSON type, never by the value.
 """
 
 from __future__ import annotations
 
 import json
 from datetime import datetime, timezone
+from functools import partial
+from itertools import repeat
 
 from . import __version__
 from .exactpl import PLCocycle, PLMap, Record
-from .orderlogic.derivation import (
-    CONTRADICTION_GOAL,
-    Branch,
-    Derivation,
-    Hypothesis,
-    Node,
-    Split,
-    Step,
-)
-from .orderlogic.facts import IDENTITY_EQ, AtomTable, Fact
+from .orderlogic.derivation import Branch, Derivation, Hypothesis, Node, Split, Step
+from .orderlogic.facts import AtomTable, Fact
 from .orderlogic.words import CONTRADICTION, Less, WordEq, letter_pair
 
 CERT_VERSION = "1"
@@ -100,147 +98,114 @@ def read_certificate(path) -> dict:
         if field not in cert:
             raise CertificateError(f"certificate lacks the {field!r} field")
     if cert["version"] != CERT_VERSION:
-        raise CertificateError(f"unsupported certificate version {cert['version']!r}")
+        raise CertificateError(f"unsupported certificate version: only {CERT_VERSION!r} is read")
     if cert["kind"] not in KINDS:
-        raise CertificateError(f"unknown certificate kind {cert['kind']!r}")
+        raise CertificateError(f"unknown certificate kind: the kinds are {' and '.join(KINDS)}")
     return cert
 
 
-# -- strict fields ----------------------------------------------------------
+# -- the reader: each raises ValueError or TypeError, which parse_derivation reports
 
-def strict_str(item, field: str) -> str:
-    """A string of untrusted data, strictly typed: not a number, null or
-    list, which str() would coerce.  Raises ValueError naming ``field``."""
-    if type(item) is not str:
-        raise ValueError(f"{field} must be a string, got {item!r}")
+_JSON_TYPES = {type(None): "null", bool: "a boolean", int: "a number", float: "a number",
+               str: "a string", list: "a list", dict: "an object"}
+
+
+def typed(item, field: str, kind: type = str):
+    """``item`` if its type is exactly ``kind`` (a bool is no number, a string no
+    list), else ValueError naming ``field`` and both JSON types, never the value."""
+    if type(item) is not kind:
+        raise ValueError(f"{field} must be {_JSON_TYPES[kind]}, got "
+                         f"{_JSON_TYPES.get(type(item), 'an unknown type')}")
     return item
 
 
-def strict_list(item, field: str) -> list:
-    """A JSON list, not a string or object, which iterating would read item
-    by item.  Raises ValueError naming ``field``."""
-    if type(item) is not list:
-        raise ValueError(f"{field} must be a list, got {item!r}")
-    return item
+def _load(cls, raw, field: str):
+    """The record ``cls`` built from exactly the keys ``_encode`` writes for it: a
+    key may be left out only where ``cls`` has a default, else it raises TypeError."""
+    keys, readers = _SCHEMA[cls]
+    if type(raw) is not dict or not raw.keys() <= keys:
+        typed(raw, field, dict)
+        raise ValueError(f"{field}: a {cls.__name__} has a key that is not one of its fields")
+    values = {}
+    for name, read, label in readers:  # a loop, not a comprehension: one frame per record
+        if name in raw:
+            values[name] = read(raw[name], label)
+    return cls(**values)
 
 
 def _ids(raw, field: str) -> tuple[str, ...]:
-    return tuple(strict_str(item, field) for item in strict_list(raw, f"{field}s"))
+    for item in typed(raw, field, list):
+        if type(item) is not str:
+            typed(item, field[:-1])  # "premise ids" holds premise ids
+    return tuple(raw)
 
 
-# -- words and judgments ----------------------------------------------------
-
-def _load_word(raw):
-    try:
-        return tuple(map(letter_pair, raw))
-    except (TypeError, ValueError) as exc:
-        raise CertificateError(f"malformed word {raw!r}: {exc}") from exc
+def _word(raw, field: str):
+    if type(raw) is not list:
+        typed(raw, f"a word in {field}", list)
+    return tuple(map(letter_pair, raw))
 
 
-def _load_judgment(raw):
-    if not isinstance(raw, dict):
-        raise CertificateError(f"malformed judgment {raw!r}")
-    if raw.get("contradiction") is True:
-        return CONTRADICTION
-    if "less" in raw:
-        lhs, rhs = raw["less"]
-        return Less(_load_word(lhs), _load_word(rhs))
-    if "eq" in raw:
-        lhs, rhs = raw["eq"]
-        return WordEq(_load_word(lhs), _load_word(rhs))
-    raise CertificateError(f"unknown judgment {raw!r}")
+_JUDGMENTS = {"less": Less, "eq": WordEq}
 
 
-_WORD_PARAMS = ("u", "v", "w", "w1", "w2")
+def _judgment(raw, field: str):
+    if type(raw) is dict and len(raw) == 1:
+        ((key, sides),) = raw.items()
+        judgment = _JUDGMENTS.get(key)
+        if judgment is not None and type(sides) is list and len(sides) == 2:
+            return judgment(_word(sides[0], field), _word(sides[1], field))
+        if key == "contradiction" and sides is True:
+            return CONTRADICTION
+    raise ValueError(f"unknown judgment in {field}")
 
 
-def _load_params(raw: dict):
+def _params(raw, field: str) -> dict:
     params = {}
-    for key, value in raw.items():
-        if key in _WORD_PARAMS:
-            params[key] = _load_word(value)
+    for key, value in typed(raw, field, dict).items():
+        if key in ("u", "v", "w", "w1", "w2"):
+            value = _word(value, field)
         elif key == "t":
-            try:
-                params[key] = letter_pair(value)
-            except ValueError as exc:
-                raise CertificateError(f"malformed base {value!r}") from exc
-        else:
-            params[key] = value
+            value = letter_pair(value)
+        params[key] = value
     return params
 
 
-def _load_goal(raw):
-    if raw is None:
-        return None
-    if raw == CONTRADICTION_GOAL:
-        return CONTRADICTION_GOAL
-    if isinstance(raw, list):
-        return tuple(_load_judgment(j) for j in raw)
-    raise CertificateError(f"malformed goal {raw!r}")
+def _args(raw, field: str) -> tuple:
+    """Atom names, or the two words of an identity; ``AtomTable`` checks which."""
+    return tuple([item if type(item) is str else _word(item, field)
+                  for item in typed(raw, field, list)])
 
 
-# -- atom tables ------------------------------------------------------------
-
-def _load_args(kind, raw):
-    if kind == IDENTITY_EQ:
-        return tuple(tuple(map(letter_pair, strict_list(side, "fact args")))
-                     for side in strict_list(raw, "fact args"))
-    return tuple(strict_list(raw, "fact args"))
-
-
-def _load_table(raw) -> AtomTable:
+def _load_table(raw, field: str) -> AtomTable:
+    if typed(raw, field, dict).keys() != {"atoms", "facts"}:
+        raise ValueError(f"{field} must hold exactly 'atoms' and 'facts'")
     atoms = {}
-    for name, spec in raw["atoms"].items():
-        if spec["algebra"] != PLANE:
-            raise ValueError(f"atom {name!r}: algebra must be {PLANE!r}")
-        atoms[name] = spec["word"]
-    facts = [Fact(strict_str(item["id"], "fact id"), item["kind"],
-                  _load_args(item["kind"], item["args"]),
-                  strict_str(item.get("description", ""), "fact description"))
-             for item in raw["facts"]]
-    return AtomTable(atoms, facts)
+    for name, spec in typed(raw["atoms"], "table atoms", dict).items():
+        if typed(spec, "atom spec", dict).keys() != {"algebra", "word"} or spec["algebra"] != PLANE:
+            raise ValueError(f"atom spec keys are 'word' and 'algebra'; algebra must be {PLANE!r}")
+        atoms[name] = typed(spec["word"], "atom word")
+    return AtomTable(atoms, _records(Fact)(raw["facts"], "table facts"))
 
 
-# -- derivations ------------------------------------------------------------
+def _records(cls):
+    return lambda raw, field: tuple(map(partial(_load, cls), typed(raw, field, list), repeat(field)))
 
-def _load_node(raw) -> Node:
-    # an id, name or kind that is not a string raises ValueError, which
-    # parse_derivation reports
-    try:
-        steps = tuple(
-            Step(
-                strict_str(item["id"], "step id"),
-                strict_str(item["rule"], "rule"),
-                _load_params(item.get("params", {})),
-                _ids(item.get("premises", []), "premise id"),
-                _ids(item.get("facts", []), "fact id"),
-                _load_judgment(item["conclusion"]),
-            )
-            for item in raw["steps"]
-        )
-        raw_split = raw.get("split")
-        split = None
-        if raw_split is not None:
-            branches = tuple(
-                Branch(
-                    strict_str(br["name"], "branch name"),
-                    tuple(Hypothesis(strict_str(h["id"], "hypothesis id"),
-                                     _load_judgment(h["judgment"]))
-                          for h in br.get("hypotheses", ())),
-                    _load_node(br["node"]),
-                    goal=_load_goal(br.get("goal")),
-                )
-                for br in raw_split["branches"]
-            )
-            split = Split(
-                strict_str(raw_split["kind"], "split kind"),
-                _load_params(raw_split.get("params", {})),
-                _ids(raw_split.get("premises", []), "premise id"),
-                branches,
-            )
-    except (KeyError, TypeError) as exc:
-        raise CertificateError(f"malformed derivation node: {exc!r}") from exc
-    return Node(steps=steps, split=split)
+
+# the reader of each field, by the field's name
+_READERS = {
+    "id": typed, "name": typed, "rule": typed, "kind": typed, "description": typed,
+    "params": _params, "premises": _ids, "facts": _ids,
+    "conclusion": _judgment, "judgment": _judgment, "args": _args, "table": _load_table,
+    "goal": lambda raw, field: raw,  # as given: check_derivation refuses all but one goal
+    "root": partial(_load, Node), "node": partial(_load, Node),
+    "split": lambda raw, field: None if raw is None else _load(Split, raw, field),
+    "steps": _records(Step), "hypotheses": _records(Hypothesis), "branches": _records(Branch),
+}
+_ID_LABELS = {"premises": "premise ids", "facts": "fact ids"}
+_SCHEMA = {cls: (frozenset(cls._fields), tuple(
+    (name, _READERS[name], _ID_LABELS.get(name, f"{cls.__name__.lower()} {name}"))
+    for name in cls._fields)) for cls in (Derivation, Node, Step, Split, Branch, Hypothesis, Fact)}
 
 
 def serialize_derivation(derivation: Derivation) -> dict:
@@ -249,12 +214,6 @@ def serialize_derivation(derivation: Derivation) -> dict:
 
 def parse_derivation(payload: dict) -> Derivation:
     try:
-        table = _load_table(payload["table"])
-        name = strict_str(payload.get("name", "derivation"), "derivation name")
-        goal = _load_goal(payload.get("goal"))
-        root = _load_node(payload["root"])
-    except CertificateError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise CertificateError(f"malformed derivation payload: {exc!r}") from exc
-    return Derivation(name, table, goal, root)
+        return _load(Derivation, payload, "derivation payload")
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise CertificateError(f"malformed derivation payload: {exc}") from exc

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from ..exactpl import Record
 from .facts import AtomTable, UnknownFactError
-from .rules import RuleError, apply_rule, read_base, read_int, read_word
+from .rules import RuleError, apply_rule, check_params, read_base, read_int, read_word
 from .words import CONTRADICTION, Less, Word, WordEq, t_pow
 
 CONTRADICTION_GOAL = "contradiction"
@@ -214,6 +214,7 @@ def _check_cases(split: Split, what: str, count: int, cases):
 
 def _trichotomy_cases(split: Split):
     try:
+        check_params(split.params, {"w1", "w2"}, "split", "trichotomy")
         w1, w2 = read_word(split.params, "w1"), read_word(split.params, "w2")
     except RuleError as exc:
         _fail("split:trichotomy", str(exc))
@@ -225,6 +226,7 @@ def _window_cases(split: Split, env: dict):
     its number of cases and the cases."""
     split_id = "split:window"
     try:
+        check_params(split.params, {"v", "t", "n1", "n2"}, "split", "window")
         v, t = read_word(split.params, "v"), read_base(split.params)
         n1, n2 = read_int(split.params, "n1"), read_int(split.params, "n2")
     except RuleError as exc:

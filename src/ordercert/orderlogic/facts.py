@@ -75,11 +75,12 @@ class AtomTable(Frozen):
 
     Built tables are well formed (else ``ValueError``): there is at least one
     atom, every atom's word parses over the plane generators, and every fact
-    has a known kind and arity and names only atoms of the table.  ``atoms``
-    and ``facts`` are read-only, so a copy is the table itself, and each fact
-    is decided once, the first time ``outcome`` asks for it.
-    ``conclusions`` is the memo of rule instances that ``apply_rule`` fills
-    (see ``rules``).  A pickled table keeps neither memo.
+    has a known kind and arity, relates words if it is an identity, and names
+    only atoms of the table.  ``atoms`` and ``facts`` are read-only, so a copy
+    is the table itself, and each fact is decided once, the first time
+    ``outcome`` asks for it.  ``conclusions`` is the memo of rule instances
+    that ``apply_rule`` fills (see ``rules``).  A pickled table keeps neither
+    memo.
     """
 
     __slots__ = ("atoms", "facts", "conclusions", "_outcomes", "_plane_cache")
@@ -109,6 +110,8 @@ class AtomTable(Frozen):
             if ARITY.get(f.kind) != len(f.args):
                 raise ValueError(f"fact {f.id!r}: unknown kind or wrong arity")
             if f.kind == IDENTITY_EQ:
+                if str in map(type, f.args):
+                    raise ValueError(f"fact {f.id!r}: an identity relates two words")
                 names = [sym for side in f.args for sym, _ in side]
             else:
                 names = f.args

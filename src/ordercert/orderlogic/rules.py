@@ -11,10 +11,10 @@ own successful outputs, never a stated conclusion, keyed by the rule, the
 parameters with each top-level value's type (``True`` and ``1.0`` equal ``1``
 but are not integers), the premises and the cited ``Fact`` values.
 
-Each rule takes exactly the premises shown, in order, and accepts only these
-forms, the ones the shipped derivation uses.  t = (atom, sign) is a signed
-base, and u, v commute with it: each of their letters is t's atom or is tied
-to it by a cited commute fact.
+Each rule takes exactly the premises shown, in order, and the parameters it
+reads, and accepts only these forms, the ones the shipped derivation uses.
+t = (atom, sign) is a signed base, and u, v commute with it: each of their
+letters is t's atom or is tied to it by a cited commute fact.
 
   invert            direction lt:  u < t^m  ==>  t^-m < u^-1
   product           direction lt:  u < t^m, v < t^n  ==>  u v < t^(m+n)
@@ -78,6 +78,13 @@ def read_int(params, key) -> int:
     return value
 
 
+def check_params(params: dict, names, what: str, name: str):
+    """Refuse any parameter outside the set ``names``, the ones the rule or
+    split kind (``what``) called ``name`` reads."""
+    if not params.keys() <= names:
+        raise RuleError(f"{what} {name!r} reads only the parameters [{', '.join(sorted(names))}]")
+
+
 def _expect(premises, *expected: Judgment):
     if tuple(premises) != expected:
         i = next(i for i, (got, want) in enumerate(zip(premises, expected)) if got != want)
@@ -115,12 +122,13 @@ def apply_rule(rule: str, params: dict, premises: list[Judgment], cited: list[Fa
 
 def _apply(rule, params, premises, cited) -> Judgment:
     """Run the rule's checker from ``_RULES``, at the end of this module, on
-    exactly as many premises as the rule takes."""
+    exactly as many premises as the rule takes and no parameter it does not read."""
     if not isinstance(rule, str) or rule not in _RULES:
         raise RuleError(f"unknown rule {rule!r}")
-    count, check = _RULES[rule]
+    count, check, names = _RULES[rule]
     if len(premises) != count:
         raise RuleError(f"rule {rule!r} takes {count} premise(s), got {len(premises)}")
+    check_params(params, names, "rule", rule)
     return check(params, premises, cited)
 
 
@@ -267,10 +275,13 @@ def _rule_eq_contra(_params, premises, cited):
     raise RuleError("equality hypothesis is not refuted by any cited fact")
 
 
-# each rule's premise count and checker
-_RULES = {
-    "invert": (1, _rule_invert), "product": (2, _rule_product),
-    "conjugate_window": (4, _rule_conjugate_window), "flip_bound": (3, _rule_flip_bound),
-    "trans": (2, _rule_trans), "lmul": (1, _rule_lmul), "subst": (1, _rule_subst),
-    "absurd": (2, _rule_absurd), "eq_contra": (1, _rule_eq_contra),
-}
+# each rule's premise count, checker and the parameters it reads
+_RULES = {rule: (count, check, frozenset(names.split())) for rule, (count, check, names) in {
+    "invert": (1, _rule_invert, "u t m direction"),
+    "product": (2, _rule_product, "u v t m n direction"),
+    "conjugate_window": (4, _rule_conjugate_window, "u v t m n1 n2 part"),
+    "flip_bound": (3, _rule_flip_bound, "u v t n1 n2 part"),
+    "trans": (2, _rule_trans, ""), "lmul": (1, _rule_lmul, "w"),
+    "subst": (1, _rule_subst, "side pos dir"),
+    "absurd": (2, _rule_absurd, ""), "eq_contra": (1, _rule_eq_contra, ""),
+}.items()}

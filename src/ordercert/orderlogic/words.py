@@ -38,15 +38,16 @@ def w_mul(*words: Word) -> Word:
 def letter_pair(item) -> tuple[str, int]:
     """One [letter, exponent] pair of untrusted data such as JSON, strictly
     typed: a string and an integer below 2**INT_BITS in magnitude -- not a
-    bool, float or numeric string, which int() would coerce.  Raises ValueError."""
+    bool, float or numeric string, which int() would coerce.  Raises
+    ValueError, whose message never quotes the untrusted value."""
     try:
         sym, exp = item
     except (TypeError, ValueError):
-        raise ValueError(f"malformed letter {item!r}") from None
+        raise ValueError("a letter must be a pair [atom, exponent]") from None
     if type(sym) is not str or type(exp) is not int:
-        raise ValueError(f"letter {item!r} needs a string and an integer")
+        raise ValueError("a letter needs a string and an integer")
     if exp.bit_length() > INT_BITS:
-        raise ValueError(f"letter {sym!r}: exponent of 2**{INT_BITS} or more in magnitude")
+        raise ValueError(f"a letter has an exponent of 2**{INT_BITS} or more in magnitude")
     return sym, exp
 
 

@@ -208,7 +208,8 @@ def test_check_cert_parse_errors(tmp_path, capsys):
         b'"n_atoms":1,"oracle":"test-z2"}},"version":"1"}'
     )
     assert main(["check-cert", str(retired_kind)]) == 3
-    assert capsys.readouterr().err == "error: unknown certificate kind 'nonlo-witness'\n"
+    assert capsys.readouterr().err == (
+        "error: unknown certificate kind: the kinds are relation-report and derivation\n")
 
 
 def test_check_cert_unknown_fact(tmp_path, capsys):
@@ -355,7 +356,8 @@ def test_check_cert_non_integer_base_fact_and_window(tmp_path, capsys, theorem_c
         node["split"]["params"]["n1"] = float(node["split"]["params"]["n1"])
 
     assert _check_edited(tmp_path, theorem_cert, base_sign) == 3
-    assert capsys.readouterr().err.startswith("error: malformed base")
+    assert capsys.readouterr().err == (
+        "error: malformed derivation payload: a letter needs a string and an integer\n")
     assert _check_edited(tmp_path, theorem_cert, fact_exponent) == 3
     assert capsys.readouterr().err.startswith("error: malformed derivation payload")
     assert _check_edited(tmp_path, theorem_cert, window_bound) == 1
@@ -533,6 +535,103 @@ def test_check_cert_contradiction_marker_is_strict(tmp_path, capsys, theorem_cer
 
     assert _check_edited(tmp_path, theorem_cert, edit) == 3
     assert "unknown judgment" in capsys.readouterr().err
+
+
+def _first_split_of(payload, kind):
+    node = payload["root"]
+    while node["split"]["kind"] != kind:
+        node = node["split"]["branches"][0]["node"]
+    return node["split"]
+
+
+def _first_conclusion_side(value):
+    """The first step's conclusion, whose right side is the empty word, with
+    that side replaced by ``value``."""
+    return lambda payload: _first_step(payload)["conclusion"]["less"].__setitem__(1, value)
+
+
+MALFORMED = "error: malformed derivation payload: "
+MISMATCH = "invalid at <goal>: statement mismatch: the goal is not 'contradiction'"
+
+
+# The reader builds each record from exactly the keys the writer writes.
+# Each of the first fifteen edits printed "valid" and exited 0 while the
+# reader dropped the keys it did not look for and read any empty value as the
+# empty word.  The goal is read as given, so the last three, each once
+# malformed input, are a statement mismatch whatever their JSON type.
+@pytest.mark.parametrize("edit, code, message", [
+    (lambda payload: payload.update(junk=1), 3, MALFORMED),
+    (lambda payload: _first_step(payload).update(junk=1), 3, MALFORMED),
+    (lambda payload: _first_branch(payload)["hypotheses"][0].update(junk=1), 3, MALFORMED),
+    (lambda payload: _first_branch(payload).update(junk=1), 3, MALFORMED),
+    (lambda payload: payload["root"]["split"].update(junk=1), 3, MALFORMED),
+    (lambda payload: payload["root"].update(junk=1), 3, MALFORMED),
+    (lambda payload: _fact(payload, "F1").update(junk=1), 3, MALFORMED),
+    (lambda payload: payload["table"]["atoms"]["a"].update(junk=1), 3, MALFORMED),
+    (lambda payload: payload["table"].update(junk=1), 3, MALFORMED),
+    (lambda payload: _first_step(payload)["conclusion"].update(junk=1), 3, MALFORMED),
+    (lambda payload: _first_step(payload).pop("params"), 3, MALFORMED),
+    (lambda payload: _first_step(payload).pop("facts"), 3, MALFORMED),
+    (lambda payload: payload.pop("name"), 3, MALFORMED),
+    (_first_conclusion_side(""), 3, MALFORMED),
+    (_first_conclusion_side({}), 3, MALFORMED),
+    (lambda payload: payload.update(goal=5), 1, MISMATCH),
+    (lambda payload: payload.update(goal="x"), 1, MISMATCH),
+    (lambda payload: payload.update(goal={}), 1, MISMATCH),
+], ids=["payload-key", "step-key", "hypothesis-key", "branch-key", "split-key", "node-key",
+        "fact-key", "atom-spec-key", "table-key", "judgment-key", "step-without-params",
+        "step-without-facts", "payload-without-name", "word-as-empty-string",
+        "word-as-empty-object", "goal-5", "goal-x", "goal-object"])
+def test_check_cert_reads_exactly_the_written_keys(tmp_path, capsys, theorem_cert, edit, code,
+                                                   message):
+    assert _check_edited(tmp_path, theorem_cert, edit) == code
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err and "Traceback" not in captured.err
+
+
+def _junk_step_params(rule):
+    def edit(payload):
+        step = next(s for s in _steps(payload["root"]) if s["rule"] == rule)
+        step["params"]["junk"] = [1, 2]
+        return step["id"]
+
+    return edit
+
+
+def _junk_split_params(kind):
+    def edit(payload):
+        _first_split_of(payload, kind)["params"]["junk"] = [1, 2]
+        return f"split:{kind}"
+
+    return edit
+
+
+RULE_NAMES = ["invert", "product", "conjugate_window", "flip_bound", "trans", "lmul", "subst",
+              "absurd", "eq_contra"]
+
+
+# Each of these edits used to check as "valid" and exit 0.
+@pytest.mark.parametrize("edit", [_junk_step_params(rule) for rule in RULE_NAMES]
+                         + [_junk_split_params(kind) for kind in ("trichotomy", "window")],
+                         ids=RULE_NAMES + ["split-trichotomy", "split-window"])
+def test_check_cert_refuses_parameters_the_checker_does_not_read(tmp_path, capsys,
+                                                                 theorem_cert, edit):
+    where = []
+    assert _check_edited(tmp_path, theorem_cert, lambda payload: where.append(edit(payload))) == 1
+    out = capsys.readouterr().out
+    assert f"invalid at {where[0]}" in out and "reads only the parameters" in out
+
+
+# An error names the field and the JSON type, not the untrusted value: these
+# used to print 150,082 and 4,385 bytes of stderr.
+@pytest.mark.parametrize("edit", [
+    lambda payload: _first_step(payload).update(id=list(range(30000))),
+    _huge_window(10**4300 - 1),
+], ids=["step-id-list", "huge-window"])
+def test_check_cert_errors_do_not_quote_the_value(tmp_path, capsys, theorem_cert, edit):
+    assert _check_edited(tmp_path, theorem_cert, edit) == 3
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 200 and "Traceback" not in err
 
 
 _FUZZ_VALUES = [None, True, False, 0, -1, 1.5, "", [], {}, 10**6, [["a", 1]],

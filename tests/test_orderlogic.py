@@ -674,13 +674,13 @@ def test_atom_table_reads_only_plane_atoms():
     table = theorem_atom_table()
     data = json.loads(certs.canonical_dumps(table))
     assert {spec["algebra"] for spec in data["atoms"].values()} == {"plane"}
-    assert certs._load_table(data).atoms == table.atoms
+    assert certs._load_table(data, "table").atoms == table.atoms
     # "skew" is how earlier library code wrote some tables' atoms
     for tag in ("skew", "weird"):
         for spec in data["atoms"].values():
             spec["algebra"] = tag
         with pytest.raises(ValueError, match="algebra must be 'plane'"):
-            certs._load_table(data)
+            certs._load_table(data, "table")
 
 
 WORDS_OVER_ABCD = st.lists(st.tuples(st.sampled_from("abcd"), st.integers(-3, 3)), max_size=6)
