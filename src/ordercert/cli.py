@@ -38,7 +38,7 @@ from .skew import (
     standard_generators,
     verify_relations,
 )
-from .wordsyntax import WordSyntaxError
+from .wordsyntax import WordSyntaxError, clip
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -60,9 +60,16 @@ def _format_point(point) -> str:
     return f"{format_rational(point[0])},{format_rational(point[1])}"
 
 
-def _write_cert(path, kind, payload, timestamp: bool) -> None:
+def _write_cert(path, kind, payload, timestamp: bool) -> bool:
+    """Write the certificate to ``path``; False, with the error on stderr,
+    when the file cannot be written."""
     certificate = certs.make_certificate(kind, payload, timestamp=timestamp)
-    certs.write_certificate(path, certificate)
+    try:
+        certs.write_certificate(path, certificate)
+    except OSError as exc:
+        print(f"error: cannot write certificate: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _exit_code(outcomes) -> int:
@@ -98,10 +105,7 @@ def cmd_verify(args) -> int:
         for fid, desc, outcome in rows:
             print(f"{fid:5s} {_MARKS[outcome]} {desc}")
         print(f"total: {_TOTALS[code]}")
-    try:
-        _write_cert(args.out, "relation-report", payload, not args.no_timestamp)
-    except OSError as exc:
-        print(f"error: cannot write certificate: {exc}", file=sys.stderr)
+    if not _write_cert(args.out, "relation-report", payload, not args.no_timestamp):
         return EXIT_ERROR
     return code
 
@@ -151,11 +155,8 @@ def cmd_prove(args) -> int:
     )
     if not verdict.is_valid:
         return _verdict_exit_code(verdict)
-    try:
-        _write_cert(args.out, "derivation", certs.serialize_derivation(derivation),
-                    not args.no_timestamp)
-    except OSError as exc:
-        print(f"error: cannot write certificate: {exc}", file=sys.stderr)
+    if not _write_cert(args.out, "derivation", certs.serialize_derivation(derivation),
+                       not args.no_timestamp):
         return EXIT_ERROR
     print(f"certificate written to {args.out}")
     return EXIT_OK
@@ -173,7 +174,7 @@ def cmd_check_cert(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     verdict = check_derivation(derivation)
-    print(f"derivation '{derivation.name}': {verdict}")
+    print(f"derivation '{clip(derivation.name)}': {verdict}")
     return _verdict_exit_code(verdict)
 
 
@@ -181,7 +182,7 @@ def cmd_eval(args) -> int:
     try:
         word = plane_word(args.word)
         point = _parse_point(args.point)
-    except (WordSyntaxError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     print(_format_point(word.apply(point)))

@@ -15,6 +15,9 @@ Split kinds:
                               v = t^n0 for n0 in (n1, n2); the premise ids
                               must be cited on the split
 
+``trichotomy_cases`` and ``window_cases`` state these cases once: the checker
+compares each branch with them, and the prover builds its branches from them.
+
 Checking is deterministic: it checks the goal, then reports the first failing
 step in tree order with the path of branch names from the root to its node.
 Facts are consulted through the derivation's :class:`AtomTable`, which
@@ -26,8 +29,10 @@ or unknown ``unknown_facts``.
 from __future__ import annotations
 
 from ..exactpl import Record
-from .facts import AtomTable, UnknownFactError
-from .rules import RuleError, apply_rule, check_params, read_base, read_int, read_word
+from ..wordsyntax import clip
+from .facts import AtomTable
+from .rules import (RuleError, apply_rule, check_params, read_base, read_int, read_word,
+                    window_premises)
 from .words import CONTRADICTION, Less, Word, WordEq, t_pow
 
 CONTRADICTION_GOAL = "contradiction"
@@ -105,9 +110,14 @@ def _fail(step_id, reason):
     raise _Failure(INVALID, step_id, reason)
 
 
-def _window_branches(v: Word, t, n1: int, n2: int):
-    """Canonical hypothesis sets of the integer-window split, in order, built
-    one at a time as they are compared."""
+def trichotomy_cases(w1: Word, w2: Word):
+    """The canonical hypotheses of each branch of trichotomy(w1, w2), in order."""
+    return (Less(w1, w2),), (WordEq(w1, w2),), (Less(w2, w1),)
+
+
+def window_cases(v: Word, t, n1: int, n2: int):
+    """The canonical hypotheses of each branch of window(v, t, n1, n2), in
+    order, built one at a time as they are compared."""
     for n0 in range(n1, n2):
         yield Less(t_pow(t, n0), v), Less(v, t_pow(t, n0 + 1))
     for n0 in range(n1 + 1, n2):
@@ -122,23 +132,25 @@ def check_derivation(derivation: Derivation) -> Verdict:
             _fail("<goal>", "statement mismatch: the goal is not 'contradiction'")
         _check_node(derivation.root, {}, derivation.table)
     except _Failure as failure:
-        return Verdict(*failure.args, "/".join(reversed(failure.names)))
+        # untrusted names are quoted by their prefix, as in every reason
+        status, step_id, reason = failure.args
+        return Verdict(status, clip(step_id), reason, "/".join(map(clip, reversed(failure.names))))
     return Verdict(VALID)
 
 
 def _lookup_facts(step: Step, table: AtomTable):
     cited = []
     for fid in step.facts:
-        try:
-            fact = table.get(fid)
-        except UnknownFactError:
-            raise _Failure(UNKNOWN_FACTS, step.id, f"unknown fact {fid!r}")
+        fact = table.facts.get(fid)
+        if fact is None:
+            raise _Failure(UNKNOWN_FACTS, step.id, f"unknown fact {clip(fid)!r}")
         outcome = table.outcome(fid)
         if outcome is False:
-            raise _Failure(INVALID, step.id, f"fact {fid!r}: statement is false in the realization")
+            raise _Failure(INVALID, step.id,
+                           f"fact {clip(fid)!r}: statement is false in the realization")
         if outcome is None:
             raise _Failure(UNKNOWN_FACTS, step.id,
-                           f"fact {fid!r}: algebra could not decide the statement")
+                           f"fact {clip(fid)!r}: algebra could not decide the statement")
         cited.append(fact)
     return cited
 
@@ -151,7 +163,7 @@ def _check_node(node: Node, env: dict, table: AtomTable):
         premises = []
         for pid in step.premises:
             if pid not in env:
-                _fail(step.id, f"premise {pid!r} is not in scope")
+                _fail(step.id, f"premise {clip(pid)!r} is not in scope")
             premises.append(env[pid])
         cited = _lookup_facts(step, table)
         try:
@@ -177,11 +189,11 @@ def _check_node(node: Node, env: dict, table: AtomTable):
     elif split.kind == "window":
         _check_cases(split, *_window_cases(split, env))
     else:
-        _fail(split_id, f"unknown split kind {split.kind!r}")
+        _fail(split_id, f"unknown split kind {clip(split.kind)!r}")
 
     for branch in split.branches:
         if branch.goal is not None:
-            _fail(split_id, f"branch {branch.name!r} declares a goal")
+            _fail(split_id, f"branch {clip(branch.name)!r} declares a goal")
         branch_env = dict(env)
         for hyp in branch.hypotheses:
             if hyp.id in branch_env:
@@ -207,7 +219,7 @@ def _check_cases(split: Split, what: str, count: int, cases):
         if got != hyps:
             _fail(
                 split_id,
-                f"branch {branch.name!r} hypotheses are not the canonical case "
+                f"branch {clip(branch.name)!r} hypotheses are not the canonical case "
                 f"({' & '.join(str(h) for h in hyps)})",
             )
 
@@ -218,7 +230,7 @@ def _trichotomy_cases(split: Split):
         w1, w2 = read_word(split.params, "w1"), read_word(split.params, "w2")
     except RuleError as exc:
         _fail("split:trichotomy", str(exc))
-    return "trichotomy", 3, ((Less(w1, w2),), (WordEq(w1, w2),), (Less(w2, w1),))
+    return "trichotomy", 3, trichotomy_cases(w1, w2)
 
 
 def _window_cases(split: Split, env: dict):
@@ -233,12 +245,11 @@ def _window_cases(split: Split, env: dict):
         _fail(split_id, str(exc))
     if n1 >= n2:
         _fail(split_id, "window needs n1 < n2")
-    required = (Less(t_pow(t, n1), v), Less(v, t_pow(t, n2)), Less((), t_pow(t, 1)))
     if len(split.premises) != 3:
         _fail(split_id, "window split cites three premises (both bounds and 1 < t)")
-    for pid, expected in zip(split.premises, required):
+    for pid, expected in zip(split.premises, window_premises(v, t, n1, n2)):
         if pid not in env:
-            _fail(split_id, f"premise {pid!r} is not in scope")
+            _fail(split_id, f"premise {clip(pid)!r} is not in scope")
         if env[pid] != expected:
-            _fail(split_id, f"premise {pid!r} must be '{expected}' (got '{env[pid]}')")
-    return f"window over [{n1}, {n2}]", 2 * (n2 - n1) - 1, _window_branches(v, t, n1, n2)
+            _fail(split_id, f"premise {clip(pid)!r} must be '{expected}' (got '{env[pid]}')")
+    return f"window over [{n1}, {n2}]", 2 * (n2 - n1) - 1, window_cases(v, t, n1, n2)

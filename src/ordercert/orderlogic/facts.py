@@ -14,7 +14,7 @@ from typing import Optional
 
 from ..exactpl import Frozen, Record
 from ..plane import PLANE_GENERATOR_NAMES, PlaneWord, decide_equal, plane_word
-from ..wordsyntax import parse_word
+from ..wordsyntax import clip, parse_word
 from .words import EMPTY, Word, w_format, w_reduce
 
 COMMUTE = "commute"
@@ -23,10 +23,6 @@ NON_IDENTITY = "non_identity"
 NOT_IN_SET = "not_in_set"
 
 ARITY = {COMMUTE: 2, IDENTITY_EQ: 2, NON_IDENTITY: 1, NOT_IN_SET: 2}
-
-
-class UnknownFactError(KeyError):
-    pass
 
 
 class Fact(Record):
@@ -89,7 +85,7 @@ class AtomTable(Frozen):
         by_id: dict[str, Fact] = {}
         for f in facts:
             if f.id in by_id:
-                raise ValueError(f"duplicate fact id {f.id}")
+                raise ValueError(f"duplicate fact id {clip(f.id)}")
             by_id[f.id] = f
         object.__setattr__(self, "atoms", MappingProxyType(dict(atoms)))
         object.__setattr__(self, "facts", MappingProxyType(by_id))
@@ -108,16 +104,16 @@ class AtomTable(Frozen):
             parse_word(word, PLANE_GENERATOR_NAMES)
         for f in self.facts.values():
             if ARITY.get(f.kind) != len(f.args):
-                raise ValueError(f"fact {f.id!r}: unknown kind or wrong arity")
+                raise ValueError(f"fact {clip(f.id)!r}: unknown kind or wrong arity")
             if f.kind == IDENTITY_EQ:
                 if str in map(type, f.args):
-                    raise ValueError(f"fact {f.id!r}: an identity relates two words")
+                    raise ValueError(f"fact {clip(f.id)!r}: an identity relates two words")
                 names = [sym for side in f.args for sym, _ in side]
             else:
                 names = f.args
             for name in names:
                 if name not in self.atoms:
-                    raise ValueError(f"fact {f.id!r}: unknown atom {name!r}")
+                    raise ValueError(f"fact {clip(f.id)!r}: unknown atom {clip(str(name))!r}")
 
     # -- realization ------------------------------------------------------
 
@@ -155,15 +151,9 @@ class AtomTable(Frozen):
         """The outcome of ``verify_fact`` on the fact ``fid``, computed the
         first time it is asked for."""
         if fid not in self._outcomes:
-            self._outcomes[fid] = self.verify_fact(self.get(fid))
+            self._outcomes[fid] = self.verify_fact(self.facts[fid])
         return self._outcomes[fid]
 
     def verify_all(self) -> bool:
         """Decide every fact, not only those up to the first that fails."""
         return all([self.outcome(fid) for fid in self.facts])
-
-    def get(self, fid: str) -> Fact:
-        try:
-            return self.facts[fid]
-        except KeyError:
-            raise UnknownFactError(fid) from None

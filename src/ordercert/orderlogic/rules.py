@@ -41,6 +41,7 @@ Case splitting lives in the derivation tree, not here.
 
 from __future__ import annotations
 
+from ..wordsyntax import clip
 from .facts import COMMUTE, IDENTITY_EQ, NON_IDENTITY, NOT_IN_SET, Fact
 from .words import (CONTRADICTION, EMPTY, INT_BITS, Judgment, Less, Word, WordEq, atom_pow,
                     letter_pair, t_pow, w_format, w_inv, w_mul, w_reduce)
@@ -85,6 +86,13 @@ def check_params(params: dict, names, what: str, name: str):
         raise RuleError(f"{what} {name!r} reads only the parameters [{', '.join(sorted(names))}]")
 
 
+def window_premises(v: Word, t: tuple[str, int], n1: int, n2: int) -> tuple[Less, Less, Less]:
+    """t^n1 < v, v < t^n2 and 1 < t: the premises of a window over v, in the
+    order ``flip_bound`` and the window split cite them; ``conjugate_window``
+    cites the first two."""
+    return Less(t_pow(t, n1), v), Less(v, t_pow(t, n2)), Less(EMPTY, t_pow(t, 1))
+
+
 def _expect(premises, *expected: Judgment):
     if tuple(premises) != expected:
         i = next(i for i, (got, want) in enumerate(zip(premises, expected)) if got != want)
@@ -123,8 +131,10 @@ def apply_rule(rule: str, params: dict, premises: list[Judgment], cited: list[Fa
 def _apply(rule, params, premises, cited) -> Judgment:
     """Run the rule's checker from ``_RULES``, at the end of this module, on
     exactly as many premises as the rule takes and no parameter it does not read."""
-    if not isinstance(rule, str) or rule not in _RULES:
-        raise RuleError(f"unknown rule {rule!r}")
+    if not isinstance(rule, str):
+        raise RuleError("a rule is named by a string")
+    if rule not in _RULES:
+        raise RuleError(f"unknown rule {clip(rule)!r}")
     count, check, names = _RULES[rule]
     if len(premises) != count:
         raise RuleError(f"rule {rule!r} takes {count} premise(s), got {len(premises)}")
@@ -168,7 +178,7 @@ def _rule_product(params, premises, cited):
 
 
 def _window(params, cited):
-    """u, v, t and v's bounds t^n1 < v < t^n2 of a conjugator window, with
+    """u, v, t and the ``window_premises`` of a conjugator window, with
     n1 < n2 and u and v commuting with t."""
     u = read_word(params, "u")
     v = read_word(params, "v")
@@ -179,7 +189,7 @@ def _window(params, cited):
         raise RuleError("conjugator window needs n1 < n2")
     _need_commute(u, t, cited, "u")
     _need_commute(v, t, cited, "v")
-    return u, v, t, (Less(t_pow(t, n1), v), Less(v, t_pow(t, n2)))
+    return u, v, t, window_premises(v, t, n1, n2)
 
 
 def _lower(params) -> bool:
@@ -191,16 +201,16 @@ def _lower(params) -> bool:
 
 
 def _rule_conjugate_window(params, premises, cited):
-    u, v, t, v_bounds = _window(params, cited)
+    u, v, t, window = _window(params, cited)
     m = read_int(params, "m")
-    _expect(premises, Less(t_pow(t, m - 1), u), Less(u, t_pow(t, m)), *v_bounds)
+    _expect(premises, Less(t_pow(t, m - 1), u), Less(u, t_pow(t, m)), *window[:2])
     conj = w_mul(w_inv(v), u, v)
     return Less(t_pow(t, m - 2), conj) if _lower(params) else Less(conj, t_pow(t, m + 1))
 
 
 def _rule_flip_bound(params, premises, cited):
-    u, v, t, v_bounds = _window(params, cited)
-    _expect(premises, *v_bounds, Less(EMPTY, t_pow(t, 1)))
+    u, v, t, window = _window(params, cited)
+    _expect(premises, *window)
     conj = w_mul(w_inv(v), u, v)
     flipped = w_inv(u)
     if not any(f.kind == IDENTITY_EQ and f.args == (conj, flipped) for f in cited):

@@ -29,6 +29,16 @@ class WordSyntaxError(ValueError):
     """Raised for malformed word or point strings."""
 
 
+CLIP_CHARS = 64
+
+
+def clip(text: str) -> str:
+    """``text`` as a message quotes it: whole up to CLIP_CHARS characters,
+    else its first CLIP_CHARS and '...', so untrusted input cannot make a
+    message as long as itself."""
+    return text if len(text) <= CLIP_CHARS else text[:CLIP_CHARS] + "..."
+
+
 def reduce_letters(letters) -> list[tuple[str, int]]:
     """Freely reduce (letter, exponent) pairs: merge equal neighbours, drop zeros."""
     out: list[list] = []
@@ -48,7 +58,7 @@ def _take_letter(text, pos, spellings):
     for spelling, name in spellings:
         if text.startswith(spelling, pos):
             return name, pos + len(spelling)
-    raise WordSyntaxError(f"unknown letter at {text[pos:]!r}")
+    raise WordSyntaxError(f"unknown letter at {clip(text[pos:])!r}")
 
 
 def _int_end(text, pos):
@@ -70,7 +80,7 @@ def _parse_conjugator(text, spellings):
         if pos < len(text) and (text[pos].isdigit() or text[pos] in "+-"):
             end = _int_end(text, pos)
             if end == pos:
-                raise WordSyntaxError(f"expected integer at {text[pos:]!r}")
+                raise WordSyntaxError(f"expected integer at {clip(text[pos:])!r}")
             exp, pos = int(text[pos:end]), end
         letters.append((sym, exp))
     if not letters:
@@ -92,13 +102,13 @@ def parse_word(text: str, alphabet) -> list[tuple[str, int]]:
             letters.append((sym, 1))
             continue
         if token[pos] != "^":
-            raise WordSyntaxError(f"unexpected suffix in token {token!r}")
+            raise WordSyntaxError(f"unexpected suffix in token {clip(token)!r}")
         suffix = token[pos + 1:]
         if not suffix:
-            raise WordSyntaxError(f"dangling '^' in token {token!r}")
+            raise WordSyntaxError(f"dangling '^' in token {clip(token)!r}")
         if suffix[0] in "+-" or suffix[0].isdigit():
             if _int_end(suffix, 0) != len(suffix):
-                raise WordSyntaxError(f"exponent is not an integer in token {token!r}")
+                raise WordSyntaxError(f"exponent is not an integer in token {clip(token)!r}")
             letters.append((sym, int(suffix)))
         else:
             conj = _parse_conjugator(suffix, spellings)

@@ -136,6 +136,11 @@ def test_verify_unwritable_out(tmp_path):
     assert main(["verify", "--out", str(tmp_path / "no" / "dir" / "x.json")]) == 3
 
 
+def test_prove_unwritable_out(tmp_path, capsys):
+    assert main(["prove", "--out", str(tmp_path / "no" / "dir" / "x.json")]) == 3
+    assert capsys.readouterr().err.startswith("error: cannot write certificate")
+
+
 def test_epsilon(capsys):
     assert main(["epsilon"]) == 0
     out = capsys.readouterr().out
@@ -537,6 +542,36 @@ def test_check_cert_contradiction_marker_is_strict(tmp_path, capsys, theorem_cer
     assert "unknown judgment" in capsys.readouterr().err
 
 
+_LONG = "z" * 100000
+
+
+def _first_with(payload, field):
+    return next(s for s in _steps(payload["root"]) if s[field])
+
+
+def _long_branch_name_on_the_path(payload):
+    # the first "trans" step lies under the root's first branch
+    _first_branch(payload)["name"] = _LONG
+    next(s for s in _steps(payload["root"]) if s["rule"] == "trans")["rule"] = _LONG
+
+
+# A verdict quotes each untrusted name by a short prefix: a rule name, a
+# branch name and a premise id of 100,000 letters used to print 100,105,
+# 200,095 and 100,116 bytes.
+@pytest.mark.parametrize("edit, code", [
+    (lambda payload: _first_step(payload).update(rule=_LONG), 1),
+    (_long_branch_name_on_the_path, 1),
+    (lambda payload: _first_with(payload, "premises")["premises"].__setitem__(0, _LONG), 1),
+    (lambda payload: _first_with(payload, "facts")["facts"].__setitem__(0, _LONG), 2),
+    (lambda payload: payload["root"]["split"].update(kind=_LONG), 1),
+    (lambda payload: payload.update(name=_LONG), 0),
+], ids=["rule", "branch-name", "premise-id", "fact-id", "split-kind", "derivation-name"])
+def test_check_cert_verdicts_quote_a_short_prefix(tmp_path, capsys, theorem_cert, edit, code):
+    assert _check_edited(tmp_path, theorem_cert, edit) == code
+    out = capsys.readouterr().out
+    assert len(out.encode()) < 1000 and "z" * 64 + "..." in out, out
+
+
 def _first_split_of(payload, kind):
     node = payload["root"]
     while node["split"]["kind"] != kind:
@@ -622,12 +657,16 @@ def test_check_cert_refuses_parameters_the_checker_does_not_read(tmp_path, capsy
     assert f"invalid at {where[0]}" in out and "reads only the parameters" in out
 
 
-# An error names the field and the JSON type, not the untrusted value: these
-# used to print 150,082 and 4,385 bytes of stderr.
+# An error names the field and the JSON type, not the untrusted value, and
+# quotes untrusted text by a short prefix: these used to print 150,082,
+# 4,385, 100,058 (an atom word of "a " and 100,000 "?") and 100,064 (a fact
+# naming an atom of 100,000 letters) bytes of stderr.
 @pytest.mark.parametrize("edit", [
     lambda payload: _first_step(payload).update(id=list(range(30000))),
     _huge_window(10**4300 - 1),
-], ids=["step-id-list", "huge-window"])
+    lambda payload: _set_atom_word("a " + "?" * 100000)(payload["table"]),
+    lambda payload: _set_first_fact("args", ["a", "z" * 100000])(payload["table"]),
+], ids=["step-id-list", "huge-window", "atom-word", "fact-atom-name"])
 def test_check_cert_errors_do_not_quote_the_value(tmp_path, capsys, theorem_cert, edit):
     assert _check_edited(tmp_path, theorem_cert, edit) == 3
     err = capsys.readouterr().err

@@ -18,9 +18,9 @@ def _first_branch_path(node, name, path=()):
     return None
 
 
-def test_lemma_mutations_all_rejected():
-    # the product-bound lemma lives on inside the theorem as the |a| < |b|
-    # case; mutants drawn from that subtree alone are still each caught
+def test_mag_a_below_mag_b_subtree_mutations_all_rejected():
+    # mutants drawn from the first |a| < |b| case alone, the product bound
+    # over b, are each caught at their own site
     derivation = script_theorem_main()
     at = _first_branch_path(derivation.root, "mag_a_below_mag_b")
     assert at is not None

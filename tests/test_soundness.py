@@ -11,14 +11,14 @@ import random
 
 import pytest
 
-from ordercert.orderlogic.derivation import _window_branches
+from ordercert.orderlogic.derivation import trichotomy_cases, window_cases
 from ordercert.orderlogic.facts import (
     commute_fact,
     identity_eq_fact,
     non_identity_fact,
     not_in_set_fact,
 )
-from ordercert.orderlogic.rules import RuleError, apply_rule
+from ordercert.orderlogic.rules import RuleError, apply_rule, window_premises
 from ordercert.orderlogic.words import (
     CONTRADICTION, EMPTY, Less, WordEq, atom_pow, t_pow, w_inv, w_mul,
 )
@@ -229,6 +229,15 @@ def test_eq_contra_sound(n=6000):
     assert closed > n // 10 and refused_true > n // 100, (closed, refused_true)
 
 
+def _matching_cases(cases, t_vec) -> int:
+    """How many of the split's ``cases`` hold at ``t_vec``."""
+    return sum(
+        all(true_less(h, t_vec) if isinstance(h, Less)
+            else value(h.lhs, t_vec) == value(h.rhs, t_vec) for h in hyps)
+        for hyps in cases
+    )
+
+
 def test_case_splits_cover_exactly_one_branch(n=900):
     rng = random.Random(67)
     covered = 0
@@ -239,24 +248,10 @@ def test_case_splits_cover_exactly_one_branch(n=900):
         n2 = n1 + rng.randint(1, 4)
         sign = rng.choice((1, -1))
         t = ("t", sign)
-        premises = [Less(t_pow(t, n1), v), Less(v, t_pow(t, n2)), Less(EMPTY, t_pow(t, 1))]
-        if any(not true_less(p, t_vec) for p in premises):
+        if any(not true_less(p, t_vec) for p in window_premises(v, t, n1, n2)):
             continue
-        matching = 0
-        for hyps in _window_branches(v, t, n1, n2):
-            holds = all(
-                true_less(h, t_vec) if isinstance(h, Less)
-                else value(h.lhs, t_vec) == value(h.rhs, t_vec)
-                for h in hyps
-            )
-            matching += holds
-        assert matching == 1, (v, t, n1, n2, t_vec)
+        assert _matching_cases(window_cases(v, t, n1, n2), t_vec) == 1, (v, t, n1, n2, t_vec)
         covered += 1
 
         w1, w2 = random_word(rng), random_word(rng)
-        cases = [
-            true_less(Less(w1, w2), t_vec),
-            value(w1, t_vec) == value(w2, t_vec),
-            true_less(Less(w2, w1), t_vec),
-        ]
-        assert sum(cases) == 1
+        assert _matching_cases(trichotomy_cases(w1, w2), t_vec) == 1, (w1, w2, t_vec)

@@ -1,7 +1,7 @@
 import pytest
 
 from ordercert import wordsyntax
-from ordercert.wordsyntax import WordSyntaxError, format_word, parse_word
+from ordercert.wordsyntax import CLIP_CHARS, WordSyntaxError, clip, format_word, parse_word
 
 ABCD = ("a", "b", "c", "d")
 FULL = ("a", "b", "c", "d", "ch", "dh")
@@ -81,3 +81,19 @@ def test_signed_exponents():
 def test_format_round_trip():
     text = "a^2 d^-1 c d ch^3"
     assert format_word(parse_word(text, FULL)) == text
+
+
+def test_clip_keeps_short_text_and_cuts_long_text_to_a_prefix():
+    assert clip("") == ""
+    assert clip("x" * CLIP_CHARS) == "x" * CLIP_CHARS
+    assert clip("x" * (CLIP_CHARS + 1)) == "x" * CLIP_CHARS + "..."
+
+
+# these messages used to quote the whole rest of the word
+@pytest.mark.parametrize("text", ["a " + "?" * 100000, "a^" + "2" * 50000 + "x" * 50000,
+                                  "a" + "!" * 100000, "c^d" + "?" * 100000,
+                                  "c^d+" + "x" * 100000])
+def test_errors_quote_a_short_prefix_of_the_word(text):
+    with pytest.raises(WordSyntaxError) as info:
+        parse_word(text, ABCD)
+    assert len(str(info.value)) < 2 * CLIP_CHARS
