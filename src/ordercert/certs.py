@@ -18,7 +18,6 @@ the JSON type, never by the value.
 from __future__ import annotations
 
 import json
-from datetime import datetime, timezone
 from functools import partial
 from itertools import repeat
 
@@ -72,6 +71,7 @@ def make_certificate(kind: str, payload: dict, timestamp: bool = True) -> dict:
         raise CertificateError(f"unknown certificate kind {kind!r}")
     metadata = {"toolchain": TOOLCHAIN}
     if timestamp:
+        from datetime import datetime, timezone  # only a timestamp loads it
         metadata["timestamp"] = datetime.now(timezone.utc).isoformat()
     return {"version": CERT_VERSION, "kind": kind, "metadata": metadata, "payload": payload}
 

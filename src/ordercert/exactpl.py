@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Tuple
 
 Rational = Fraction
-Pair = Tuple[Rational, Rational]
+Pair = tuple[Rational, Rational]
 
 
 class PLError(ValueError):

@@ -10,7 +10,6 @@ it.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Optional
 
 from ..exactpl import Frozen, Record
 from ..plane import PLANE_GENERATOR_NAMES, PlaneWord, decide_equal, plane_word
@@ -125,15 +124,15 @@ class AtomTable(Frozen):
 
     # -- verification -----------------------------------------------------
 
-    def _verify_equal(self, lhs: Word, rhs: Word) -> Optional[bool]:
+    def _verify_equal(self, lhs: Word, rhs: Word) -> bool | None:
         """True/False when decided, None when the algebra cannot decide."""
         return decide_equal(self.realize_plane(lhs), self.realize_plane(rhs))
 
-    def _differs_from_all(self, atom: str, words: list) -> Optional[bool]:
+    def _differs_from_all(self, atom: str, words: list) -> bool | None:
         decided = [self._verify_equal(((atom, 1),), w) for w in words]
         return None if None in decided else not any(decided)
 
-    def verify_fact(self, fact: Fact) -> Optional[bool]:
+    def verify_fact(self, fact: Fact) -> bool | None:
         """True when the fact holds, False when refuted, None when undecided."""
         args = fact.args
         if fact.kind == COMMUTE:
@@ -147,7 +146,7 @@ class AtomTable(Frozen):
             return self._differs_from_all(args[0], [((args[1], 1),), ((args[1], -1),)])
         raise ValueError(f"unknown fact kind {fact.kind}")
 
-    def outcome(self, fid: str) -> Optional[bool]:
+    def outcome(self, fid: str) -> bool | None:
         """The outcome of ``verify_fact`` on the fact ``fid``, computed the
         first time it is asked for."""
         if fid not in self._outcomes:

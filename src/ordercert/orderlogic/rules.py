@@ -107,7 +107,8 @@ def _need_commute(word: Word, t: tuple[str, int], cited: list[Fact], label: str)
         if f.kind == COMMUTE and t[0] in f.args:
             covered.update(f.args)
     if any(name not in covered for name, _ in word):
-        raise RuleError(f"commutation of {label} ({w_format(word)}) with {t[0]} is not covered by cited facts")
+        raise RuleError(f"commutation of {label} ({w_format(word)}) with {clip(t[0])} "
+                        "is not covered by cited facts")
 
 
 def apply_rule(rule: str, params: dict, premises: list[Judgment], cited: list[Fact],

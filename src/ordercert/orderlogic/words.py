@@ -8,12 +8,10 @@ marker that closes a derivation branch.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from ..exactpl import Record
-from ..wordsyntax import format_word, reduce_letters
+from ..wordsyntax import clip, format_word, reduce_letters
 
-Word = Tuple[Tuple[str, int], ...]
+Word = tuple[tuple[str, int], ...]
 
 EMPTY: Word = ()
 INT_BITS = 63  # untrusted integers stay below 2**INT_BITS in magnitude, so sums of them print
@@ -66,7 +64,8 @@ def t_pow(t: tuple[str, int], m: int) -> Word:
 
 
 def w_format(word: Word) -> str:
-    return format_word(word) or "1"
+    """``word`` as every reason quotes it: "1" if empty, a long word by its ``clip`` prefix."""
+    return clip(format_word(word) or "1")
 
 
 class Less(Record):

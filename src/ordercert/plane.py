@@ -18,11 +18,10 @@ and anything else is honestly reported as unknown.
 
 from __future__ import annotations
 
-import random
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from typing import Iterable, Optional
 
 from .exactpl import PLCocycle, PLMap, Record, _fraction, rational
 from .skew import (
@@ -50,9 +49,6 @@ class Letter(Record):
 
     def invert(self) -> "Letter":
         return Letter(self.kind, self.elem.invert())
-
-    def swapped(self) -> "Letter":
-        return Letter("H" if self.kind == "V" else "V", self.elem)
 
     def as_kind(self, kind: str) -> "Letter":
         """Re-express a pure translation in the other copy: (x + u, y + v)
@@ -176,10 +172,6 @@ class PlaneWord(Record):
     def apply(self, point: Point) -> Point:
         return _apply_letters(self.letters, point)
 
-    def eta_conjugate(self) -> "PlaneWord":
-        """Conjugation by the coordinate swap: V and H letters trade places."""
-        return PlaneWord(tuple(l.swapped() for l in self.letters))
-
 
 def _plane_generators(skew_gens) -> dict[str, PlaneWord]:
     gens = {name: PlaneWord((Letter("V", skew_gens[name]),)) for name in GENERATOR_NAMES}
@@ -247,6 +239,7 @@ def _grid_points(config: WitnessSearchConfig):
 
 
 def _random_points(config: WitnessSearchConfig):
+    import random  # only a search that gets this far loads it
     rng = random.Random(config.seed)
     qmax = config.random_max_denominator
     for _ in range(config.random_count):
@@ -255,7 +248,7 @@ def _random_points(config: WitnessSearchConfig):
         yield (i // gcd(i, q), q // gcd(i, q), j // gcd(j, q), q // gcd(j, q))
 
 
-def _single_letter_witness(w1: PlaneWord, w2: PlaneWord) -> Optional[Point]:
+def _single_letter_witness(w1: PlaneWord, w2: PlaneWord) -> Point | None:
     """Exact witness for one-letter (or empty) words of a common kind.
 
     Distinct canonical skew elements differ at a breakpoint of the union of
@@ -319,7 +312,7 @@ def equal_or_unknown(w1: PlaneWord, w2: PlaneWord,
 _OUTCOMES = {EQUAL: True, DISTINCT: False, UNKNOWN: None}
 
 
-def decide_equal(w1: PlaneWord, w2: PlaneWord) -> Optional[bool]:
+def decide_equal(w1: PlaneWord, w2: PlaneWord) -> bool | None:
     """``equal_or_unknown`` on the default search as an outcome: True when
     equal, False when distinct, None when undecided."""
     return _OUTCOMES[equal_or_unknown(w1, w2).status]
@@ -327,7 +320,7 @@ def decide_equal(w1: PlaneWord, w2: PlaneWord) -> Optional[bool]:
 
 def verify_mirrored_relations(
     skew_gens: dict[str, SkewElement] | None = None,
-) -> list[tuple[str, str, Optional[bool]]]:
+) -> list[tuple[str, str, bool | None]]:
     """The swapped copies of the defining identities as ordered (id,
     description, outcome) rows, checked inside the horizontal-skew copy by
     plane-word algebra, never inferred from the vertical rows by symmetry.

@@ -555,9 +555,14 @@ def _long_branch_name_on_the_path(payload):
     next(s for s in _steps(payload["root"]) if s["rule"] == "trans")["rule"] = _LONG
 
 
-# A verdict quotes each untrusted name by a short prefix: a rule name, a
-# branch name and a premise id of 100,000 letters used to print 100,105,
-# 200,095 and 100,116 bytes.
+def _first_rule(payload, rule):
+    return next(s for s in _steps(payload["root"]) if s["rule"] == rule)
+
+
+# A verdict quotes each untrusted name, and each word, by a short prefix: a
+# rule name, a branch name and a premise id of 100,000 letters used to print
+# 100,105, 200,095 and 100,116 bytes, and a word of one such letter in an
+# lmul step, a trichotomy and a window 200,151, 100,122 and 100,147 bytes.
 @pytest.mark.parametrize("edit, code", [
     (lambda payload: _first_step(payload).update(rule=_LONG), 1),
     (_long_branch_name_on_the_path, 1),
@@ -565,11 +570,26 @@ def _long_branch_name_on_the_path(payload):
     (lambda payload: _first_with(payload, "facts")["facts"].__setitem__(0, _LONG), 2),
     (lambda payload: payload["root"]["split"].update(kind=_LONG), 1),
     (lambda payload: payload.update(name=_LONG), 0),
-], ids=["rule", "branch-name", "premise-id", "fact-id", "split-kind", "derivation-name"])
+    (lambda payload: _first_rule(payload, "lmul")["params"].update(w=[[_LONG, 1]]), 1),
+    (lambda payload: _first_split_of(payload, "trichotomy")["params"].update(w1=[[_LONG, 1]]), 1),
+    (lambda payload: _first_split_of(payload, "window")["params"].update(v=[[_LONG, 1]]), 1),
+], ids=["rule", "branch-name", "premise-id", "fact-id", "split-kind", "derivation-name",
+        "lmul-word", "trichotomy-word", "window-word"])
 def test_check_cert_verdicts_quote_a_short_prefix(tmp_path, capsys, theorem_cert, edit, code):
     assert _check_edited(tmp_path, theorem_cert, edit) == code
     out = capsys.readouterr().out
     assert len(out.encode()) < 1000 and "z" * 64 + "..." in out, out
+
+
+# A judgment that is not an object of one known key and its operands is
+# malformed input, refused without a traceback.
+@pytest.mark.parametrize("judgment", ["x", [], {"less": 1}], ids=repr)
+def test_check_cert_refuses_a_judgment_of_another_shape(tmp_path, capsys, theorem_cert, judgment):
+    def edit(payload):
+        _first_branch(payload)["hypotheses"][0]["judgment"] = judgment
+
+    assert _check_edited(tmp_path, theorem_cert, edit) == 3
+    assert capsys.readouterr().err == MALFORMED + "unknown judgment in hypothesis judgment\n"
 
 
 def _first_split_of(payload, kind):
@@ -947,10 +967,11 @@ def test_commands_leave_no_cyclic_garbage(tmp_path, capsys, theorem_cert, argv, 
 
 def _fresh_python(code, *args):
     """A new interpreter running ``code`` on this checkout's ``ordercert``,
-    started and not waited for."""
+    started and not waited for.  It runs without ``site`` (``-S``), so no
+    start-up hook of the installation loads modules before ``code`` runs."""
     src = str(Path(ordercert.__file__).resolve().parents[1])
-    return subprocess.Popen([sys.executable, "-c", code, *args], stdout=subprocess.PIPE, text=True,
-                            env={**os.environ, "PYTHONPATH": src})
+    return subprocess.Popen([sys.executable, "-S", "-c", code, *args], stdout=subprocess.PIPE,
+                            text=True, env={**os.environ, "PYTHONPATH": src})
 
 
 def _output(run):
@@ -959,21 +980,32 @@ def _output(run):
     return stdout
 
 
-def test_commands_load_no_argument_parser():
-    # argparse's first message lookup imports gettext and locale; this
-    # process may have them loaded already, so a fresh one is asked
-    code = ("import sys, ordercert.cli; ordercert.cli.main(['eval', 'c^d', '0,0']); "
-            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
-    assert _output(_fresh_python(code)) == "0,3\n[]\n"
+# No command runs these, so none loads them: typing, which only annotations
+# would name; datetime, for a timestamp, and random, for the witness search's
+# random points, each loaded by the one function that uses it; argparse, with
+# the gettext and locale its first message lookup imports, since the command
+# line is read from cli.COMMANDS; and dataclasses, with the inspect, ast and
+# dis it pulls in, since records are built on exactpl.Record.
+UNLOADED = ("typing", "datetime", "random", "argparse", "gettext", "locale", "dataclasses",
+            "inspect", "ast", "dis")
 
 
-def test_cli_import_loads_no_dataclass_machinery():
-    # dataclasses pulls in inspect, ast and dis, which the checker does not
-    # need, and the command line is read from cli.COMMANDS, not by argparse;
-    # this process has them loaded already, so a fresh one is asked
+@pytest.mark.parametrize("argv", [
+    [],
+    ["verify", "--no-timestamp", "--out", "{out}"],
+    ["prove", "--no-timestamp", "--out", "{out}"],
+    ["check-cert", "{cert}"],
+    ["eval", "c^d", "0,0"],
+], ids=["import", "verify", "prove", "check-cert", "eval"])
+def test_commands_load_only_what_they_run(tmp_path, theorem_cert, argv):
+    # this process has most of them loaded already, so a fresh one is asked
+    cert = tmp_path / "thm.cert.json"
+    cert.write_bytes(theorem_cert)
+    argv = [arg.format(cert=cert, out=tmp_path / "out.cert.json") for arg in argv]
     code = ("import sys, ordercert.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'argparse'} & set(sys.modules)))")
-    assert _output(_fresh_python(code)) == "[]\n"
+            "code = ordercert.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+            f"print(code, sorted(set({UNLOADED!r}) & set(sys.modules)))")
+    assert _output(_fresh_python(code, *argv)).splitlines()[-1] == "0 []"
 
 
 _CORE = {"ordercert.exactpl", "ordercert.wordsyntax", "ordercert.skew"}

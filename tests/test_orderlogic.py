@@ -33,7 +33,7 @@ from ordercert.orderlogic.scripts import script_theorem_main, theorem_atom_table
 from ordercert.orderlogic.words import (
     CONTRADICTION, EMPTY, Less, WordEq, atom_pow, letter_pair, t_pow, w_inv, w_mul, w_reduce,
 )
-from ordercert.plane import WitnessSearchConfig, equal_or_unknown, plane_word
+from ordercert.plane import PLANE_GENERATOR_NAMES, WitnessSearchConfig, equal_or_unknown, plane_word
 from ordercert.skew import word_to_element
 from ordercert.wordsyntax import reduce_letters
 
@@ -430,6 +430,43 @@ def test_memo_keeps_failures_out():
         apply_rule("invert", params, [right], [F1], memo)
 
 
+# -- the words a reason quotes -------------------------------------------------------
+
+def test_reasons_quote_short_words_whole():
+    # the empty word prints as 1, and every other word as itself
+    with pytest.raises(RuleError) as info:
+        apply_rule("invert", {"u": EMPTY, "t": B, "m": 1, "direction": "lt"}, [BINV_LT_ONE], [])
+    assert str(info.value) == "premise #1 must be '1 < b' (got 'b^-1 < 1')"
+    with pytest.raises(RuleError) as info:
+        apply_rule("trans", {}, [j([("a", 1)], [("c", 2), ("d", -1)]), j([("b", 1)], [])], [])
+    assert str(info.value) == "middle words differ: 'c^2 d^-1' vs 'b'"
+
+
+_LONG_NAME = "z" * 100000
+_LONG = atom_pow(_LONG_NAME, 1)  # one letter, named by 100,000 characters
+_LONG_T = (_LONG_NAME, 1)
+
+
+# Each reason quotes a long word, or a long base name, by its prefix; each
+# used to quote it whole, about 100 KB or more.
+@pytest.mark.parametrize("rule, params, premises, facts", [
+    ("invert", {"u": _LONG, "t": _LONG_T, "m": 1, "direction": "lt"}, [ONE_LT_B], []),
+    ("invert", {"u": _LONG, "t": B, "m": 1, "direction": "lt"}, [ONE_LT_B], []),
+    ("invert", {"u": C1, "t": _LONG_T, "m": 1, "direction": "lt"}, [ONE_LT_B], []),
+    ("trans", {}, [Less(EMPTY, _LONG), Less(C1, EMPTY)], []),
+    ("subst", {"side": "lhs", "pos": 0, "dir": "lr"}, [Less(C1, EMPTY)],
+     [identity_eq_fact("E", _LONG, C1)]),
+    ("flip_bound", {"u": _LONG, "v": EMPTY, "t": _LONG_T, "n1": -1, "n2": 1, "part": "lower"},
+     [Less(w_inv(_LONG), EMPTY), Less(EMPTY, _LONG), Less(EMPTY, _LONG)], []),
+], ids=["premise", "commute-word", "commute-base", "trans-middle", "subst-pattern",
+        "flip_bound-identity"])
+def test_reasons_quote_long_words_by_a_prefix(rule, params, premises, facts):
+    with pytest.raises(RuleError) as info:
+        apply_rule(rule, params, premises, facts)
+    reason = str(info.value)
+    assert len(reason) < 300 and "z" * 64 + "..." in reason, reason
+
+
 # -- the checker on small derivations ----------------------------------------------
 
 ATOMS = {name: name for name in ("a", "b", "c", "d")}
@@ -668,6 +705,28 @@ def test_atom_tables_reject_malformed_input():
         AtomTable({**atoms, "a": "q"}, [])
     # ch is a plane generator, so a word using it is an atom like any other
     assert AtomTable({**atoms, "a": "ch"}, []).atoms["a"] == "ch"
+
+
+# x := a^3 inverts c (F4), so x^2 = a^6 commutes with c and x does not; y
+# and z are b and b^-1; e is the identity, written as a a^-1
+PROBE_ATOMS = {**{name: name for name in PLANE_GENERATOR_NAMES},
+               "x": "a^3", "y": "b", "z": "b^-1", "e": "a a^-1"}
+
+
+# The decider is shown a false fact of each kind and shape: a decider that
+# took any of them for true would let "valid" rest on it.
+@pytest.mark.parametrize("fact", [
+    not_in_set_fact("F", "y", "b"),
+    not_in_set_fact("F", "z", "b"),
+    commute_fact("F", "x", "c"),
+    commute_fact("F", "c", "x"),
+    non_identity_fact("F", "e"),
+    identity_eq_fact("F", w_mul(atom_pow("x", -1), C1, atom_pow("x", 1)), C1),
+], ids=["y-is-b", "z-is-b-inverse", "commute-x-c", "commute-c-x", "e-is-1", "c^x=c"])
+def test_fact_decider_refutes_false_facts(fact):
+    table = AtomTable(PROBE_ATOMS, [fact])
+    assert table.verify_fact(fact) is False
+    assert table.outcome("F") is False and table.verify_all() is False
 
 
 def test_atom_table_reads_only_plane_atoms():
