@@ -132,9 +132,10 @@ def check_derivation(derivation: Derivation) -> Verdict:
             _fail("<goal>", "statement mismatch: the goal is not 'contradiction'")
         _check_node(derivation.root, {}, derivation.table)
     except _Failure as failure:
-        # untrusted names are quoted by their prefix, as in every reason
+        # untrusted names, and the path they make, are quoted by a prefix as in every reason
         status, step_id, reason = failure.args
-        return Verdict(status, clip(step_id), reason, "/".join(map(clip, reversed(failure.names))))
+        path = clip("/".join(map(clip, reversed(failure.names))))
+        return Verdict(status, clip(step_id), reason, path)
     return Verdict(VALID)
 
 

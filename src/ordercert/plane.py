@@ -19,7 +19,6 @@ and anything else is honestly reported as unknown.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from fractions import Fraction
 from itertools import chain
 from math import gcd
 
@@ -43,9 +42,6 @@ class Letter(Record):
     """One word letter: kind "V" or "H" plus the underlying skew element."""
 
     __slots__ = ("kind", "elem")
-
-    def apply(self, point: Point) -> Point:
-        return _apply_letters((self,), point)
 
     def invert(self) -> "Letter":
         return Letter(self.kind, self.elem.invert())
@@ -71,12 +67,6 @@ def _walk(letters: Iterable[Letter], xn: int, xd: int, yn: int, yd: int) -> tupl
         else:
             yn, yd, xn, xd = letter.elem._apply_ints(yn, yd, xn, xd)
     return xn, xd, yn, yd
-
-
-def _apply_letters(letters: Iterable[Letter], point: Point) -> Point:
-    x, y = rational(point[0]), rational(point[1])
-    xn, xd, yn, yd = _walk(letters, x.numerator, x.denominator, y.numerator, y.denominator)
-    return (_fraction(xn, xd), _fraction(yn, yd))
 
 
 def _merge(left: Letter, right: Letter) -> Letter:
@@ -170,7 +160,9 @@ class PlaneWord(Record):
         return _pushed([], self.letters * n)
 
     def apply(self, point: Point) -> Point:
-        return _apply_letters(self.letters, point)
+        x, y = rational(point[0]), rational(point[1])
+        xn, xd, yn, yd = _walk(self.letters, x.numerator, x.denominator, y.numerator, y.denominator)
+        return (_fraction(xn, xd), _fraction(yn, yd))
 
 
 def _plane_generators(skew_gens) -> dict[str, PlaneWord]:
@@ -248,24 +240,24 @@ def _random_points(config: WitnessSearchConfig):
         yield (i // gcd(i, q), q // gcd(i, q), j // gcd(j, q), q // gcd(j, q))
 
 
-def _single_letter_witness(w1: PlaneWord, w2: PlaneWord) -> Point | None:
-    """Exact witness for one-letter (or empty) words of a common kind.
-
-    Distinct canonical skew elements differ at a breakpoint of the union of
-    their components' corners, so no search is needed.
-    """
-    kinds = {l.kind for l in w1.letters} | {l.kind for l in w2.letters}
+def _corner_points(l1: tuple, l2: tuple):
+    """For two words' letters, at most one each, all of one kind: the points
+    over the sorted corner xs of those letters (the empty word's one corner is
+    at 0), on the x axis for V letters and on the y axis for H ones.  Distinct
+    canonical skew elements differ at one of the union of their components'
+    corners, so one of these points separates such words."""
+    if len(l1) > 1 or len(l2) > 1:
+        return
+    letters = l1 + l2
+    kinds = {l.kind for l in letters}
     if len(kinds) > 1:
-        return None
-    kind = kinds.pop() if kinds else "V"
-    e1 = w1.letters[0].elem if w1.letters else SkewElement.identity()
-    e2 = w2.letters[0].elem if w2.letters else SkewElement.identity()
-    xs = sorted({*e1.x_part.xs, *e2.x_part.xs, *e1.shift.xs, *e2.shift.xs})
-    zero = Fraction(0)
-    for x in xs:
-        if e1.apply((x, zero)) != e2.apply((x, zero)):
-            return (x, zero) if kind == "V" else (zero, x)
-    return None
+        return
+    xs = {0} if len(letters) < 2 else set()
+    for l in letters:
+        xs.update(l.elem.x_part.xs, l.elem.shift.xs)
+    on_x = "H" not in kinds
+    for x in sorted(xs):
+        yield (x.numerator, x.denominator, 0, 1) if on_x else (0, 1, x.numerator, x.denominator)
 
 
 def _common_length(u: tuple, v: tuple) -> int:
@@ -282,10 +274,11 @@ def equal_or_unknown(w1: PlaneWord, w2: PlaneWord,
     absorbed on different sides (``b d dh`` vs ``b dh d``), or a relator the
     stack walk cannot cancel.
 
-    The search tries ``config``'s seeded random points, then its grid: two
-    distinct PL maps differ on an open set, so a generic point separates them
-    at once, while grid points of small denominator may all lie where they
-    agree.  It walks integer points through P and then only the middles of
+    The search tries the exact ``_corner_points`` of one-letter words first,
+    then ``config``'s seeded random points, then its grid: two distinct PL
+    maps differ on an open set, so a generic point separates them at once,
+    while grid points of small denominator may all lie where they agree.  It
+    walks integer points through P and then only the middles of
     w1 = P M1 S and w2 = P M2 S (P, S the longest common prefix and suffix).
     S is a bijection, so S(M1(P(p))) and S(M2(P(p))) differ exactly when
     M1(P(p)) and M2(P(p)) do: the first separating point, the witness, stays.
@@ -293,15 +286,11 @@ def equal_or_unknown(w1: PlaneWord, w2: PlaneWord,
     if w1.letters == w2.letters:
         return EqualityVerdict(EQUAL)
     config = config or WitnessSearchConfig()
-    if len(w1) <= 1 and len(w2) <= 1:
-        witness = _single_letter_witness(w1, w2)
-        if witness is not None:
-            return EqualityVerdict(DISTINCT, witness)
     l1, l2 = w1.letters, w2.letters
     n = _common_length(l1, l2)
     m = _common_length(l1[n:][::-1], l2[n:][::-1])
     prefix, mid1, mid2 = l1[:n], l1[n:len(l1) - m], l2[n:len(l2) - m]
-    for point in chain(_random_points(config), _grid_points(config)):
+    for point in chain(_corner_points(l1, l2), _random_points(config), _grid_points(config)):
         xn, xd, yn, yd = _walk(prefix, *point)
         if _walk(mid1, xn, xd, yn, yd) != _walk(mid2, xn, xd, yn, yd):
             xn, xd, yn, yd = point

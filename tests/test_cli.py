@@ -559,10 +559,27 @@ def _first_rule(payload, rule):
     return next(s for s in _steps(payload["root"]) if s["rule"] == rule)
 
 
+def _deep_path_of_long_names(payload):
+    # 150 nested trichotomies, each entered by its first branch, whose names
+    # of 1,000 letters lead to a bare leaf: the failing path has 150 names
+    leaf = {"steps": [], "split": None}
+    w1, w2 = [["a", 1]], [["b", 1]]
+    cases = [{"less": [w1, w2]}, {"eq": [w1, w2]}, {"less": [w2, w1]}]
+    node = leaf
+    for depth in range(150):
+        node = {"steps": [], "split": {
+            "kind": "trichotomy", "premises": [], "params": {"w1": w1, "w2": w2},
+            "branches": [{"name": "z" * 1000, "node": node if i == 0 else leaf,
+                          "hypotheses": [{"id": f"h{depth}.{i}", "judgment": case}]}
+                         for i, case in enumerate(cases)]}}
+    payload["root"] = node
+
+
 # A verdict quotes each untrusted name, and each word, by a short prefix: a
 # rule name, a branch name and a premise id of 100,000 letters used to print
 # 100,105, 200,095 and 100,116 bytes, and a word of one such letter in an
 # lmul step, a trichotomy and a window 200,151, 100,122 and 100,147 bytes.
+# A path of 150 branch names of 1,000 letters each used to print 10,289 bytes.
 @pytest.mark.parametrize("edit, code", [
     (lambda payload: _first_step(payload).update(rule=_LONG), 1),
     (_long_branch_name_on_the_path, 1),
@@ -573,8 +590,9 @@ def _first_rule(payload, rule):
     (lambda payload: _first_rule(payload, "lmul")["params"].update(w=[[_LONG, 1]]), 1),
     (lambda payload: _first_split_of(payload, "trichotomy")["params"].update(w1=[[_LONG, 1]]), 1),
     (lambda payload: _first_split_of(payload, "window")["params"].update(v=[[_LONG, 1]]), 1),
+    (_deep_path_of_long_names, 1),
 ], ids=["rule", "branch-name", "premise-id", "fact-id", "split-kind", "derivation-name",
-        "lmul-word", "trichotomy-word", "window-word"])
+        "lmul-word", "trichotomy-word", "window-word", "deep-path"])
 def test_check_cert_verdicts_quote_a_short_prefix(tmp_path, capsys, theorem_cert, edit, code):
     assert _check_edited(tmp_path, theorem_cert, edit) == code
     out = capsys.readouterr().out

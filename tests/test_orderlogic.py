@@ -433,13 +433,31 @@ def test_memo_keeps_failures_out():
 # -- the words a reason quotes -------------------------------------------------------
 
 def test_reasons_quote_short_words_whole():
-    # the empty word prints as 1, and every other word as itself
-    with pytest.raises(RuleError) as info:
-        apply_rule("invert", {"u": EMPTY, "t": B, "m": 1, "direction": "lt"}, [BINV_LT_ONE], [])
-    assert str(info.value) == "premise #1 must be '1 < b' (got 'b^-1 < 1')"
-    with pytest.raises(RuleError) as info:
-        apply_rule("trans", {}, [j([("a", 1)], [("c", 2), ("d", -1)]), j([("b", 1)], [])], [])
-    assert str(info.value) == "middle words differ: 'c^2 d^-1' vs 'b'"
+    # the empty word prints as 1, and every other word as itself, in the
+    # reason of each rule that formats a word
+    da2 = w_mul(atom_pow("d", 1), atom_pow("a", 2))
+    cd = j([("c", 1), ("d", 1)], [("b", 1)])
+    for rule, params, premises, facts, reason in [
+        ("invert", {"u": EMPTY, "t": B, "m": 1, "direction": "lt"}, [BINV_LT_ONE], [],
+         "premise #1 must be '1 < b' (got 'b^-1 < 1')"),
+        ("trans", {}, [j([("a", 1)], [("c", 2), ("d", -1)]), j([("b", 1)], [])], [],
+         "middle words differ: 'c^2 d^-1' vs 'b'"),
+        ("product", {"u": cd.lhs, "v": EMPTY, "t": B, "m": 1, "n": 1, "direction": "lt"},
+         [cd, ONE_LT_B], [F2], "commutation of u (c d) with b is not covered by cited facts"),
+        ("conjugate_window", {"u": C1, "v": da2, "t": B, "m": 1, "n1": -2, "n2": 3, "part": "lower"},
+         [Less(EMPTY, C1), j([("c", 1)], [("b", 1)]), Less(atom_pow("b", -1), da2),
+          Less(da2, atom_pow("b", 3))], [F1, F2, F3],
+         "premise #3 must be 'b^-2 < d a^2' (got 'b^-1 < d a^2')"),
+        ("flip_bound", {"u": C1, "v": atom_pow("a", 3), "t": B, "n1": -3, "n2": 3, "part": "lower"},
+         [j([("b", -3)], [("a", 3)]), j([("a", 3)], [("b", 3)]), ONE_LT_B], [F2, F1],
+         "no cited fact states a^-3 c a^3 == c^-1"),
+        ("subst", {"side": "lhs", "pos": 0, "dir": "lr"}, [cd],
+         [identity_eq_fact("E", w_mul(atom_pow("d", 1), C1), atom_pow("b", 1))],
+         "premise lhs does not contain 'd c' at position 0"),
+    ]:
+        with pytest.raises(RuleError) as info:
+            apply_rule(rule, params, premises, facts)
+        assert str(info.value) == reason, rule
 
 
 _LONG_NAME = "z" * 100000

@@ -19,6 +19,7 @@ from ordercert.plane import (
     PlaneWord,
     WitnessSearchConfig,
     _push,
+    _pushed,
     equal_or_unknown,
     plane_word,
     stepwise_apply_plane,
@@ -36,6 +37,12 @@ from ordercert.skew import (
 from util import random_point
 
 GENS = {name: plane_word(name) for name in ("a", "b", "c", "d", "ch", "dh")}
+
+
+def apply_letter(letter, point):
+    """``PlaneWord.apply`` on ``letter`` as it stands: the word
+    ``PlaneWord((letter,))`` would store an H translation as V."""
+    return _pushed([letter], ()).apply(point)
 
 
 def random_plane_word(rng, max_len=8):
@@ -111,7 +118,7 @@ def test_horizontal_letter_is_swapped_vertical_action():
         for _ in range(25):
             x, y = random_point(rng)
             fx, fy = g.apply((y, x))
-            assert letter.apply((x, y)) == (fy, fx)
+            assert apply_letter(letter, (x, y)) == (fy, fx)
 
 
 # -- evaluation -----------------------------------------------------------------
@@ -164,11 +171,15 @@ def test_equal_verdicts_are_structural():
 
 
 def test_distinct_carries_checkable_witness():
+    # c and ch have corners, but on different axes: the witness is the first
+    # searched point that separates them
     w1, w2 = plane_word("c"), plane_word("ch")
     v = equal_or_unknown(w1, w2)
     assert v.status == DISTINCT
     assert w1.apply(v.witness) != w2.apply(v.witness)
-    # same-kind single letters are separated without any search
+    assert v.witness == next(p for p in reference_points(WitnessSearchConfig())
+                             if fraction_walk(w1, p) != fraction_walk(w2, p))
+    # same-kind single letters are separated at their corners, before any searched point
     v2 = equal_or_unknown(plane_word("c"), plane_word("c^-1"))
     assert v2.status == DISTINCT
     assert plane_word("c").apply(v2.witness) != plane_word("c^-1").apply(v2.witness)
@@ -197,6 +208,41 @@ def test_single_letters_never_need_search():
     v = equal_or_unknown(word, PlaneWord.identity(), config)
     assert v.status == DISTINCT
     assert word.apply(v.witness) != v.witness
+
+
+def corner_witness(w1, w2):
+    """The exact route for one-letter words of one kind, in Fractions: the
+    first corner x, in order, of either element where ``SkewElement.apply``
+    tells them apart, on the axis of their kind; None for other words, or
+    when no corner separates them."""
+    kinds = {l.kind for l in w1.letters + w2.letters}
+    if len(w1) > 1 or len(w2) > 1 or len(kinds) != 1:
+        return None
+    e1, e2 = (w.letters[0].elem if w.letters else SkewElement.identity() for w in (w1, w2))
+    xs = sorted({*e1.x_part.xs, *e2.x_part.xs, *e1.shift.xs, *e2.shift.xs})
+    x = next((x for x in xs if e1.apply((x, F(0))) != e2.apply((x, F(0)))), None)
+    if x is None:
+        return None
+    return (x, F(0)) if kinds == {"V"} else (F(0), x)
+
+
+# neither component has a corner at 0, and the map moves (0, 0): the empty
+# word's corner at 0 is the first that separates it from the identity
+OFF_ZERO = SkewElement(PLMap.from_points([(F(1, 3), F(1, 6)), (F(2, 3), F(5, 6))]),
+                       PLCocycle.from_points([(F(1, 4), 1), (F(1, 2), -1)]))
+
+
+@pytest.mark.parametrize("u, v", [
+    (plane_word("c"), plane_word("c^-1")),
+    (PlaneWord((Letter("V", BUMP),)), PlaneWord.identity()),
+    (PlaneWord((Letter("V", OFF_ZERO),)), PlaneWord.identity()),
+    (plane_word("ch"), plane_word("ch^-1")),
+    (plane_word("dh"), PlaneWord.identity()),
+    (PlaneWord((Letter("H", OFF_ZERO),)), PlaneWord.identity()),
+], ids=["c", "bump", "off-zero", "ch", "dh", "off-zero-h"])
+def test_one_letter_witness_is_the_first_differing_corner(u, v):
+    for w1, w2 in ((u, v), (v, u)):
+        assert equal_or_unknown(w1, w2) == EqualityVerdict(DISTINCT, corner_witness(w1, w2))
 
 
 def test_unknown_when_search_is_exhausted():
@@ -311,7 +357,7 @@ def test_integer_evaluation_matches_fraction_walk(seed, x, y):
     word, _ = random_plane_word(random.Random(seed), max_len=10)
     assert word.apply((x, y)) == fraction_walk(word, (x, y))
     for letter in word.letters:
-        assert letter.apply((x, y)) == fraction_walk(PlaneWord((letter,)), (x, y))
+        assert apply_letter(letter, (x, y)) == fraction_walk(PlaneWord((letter,)), (x, y))
         fx, fy = fraction_walk(PlaneWord((Letter("V", letter.elem),)), (x, y))
         assert letter.elem.apply((x, y)) == (fx, fy)
 
@@ -332,18 +378,13 @@ def reference_points(config):
 
 
 def reference_search(w1, w2, config):
-    """``equal_or_unknown`` spelled out over ``fraction_walk``, whole words."""
+    """``equal_or_unknown`` spelled out in Fractions: the exact corners of
+    ``corner_witness``, then the search over ``fraction_walk``, whole words."""
     if w1.letters == w2.letters:
         return EqualityVerdict(EQUAL)
-    if len(w1) <= 1 and len(w2) <= 1:
-        kinds = {l.kind for l in w1.letters + w2.letters}
-        if len(kinds) == 1:
-            kind = kinds.pop()
-            elems = [w.letters[0].elem if w.letters else SkewElement.identity() for w in (w1, w2)]
-            for x in sorted({x for e in elems for x in e.x_part.xs + e.shift.xs}):
-                point = (x, F(0)) if kind == "V" else (F(0), x)
-                if fraction_walk(w1, point) != fraction_walk(w2, point):
-                    return EqualityVerdict(DISTINCT, point)
+    witness = corner_witness(w1, w2)
+    if witness is not None:
+        return EqualityVerdict(DISTINCT, witness)
     for point in reference_points(config):
         if fraction_walk(w1, point) != fraction_walk(w2, point):
             return EqualityVerdict(DISTINCT, point)
@@ -470,7 +511,7 @@ def test_results_are_built_without_fraction_normalisation(monkeypatch):
         raise AssertionError("a result went through Fraction.__new__")
 
     monkeypatch.setattr(F, "__new__", refuse)
-    results = (e.x_part(x), e.shift(x), e.apply((x, y)), letter.apply((x, y)),
+    results = (e.x_part(x), e.shift(x), e.apply((x, y)), apply_letter(letter, (x, y)),
                word.apply((x, y)), equal_or_unknown(*swaps))
     monkeypatch.undo()
     ry, rx = reference_apply(e, y, x)
@@ -514,7 +555,7 @@ def test_evaluation_results_are_canonical_fractions(skew, plane, x, y):
     w = plane_word(plane)
     for q, expected in ((e.x_part(x), e.x_part._at(x)), (e.shift(x), e.shift._at(x)),
                         *zip(e.apply((x, y)), stepwise_apply(skew, (x, y))),
-                        *zip(Letter("H", e).apply((x, y)), (rx, ry)),
+                        *zip(apply_letter(Letter("H", e), (x, y)), (rx, ry)),
                         *zip(w.apply((x, y)), stepwise_apply_plane(plane, (x, y)))):
         assert_canonical_result(q, expected)
 
@@ -584,7 +625,7 @@ def _translation(kind, u, v):
 
 
 def _reference_letter(letter, x, y):
-    """``letter.apply((x, y))`` through ``skew.reference_apply``."""
+    """``letter``'s action on (x, y) through ``skew.reference_apply``."""
     if letter.kind == "V":
         return reference_apply(letter.elem, x, y)
     y, x = reference_apply(letter.elem, y, x)
@@ -611,7 +652,7 @@ def test_as_kind_swaps_a_translation_between_the_copies(kind, u, v, x, y):
     assert other.kind == other_kind and other.elem.is_translation
     assert back == letter and letter.as_kind(kind) is letter
     image = (x + u, y + v) if kind == "V" else (x + v, y + u)
-    assert letter.apply((x, y)) == other.apply((x, y)) == image
+    assert apply_letter(letter, (x, y)) == apply_letter(other, (x, y)) == image
     assert _reference_letter(letter, x, y) == _reference_letter(other, x, y) == image
 
 
@@ -626,7 +667,7 @@ def test_an_h_translation_merges_into_an_h_top_as_its_v_form_does(word, u, v, x,
     _push(via_h, h)
     _push(via_v, h.as_kind("V"))
     assert via_h == via_v
-    assert PlaneWord(via_h).apply((x, y)) == h.apply(plane_word(word).apply((x, y)))
+    assert PlaneWord(via_h).apply((x, y)) == apply_letter(h, plane_word(word).apply((x, y)))
 
 
 def test_as_kind_refuses_a_letter_that_is_not_a_translation():
