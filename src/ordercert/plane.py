@@ -130,16 +130,9 @@ class PlaneWord(Record):
     def __init__(self, letters: Iterable[Letter] = ()):
         object.__setattr__(self, "letters", _pushed([], letters).letters)
 
-    def __len__(self):
-        return len(self.letters)
-
     def __repr__(self):
         kinds = "".join(l.kind for l in self.letters) or "1"
         return f"PlaneWord<{kinds}>"
-
-    @classmethod
-    def identity(cls) -> "PlaneWord":
-        return cls(())
 
     @property
     def is_identity_word(self) -> bool:

@@ -747,6 +747,12 @@ def test_fact_decider_refutes_false_facts(fact):
     assert table.outcome("F") is False and table.verify_all() is False
 
 
+def test_facts_print_as_their_statements():
+    # one fact of each kind; the identity's words print through w_format
+    assert [str(fact) for fact in (F1, F4, N_C, NS)] == [
+        "a b == b a", "a^-3 c a^3 == c^-1", "c != 1", "a is neither b nor b^-1"]
+
+
 def test_atom_table_reads_only_plane_atoms():
     table = theorem_atom_table()
     data = json.loads(certs.canonical_dumps(table))

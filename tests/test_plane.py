@@ -47,7 +47,7 @@ def apply_letter(letter, point):
 
 def random_plane_word(rng, max_len=8):
     length = rng.randint(0, max_len)
-    word = PlaneWord.identity()
+    word = PlaneWord()
     letters = []
     for _ in range(length):
         sym = rng.choice(("a", "b", "c", "d", "ch", "dh"))
@@ -70,7 +70,7 @@ def test_six_generators():
 
 def test_translations_canonicalize_to_vertical_kind():
     b = plane_word("b")
-    assert len(b) == 1 and b.letters[0].kind == "V"
+    assert len(b.letters) == 1 and b.letters[0].kind == "V"
     # a horizontal-letter translation collapses onto the same canonical form
     as_h = PlaneWord((Letter("H", standard_generators()["b"]),))
     assert as_h == plane_word("a")
@@ -81,7 +81,7 @@ def test_one_letter_power_matches_repeated_concatenation():
         for g in (gen, gen.invert()):
             for n in range(-7, 8):
                 factor = g if n >= 0 else g.invert()
-                linear = PlaneWord.identity()
+                linear = PlaneWord()
                 for _ in range(abs(n)):
                     linear = linear.concat(factor)
                 assert g.power(n) == linear
@@ -152,7 +152,7 @@ def test_simplified_form_invariants():
             assert not letter.elem.is_identity
             # inner translations may only survive as single canonical V letters
             if letter.elem.is_translation:
-                assert len(word) == 1 and letter.kind == "V"
+                assert len(word.letters) == 1 and letter.kind == "V"
 
 
 # -- equality decisions -----------------------------------------------------------
@@ -160,7 +160,7 @@ def test_simplified_form_invariants():
 def test_equal_verdicts_are_structural():
     v = equal_or_unknown(plane_word("a b a^-1"), plane_word("b"))
     assert v.status == EQUAL and v.witness is None
-    assert equal_or_unknown(PlaneWord.identity(), PlaneWord.identity()).status == EQUAL
+    assert equal_or_unknown(PlaneWord(), PlaneWord()).status == EQUAL
     # commuting vertical pairs resolve by merging
     assert equal_or_unknown(plane_word("b c"), plane_word("c b")).status == EQUAL
     # zero-shift letters (f(x), y) and (x, g(y)) commute, alone or inside words
@@ -205,7 +205,7 @@ def test_single_letters_never_need_search():
     # the bump is still separated exactly, with no dependence on the search grid
     word = PlaneWord((Letter("V", BUMP),))
     config = WitnessSearchConfig(max_denominator=1, random_count=0, random_max_denominator=1, seed=1)
-    v = equal_or_unknown(word, PlaneWord.identity(), config)
+    v = equal_or_unknown(word, PlaneWord(), config)
     assert v.status == DISTINCT
     assert word.apply(v.witness) != v.witness
 
@@ -216,7 +216,7 @@ def corner_witness(w1, w2):
     tells them apart, on the axis of their kind; None for other words, or
     when no corner separates them."""
     kinds = {l.kind for l in w1.letters + w2.letters}
-    if len(w1) > 1 or len(w2) > 1 or len(kinds) != 1:
+    if len(w1.letters) > 1 or len(w2.letters) > 1 or len(kinds) != 1:
         return None
     e1, e2 = (w.letters[0].elem if w.letters else SkewElement.identity() for w in (w1, w2))
     xs = sorted({*e1.x_part.xs, *e2.x_part.xs, *e1.shift.xs, *e2.shift.xs})
@@ -234,11 +234,11 @@ OFF_ZERO = SkewElement(PLMap.from_points([(F(1, 3), F(1, 6)), (F(2, 3), F(5, 6))
 
 @pytest.mark.parametrize("u, v", [
     (plane_word("c"), plane_word("c^-1")),
-    (PlaneWord((Letter("V", BUMP),)), PlaneWord.identity()),
-    (PlaneWord((Letter("V", OFF_ZERO),)), PlaneWord.identity()),
+    (PlaneWord((Letter("V", BUMP),)), PlaneWord()),
+    (PlaneWord((Letter("V", OFF_ZERO),)), PlaneWord()),
     (plane_word("ch"), plane_word("ch^-1")),
-    (plane_word("dh"), PlaneWord.identity()),
-    (PlaneWord((Letter("H", OFF_ZERO),)), PlaneWord.identity()),
+    (plane_word("dh"), PlaneWord()),
+    (PlaneWord((Letter("H", OFF_ZERO),)), PlaneWord()),
 ], ids=["c", "bump", "off-zero", "ch", "dh", "off-zero-h"])
 def test_one_letter_witness_is_the_first_differing_corner(u, v):
     for w1, w2 in ((u, v), (v, u)):
@@ -682,14 +682,14 @@ def test_as_kind_refuses_a_letter_that_is_not_a_translation():
 def _reference_power(word, n):
     """word^n as |n| concatenations of the word or of its inverse."""
     factor = word if n >= 0 else word.invert()
-    result = PlaneWord.identity()
+    result = PlaneWord()
     for _ in range(abs(n)):
         result = result.concat(factor)
     return result
 
 
 def _reference_word(letters, gens):
-    result = PlaneWord.identity()
+    result = PlaneWord()
     for sym, exp in letters:
         result = result.concat(_reference_power(gens[sym], exp))
     return result
