@@ -9,11 +9,12 @@ Words are kept in a simplified form: adjacent letters of the same kind merge
 by exact composition, identity letters vanish, and pure translations -- which
 live in both copies -- are absorbed into either neighbour, in its copy, and
 stored V-first when they stand alone.  Letters with zero shift, (f(x), y) and
-(x, g(y)), commute, so such a pair is reordered until each merges with a
-same-kind neighbour; a lone pair of them is stored V-first.  Structural
-equality of simplified words therefore decides every equality this package
-needs, ``d dh == dh d`` included; a bounded witness search handles inequality,
-and anything else is honestly reported as unknown.
+(x, g(y)), commute, and a constant shift splits off as a translation, since
+(f(x), y + t) is (x, y + t) times (f(x), y); such letters are reordered until
+each merges with a same-kind neighbour, and a lone pair is stored V-first.
+Structural equality of simplified words therefore decides every equality this
+package needs, ``b d dh == b dh d`` included; a bounded witness search handles
+inequality, and anything else (``c a dh`` against ``c dh a``) is unknown.
 """
 
 from __future__ import annotations
@@ -73,6 +74,14 @@ def _merge(left: Letter, right: Letter) -> Letter:
     return Letter(left.kind, left.elem.compose(right.elem))
 
 
+def _split(letter: Letter) -> tuple[Letter, Letter]:
+    """A constant-shift letter's factors: its translation in the other kind, its zero-shift part."""
+    _, _, tn, td, _, _ = letter.elem.shift.corners[0]
+    zero = SkewElement.identity().shift
+    return (Letter("H" if letter.kind == "V" else "V", SkewElement(PLMap._one_corner(tn, td), zero)),
+            Letter(letter.kind, SkewElement(letter.elem.x_part, zero)))
+
+
 def _push(stack: list[Letter], letter: Letter) -> None:
     while True:
         translation = letter.elem.is_translation
@@ -89,14 +98,25 @@ def _push(stack: list[Letter], letter: Letter) -> None:
         elif top.elem.is_translation:
             stack.pop()
             letter = _merge(top.as_kind(letter.kind), letter)
-        elif (letter.elem.shift.is_zero and top.elem.shift.is_zero
-              and (len(stack) > 1 or letter.kind == "V")):
-            # (f(x), y) and (x, g(y)) commute: sink the letter past the top to
-            # merge below it; a lone bottom pair is kept V first, or it would
-            # swap forever
-            stack.pop()
-            _push(stack, letter)
-            letter = top
+        elif len(letter.elem.shift.corners) == 1 == len(top.elem.shift.corners) and (
+                letter.elem.shift.is_zero != top.elem.shift.is_zero
+                or top.elem.shift.is_zero and (len(stack) > 1 or letter.kind == "V")):
+            # (f(x), y + t) is (x, y + t) times (f(x), y), and (f(x), y) and
+            # (x, g(y)) commute: a zero-shift letter sinks past the top's
+            # zero-shift part, after the top's translation (a lone bottom zero-shift
+            # pair stays V first, or it would swap forever); a constant-shift
+            # letter merges its translation into a zero-shift top.  Each split
+            # leaves a zero-shift letter and moves a translation down: the walk ends.
+            if letter.elem.shift.is_zero:
+                stack.pop()
+                if not top.elem.shift.is_zero:
+                    translation, top = _split(top)
+                    _push(stack, translation)
+                _push(stack, letter)
+                letter = top
+            else:
+                translation, letter = _split(letter)
+                _push(stack, translation)
         else:
             stack.append(letter)
             return
@@ -264,8 +284,8 @@ def equal_or_unknown(w1: PlaneWord, w2: PlaneWord,
     ``equal`` only ever comes from identical simplified forms, never from
     sampling.  ``distinct`` always carries a point where the images differ.
     Equal words whose simplified forms differ end ``unknown``: a translation
-    absorbed on different sides (``b d dh`` vs ``b dh d``), or a relator the
-    stack walk cannot cancel.
+    merged into a letter whose shift is not constant (``c a dh`` vs
+    ``c dh a``), or a relator the stack walk cannot cancel.
 
     The search tries the exact ``_corner_points`` of one-letter words first,
     then ``config``'s seeded random points, then its grid: two distinct PL

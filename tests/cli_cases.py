@@ -461,10 +461,10 @@ ROWS = [
     # d := d b breaks the identities F5 and M5
     argv_row("console/verify-perturbed", ["verify", "--perturb", "d:=d b", "--no-timestamp",
                                           "--out", OUT], 1, out=("F5", "FAIL")),
-    # b := b d leaves dh^(b^3) == dh^-1 true but undecided: M5 reads unknown
-    argv_row("console/verify-undecided", ["verify", "--perturb", "b:=b d", "--no-timestamp",
-                                          "--out", OUT], 1,
-             out=Line("M5    unknown dh^(b^3) == dh^-1")),
+    # b := b d leaves dh^(b^3) == dh^-1 true, and the plane words decide it
+    argv_row("console/verify-m5-decided", ["verify", "--perturb", "b:=b d", "--no-timestamp",
+                                           "--out", OUT], 1,
+             out=Line("M5    ok   dh^(b^3) == dh^-1")),
     argv_row("epsilon/runs", ["epsilon"], 0, out=(
         "(3, -1, -2, -3, -2, -1)", "offset sum: -6", "{0, 1/6, 1/2, 5/6}",
         "epsilon == b^-36: True")),

@@ -44,7 +44,7 @@ def test_verify_certificate_bytes_are_pinned(tmp_path, capsys):
 
 
 # The exit codes and printed text of these three runs are rows of the
-# table in cli_cases.py (console/verify, verify-perturbed, verify-undecided):
+# table in cli_cases.py (console/verify, verify-perturbed, verify-m5-decided):
 # these tests read the certificates they write.
 def test_verify_ok(tmp_path, capsys):
     out = tmp_path / "rel.cert.json"
@@ -64,11 +64,13 @@ def test_verify_perturbed_fails(tmp_path, capsys):
     assert report["F3"] is True and report["F5"] is False and report["M5"] is False
 
 
-def test_verify_reports_an_undecided_identity_as_unknown(tmp_path, capsys):
+def test_verify_decides_an_identity_that_still_holds_under_a_perturbation(tmp_path, capsys):
+    # b' = b d = (d0(x), y + 1/6): dh^(b'^3) == dh^-1 still holds, and the
+    # split of b'^3 into its translation and its x-part decides it
     out = tmp_path / "rel.cert.json"
     main(["verify", "--perturb", "b:=b d", "--no-timestamp", "--out", str(out)])
     outcomes = {f["id"]: f["holds"] for f in certs.read_certificate(out)["payload"]["facts"]}
-    assert outcomes["M5"] is None
+    assert outcomes["M5"] is True
     assert [fid for fid, holds in outcomes.items() if holds is False] == [
         "F1", "F2", "F6", "M1", "M4", "M6"]
 
