@@ -17,6 +17,7 @@ one corner at x = 0, so ``==`` on corners decides equality of the functions.
 operands' corners: each segment of the result carries the product (or sum) of
 the two slopes over it.  A composite's value at a preimage of an outer corner
 is that corner's stored value; elsewhere it is read off the current segment.
+``compose`` reads ``_inv``: a map and its memoized inverse give the identity.
 These, ``invert`` and ``negate`` read and write ``int`` pairs only; ``xs`` and
 ``ys`` are ``Fraction`` views built on first read for callers.  Point
 evaluation (``__call__``, ``_eval``) runs on an integer affine table built on
@@ -422,7 +423,7 @@ class PLMap(_PLBase):
     The extension rule f(x+1) = f(x)+1 makes one period of breakpoints
     determine the whole function.  A single stored breakpoint means the map is
     a translation, canonically pinned at x = 0.  The inverse is memoized in
-    ``_inv``, one way only: it does not point back, so no reference cycle forms.
+    ``_inv``, one way only, so no reference cycle forms; ``compose`` reads it.
     """
 
     __slots__ = ("_inv",)
@@ -458,6 +459,8 @@ class PLMap(_PLBase):
             return PLMap._make(_raised(self.corners, tn, td)) if tn else self
         if self.is_identity:
             return other
+        if getattr(self, "_inv", None) is other or getattr(other, "_inv", None) is self:
+            return PLMap.identity()  # ``invert`` memoizes only the exact inverse
         return PLMap._make(_through(other, self))
 
     def invert(self) -> "PLMap":

@@ -465,9 +465,14 @@ ROWS = [
     argv_row("console/verify-m5-decided", ["verify", "--perturb", "b:=b d", "--no-timestamp",
                                            "--out", OUT], 1,
              out=Line("M5    ok   dh^(b^3) == dh^-1")),
-    argv_row("epsilon/runs", ["epsilon"], 0, out=(
-        "(3, -1, -2, -3, -2, -1)", "offset sum: -6", "{0, 1/6, 1/2, 5/6}",
-        "epsilon == b^-36: True")),
+    argv_row("epsilon/runs", ["epsilon"], 0, out=Whole(
+        "epsilon components:\n"
+        "  x_part breakpoints: (0, 0)\n"
+        "  shift  breakpoints: (0, -6)\n"
+        "offsets on the line x = 0: (3, -1, -2, -3, -2, -1)\n"
+        "offset sum: -6\n"
+        "breakpoints of c^d: {0, 1/6, 1/2, 5/6}\n"
+        "epsilon == b^-36: True\n")),
     *(argv_row(f"eval/{name}", ["eval", word, point], 0, out=Whole(image + "\n"))
       for name, word, point, image in [
           ("conjugate", "c^d", "0,0", "0,3"),

@@ -189,6 +189,8 @@ def test_inverses():
     for _ in range(N):
         f, g = random_plmap(rng), random_plmap(rng)
         assert f.compose(f.invert()) == PLMap.identity()
+        # an equal inverse that is not f's memo cancels in the merge walk
+        assert f.compose(oracle_invert(f)) == PLMap.identity()
         assert f.compose(g).invert() == g.invert().compose(f.invert())
 
 
@@ -338,6 +340,19 @@ def test_compose_matches_oracle(f, g):
 @KERNEL
 @given(plmaps())
 @example(CROSSING)
+@example(base_plmap())
+@example(d_power(64))
+def test_compose_with_the_memoized_inverse_is_the_walk(f):
+    # ``compose`` answers from the memo; ``_through`` is the walk it skips
+    inverse = f.invert()
+    for first, second in ((f, inverse), (inverse, f)):
+        assert first.compose(second) == PLMap.identity() == PLMap._make(
+            exactpl._through(second, first))
+
+
+@KERNEL
+@given(plmaps())
+@example(CROSSING)
 @example(TRANSLATION)
 @example(PLMap.identity())
 def test_invert_matches_oracle(f):
@@ -475,6 +490,7 @@ def test_kernel_operations_build_no_fraction(monkeypatch):
     pulled.add(q).negate()
     phi.invert()
     assert d256.x_part.invert().compose(d256.x_part) == PLMap.identity()
+    assert PLMap._make(d256.x_part.invert().corners).compose(d256.x_part) == PLMap.identity()
     assert wide.shift.add(wide.shift.negate()) == PLCocycle.zero()
     monkeypatch.undo()
     assert len(d256.x_part.corners) == 512

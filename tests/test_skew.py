@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from ordercert import exactpl
+from ordercert.exactpl import PLMap
 from ordercert.skew import (
     SkewElement,
     compute_epsilon,
@@ -69,6 +71,41 @@ def test_conjugate_by_da_powers():
     for k in range(6):
         g = C.conjugate(D.compose(A.power(k)))
         assert g.apply((0, y)) == (0, y + expected[k])
+
+
+@pytest.mark.parametrize("n", [1, 2, 64])
+def test_conjugate_by_a_pure_shift(n):
+    h = D.power(n)
+    conjugate = C.conjugate(h)
+    assert conjugate.x_part.is_identity
+    # the same conjugate through an equal inverse that is not h's memo, so
+    # the x-parts cancel in the merge walk
+    h_inv = h.invert()
+    unmemoized = SkewElement(PLMap._make(h_inv.x_part.corners), h_inv.shift)
+    assert unmemoized.compose(C).compose(h) == conjugate
+    rng = random.Random(35)
+    for _ in range(3):
+        p = random_point(rng)
+        assert conjugate.apply(p) == stepwise_apply(f"d^-{n} c d^{n}", p, GENS)
+
+
+def test_conjugating_a_pure_shift_walks_once(monkeypatch):
+    # c^(d^64) walks c's 2 corners against the 128 of d^-64; d^-64 then d^64
+    # cancel through the inverse memoized on d^64's x-part, with no walk
+    h = D.power(64)
+    walks = []
+    through = exactpl._through
+
+    def counting(outer, phi):
+        walks.append((len(outer.corners), len(phi.corners)))
+        return through(outer, phi)
+
+    monkeypatch.setattr(exactpl, "_through", counting)
+    C.conjugate(h)
+    assert walks == [(2, 128)]
+    # the other order: d^64's x-part composed with the inverse memoized on it
+    assert h.compose(h.invert()) == SkewElement.identity()
+    assert walks == [(2, 128)]
 
 
 def test_words():
