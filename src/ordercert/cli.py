@@ -1,12 +1,7 @@
 """Command-line interface.
 
-Subcommands::
-
-    verify       check every generator identity, write a relation-report
-    epsilon      compute the six-factor product and compare it to b^-36
-    prove        build, check, and write the no-left-order derivation
-    check-cert   re-check a no-left-order certificate from disk
-    eval         apply a word to a point x,y, each coordinate p or p/q in ASCII digits
+The commands, each with its handler, one-line summary, positionals and
+options, are the entries of ``COMMANDS``; ``-h`` prints their usage from it.
 
 Exit codes: 0 success / verified, 1 a checked statement or cited fact is
 false, a derivation is invalid or does not state the theorem, 2 unknown or
@@ -15,8 +10,7 @@ human-readable text; certificates go only to files.
 
 Commands run with the cyclic garbage collector paused: records are immutable
 and acyclic, and no command leaves a reference cycle
-(``test_cli::test_commands_leave_no_cyclic_garbage``).  ``-h`` prints the list
-above as the usage text.
+(``test_cli::test_commands_leave_no_cyclic_garbage``).
 """
 
 from __future__ import annotations
@@ -189,15 +183,19 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-# Each command's positional names and options.  An option whose default is
-# False is a flag, and a tuple default lists its choices, the first the default.
+# Each command's handler, summary, positional names and options.  An option whose
+# default is False is a flag; a tuple default lists its choices, the first the default.
 COMMANDS = {
-    "verify": ((), {"format": ("text", "json"), "perturb": None,
-                    "out": "relations.cert.json", "no_timestamp": False}),
-    "epsilon": ((), {}),
-    "prove": ((), {"out": "theorem.cert.json", "no_timestamp": False}),
-    "check-cert": (("path",), {}),
-    "eval": (("word", "point"), {}),
+    "verify": (cmd_verify, "check every generator identity, write a relation-report", (),
+               {"format": ("text", "json"), "perturb": None, "out": "relations.cert.json",
+                "no_timestamp": False}),
+    "epsilon": (cmd_epsilon, "compute the six-factor product and compare it to b^-36", (), {}),
+    "prove": (cmd_prove, "build, check, and write the no-left-order derivation", (),
+              {"out": "theorem.cert.json", "no_timestamp": False}),
+    "check-cert": (cmd_check_cert, "re-check a no-left-order certificate from disk",
+                   ("path",), {}),
+    "eval": (cmd_eval, "apply a word to a point x,y, each coordinate p or p/q in ASCII digits",
+             ("word", "point"), {}),
 }
 
 
@@ -209,7 +207,7 @@ def _usage(command) -> str:
     """The usage line of ``command``, or of the program when it is None."""
     if command is None:
         return "usage: ordercert {" + ",".join(COMMANDS) + "} ..."
-    positional, options = COMMANDS[command]
+    _, _, positional, options = COMMANDS[command]
     words = ["usage: ordercert", command, *map(str.upper, positional)]
     for key, default in options.items():
         option = "--" + key.replace("_", "-")
@@ -228,7 +226,7 @@ def parse_args(argv) -> SimpleNamespace:
     ``-h`` or ``--help`` prints the usage and exits 0; any other misfit raises
     ``UsageError``."""
     command = argv[0] if argv and argv[0] in COMMANDS else None
-    positional, options = COMMANDS.get(command, (("command",), {}))
+    _, _, positional, options = COMMANDS.get(command, (None, None, ("command",), {}))
     values = {key: default[0] if type(default) is tuple else default
               for key, default in options.items()}
     words, rest = [], iter(argv[command is not None:])
@@ -243,9 +241,9 @@ def parse_args(argv) -> SimpleNamespace:
             if arg == "-h" or keys == ["help"]:
                 if given:
                     raise UsageError(command, f"{arg!r} takes no value")
-                subcommands = __doc__.split("::\n\n", 1)[1].split("\n\n", 1)[0].splitlines()
-                print(_usage(command), "", *(line for line in subcommands
-                                             if command in (None, line.split()[0])), sep="\n")
+                print(_usage(command), "", *(f"    {name:<12} {entry[1]}" for name, entry
+                                             in COMMANDS.items() if command in (None, name)),
+                      sep="\n")
                 raise SystemExit(0)
             if len(keys) != 1:
                 raise UsageError(command, f"unrecognized option {arg!r}")
@@ -279,7 +277,7 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        return COMMANDS[args.command][0](args)
     finally:
         if collecting:
             gc.enable()

@@ -61,30 +61,30 @@ def _take_letter(text, pos, spellings):
     raise WordSyntaxError(f"unknown letter at {clip(text[pos:])!r}")
 
 
-def _int_end(text, pos):
-    """Where the integer [+-]?[0-9]+ starting at ``pos`` ends, or ``pos`` if
-    none starts there.  Only ASCII digits count: str.isdigit() and int() also
-    take digits such as '²' or '٣'."""
-    end = digits = pos + (text[pos:pos + 1] in ("+", "-"))
-    while end < len(text) and text[end] in "0123456789":
+def _read_int(token, pos):
+    """The integer [+-]?[0-9]+ that starts at ``pos`` of ``token`` and where it
+    ends, or (None, pos) if none starts there.  Only ASCII digits count:
+    str.isdigit() and int() also take digits such as '²' or '٣'."""
+    end = digits = pos + (token[pos:pos + 1] in ("+", "-"))
+    while end < len(token) and token[end] in "0123456789":
         end += 1
-    return end if end > digits else pos
+    try:
+        return (int(token[pos:end]), end) if end > digits else (None, pos)
+    except ValueError:  # more digits than int() converts
+        raise WordSyntaxError(f"exponent has too many digits in token {clip(token)!r}") from None
 
 
-def _parse_conjugator(text, spellings):
-    pos = 0
+def _parse_conjugator(token, pos, spellings):
+    """The (letter, exponent) pairs of the conjugator ``token[pos:]``."""
     letters = []
-    while pos < len(text):
-        sym, pos = _take_letter(text, pos, spellings)
+    while pos < len(token):
+        sym, pos = _take_letter(token, pos, spellings)
         exp = 1
-        if pos < len(text) and (text[pos].isdigit() or text[pos] in "+-"):
-            end = _int_end(text, pos)
-            if end == pos:
-                raise WordSyntaxError(f"expected integer at {clip(text[pos:])!r}")
-            exp, pos = int(text[pos:end]), end
+        if pos < len(token) and (token[pos].isdigit() or token[pos] in "+-"):
+            exp, pos = _read_int(token, pos)
+            if exp is None:
+                raise WordSyntaxError(f"expected integer at {clip(token[pos:])!r}")
         letters.append((sym, exp))
-    if not letters:
-        raise WordSyntaxError("empty conjugator")
     return letters
 
 
@@ -107,11 +107,12 @@ def parse_word(text: str, alphabet) -> list[tuple[str, int]]:
         if not suffix:
             raise WordSyntaxError(f"dangling '^' in token {clip(token)!r}")
         if suffix[0] in "+-" or suffix[0].isdigit():
-            if _int_end(suffix, 0) != len(suffix):
+            exp, end = _read_int(token, pos + 1)
+            if end != len(token):
                 raise WordSyntaxError(f"exponent is not an integer in token {clip(token)!r}")
-            letters.append((sym, int(suffix)))
+            letters.append((sym, exp))
         else:
-            conj = _parse_conjugator(suffix, spellings)
+            conj = _parse_conjugator(token, pos + 1, spellings)
             letters.extend((s, -e) for s, e in reversed(conj))
             letters.append((sym, 1))
             letters.extend(conj)

@@ -212,6 +212,7 @@ def _contradiction_marker(value):
 
 
 _LONG = "z" * 100000
+_NINES = "9" * 4400
 
 
 def _long_branch_name_on_the_path(payload):
@@ -498,6 +499,16 @@ ROWS = [
           ("mixed-signs", ["verify", "--perturb", "d:=d^+-1"]),
           ("arabic-indic", ["verify", "--perturb", "d:=d^٣"]),
           ("eval-superscript", ["eval", "d^²", "0,0"]),
+      ]),
+    # exponents of 4,400 digits, past int()'s 4,300: the two perturbations
+    # ended in a traceback, exit 1, and eval printed int()'s own message; the
+    # token is quoted by its first 64 characters
+    *(argv_row(f"malformed-exponent/{name}", argv, 3, err=Whole(
+        f"error: exponent has too many digits in token {(token + _NINES)[:64] + '...'!r}\n"))
+      for name, token, argv in [
+          ("too-many-digits", "d^", ["verify", "--perturb", "d:=d^" + _NINES]),
+          ("conjugator-too-many-digits", "c^a", ["verify", "--perturb", "d:=c^a" + _NINES]),
+          ("eval-too-many-digits", "c^a", ["eval", "c^a" + _NINES, "0,0"]),
       ]),
 
     # Fraction(text) read the first four as numbers: a coordinate is ASCII p or p/q

@@ -374,7 +374,7 @@ def test_help_exits_zero(capsys):
     assert capsys.readouterr().out.startswith("usage: ordercert")
 
 
-def test_help_lists_the_commands_of_the_docstring(capsys):
+def test_help_lists_the_commands_of_the_table(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["-h"])
     assert exc.value.code == 0
@@ -401,7 +401,7 @@ def test_commands_pause_the_cyclic_collector(monkeypatch):
             raise RuntimeError("spy")
         return 0
 
-    monkeypatch.setattr(cli, "cmd_eval", spy)
+    monkeypatch.setitem(cli.COMMANDS, "eval", (spy, *cli.COMMANDS["eval"][1:]))
     assert gc.isenabled()
     assert main(["eval", "a", "0,0"]) == 0
     assert gc.isenabled()
@@ -467,13 +467,14 @@ def test_commands_leave_no_cyclic_garbage(tmp_path, capsys, theorem_cert, argv, 
     assert not garbage, sorted({type(obj).__qualname__ for obj in garbage})
 
 
-def _fresh_python(code, *args):
+def _fresh_python(code, *args, flags=()):
     """A new interpreter running ``code`` on this checkout's ``ordercert``,
-    started and not waited for.  It runs without ``site`` (``-S``), so no
-    start-up hook of the installation loads modules before ``code`` runs."""
+    with the interpreter options ``flags``, started and not waited for.  It
+    runs without ``site`` (``-S``), so no start-up hook of the installation
+    loads modules before ``code`` runs."""
     src = str(Path(ordercert.__file__).resolve().parents[1])
-    return subprocess.Popen([sys.executable, "-S", "-c", code, *args], stdout=subprocess.PIPE,
-                            text=True, env={**os.environ, "PYTHONPATH": src})
+    return subprocess.Popen([sys.executable, "-S", *flags, "-c", code, *args],
+                            stdout=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": src})
 
 
 def _output(run):
@@ -508,6 +509,16 @@ def test_commands_load_only_what_they_run(tmp_path, theorem_cert, argv):
             "code = ordercert.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
             f"print(code, sorted(set({UNLOADED!r}) & set(sys.modules)))")
     assert _output(_fresh_python(code, *argv)).splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["verify", "-h"], ["check-cert", "--help"]],
+                         ids=["program", "verify", "check-cert"])
+def test_help_needs_no_docstrings(argv):
+    # -OO strips every docstring: the usage text is read from cli.COMMANDS
+    code = "import sys, ordercert.cli; ordercert.cli.main(sys.argv[1:])"
+    runs = [_fresh_python(code, *argv, flags=flags) for flags in ((), ("-OO",))]
+    plain, stripped = map(_output, runs)
+    assert plain.startswith("usage: ordercert") and stripped == plain
 
 
 _CORE = {"ordercert.exactpl", "ordercert.wordsyntax", "ordercert.skew"}
